@@ -25,6 +25,7 @@ from .chains import (
     simulate_chain,
     simulate_inar_direct,
     simulate_inar_superposition,
+    transition_matrix,
     window_joint_pmf,
     write_ensemble_csv,
 )

@@ -3,8 +3,10 @@
 Covers the count autoregression with binomial thinning and Poisson
 innovations (built two ways: directly from its transition structure, and
 as a superposition of independent pure-death chains), the pure-death
-chains themselves, binary indicator-product chains, seeded path
-simulation, and exact joint laws over arbitrary finite index windows.
+chains themselves, binary indicator-product chains, and seeded path
+simulation.  Every exact law (window joints, lag joints, marginals) comes
+from one dense engine: the kernel tabulated once by
+:func:`transition_matrix`, then contracted with numpy.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dependence import JointPmf
+from .dependence import DEFAULT_EXPLOSION_LIMIT, JointPmf
 from .errors import (
     ExplosionLimitError,
     InvalidConfigError,
@@ -34,8 +37,6 @@ from .pmf import (
     point_mass,
     poisson_pmf,
 )
-
-DEFAULT_EXPLOSION_LIMIT = 2_000_000
 
 __all__ = [
     "InarParams",
@@ -54,6 +55,8 @@ __all__ = [
     "simulate_chain",
     "simulate_inar_direct",
     "simulate_inar_superposition",
+    "transition_matrix",
+    "push",
     "window_joint_pmf",
     "marginal_at",
     "write_ensemble_csv",
@@ -438,48 +441,71 @@ def simulate_inar_superposition(
     return ensemble, InnovationDecomposition(x, u, v)
 
 
-def _truncated_transition(
-    spec: MarkovChainSpec, support: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-substochastic transition table on {0..support-1} plus per-row escape.
+def transition_matrix(spec: MarkovChainSpec, cap: int) -> np.ndarray:
+    """Kernel rows for the states 0..cap, zero-padded to the widest row.
 
-    The kernel must be evaluable up to ``support - 1``; all built-in chains
-    define it for every nonnegative state, so a caller-supplied cap may
-    exceed the chain's advertised ``state_cap`` to refine the truncation.
+    Row ``x`` holds ``spec.kernel(x).probs``; the matrix is at least
+    ``cap + 1`` columns wide, so ``[:, :cap + 1]`` is the kernel truncated
+    to {0..cap}.  Every exact law in this package is built from this table.
+    The kernel must be evaluable up to ``cap``; all built-in chains define
+    it for every nonnegative state, so a cap may exceed the chain's
+    advertised ``state_cap`` to refine a truncation.
     """
-    trans = np.zeros((support, support))
-    escape = np.zeros(support)
-    for s in range(support):
-        law = spec.kernel(s)
-        m = min(law.probs.size, support)
-        trans[s, :m] = law.probs[:m]
-        escape[s] = max(0.0, 1.0 - math.fsum(trans[s].tolist()))
-    return trans, escape
+    if cap < 0:
+        raise InvalidParameterError("cap must be nonnegative")
+    rows = [spec.kernel(x).probs for x in range(cap + 1)]
+    out = np.zeros((cap + 1, max(cap + 1, max(row.size for row in rows))))
+    for x, row in enumerate(rows):
+        out[x, : row.size] = row
+    return out
 
 
-@dataclass(frozen=True)
+def push(pmf: Pmf, trans: np.ndarray) -> Pmf:
+    """One kernel step applied to a law, through a ``transition_matrix``.
+
+    Support grows to the matrix width; input states above its last row
+    escape into the tail, so the result's tail mass is an honest bound on
+    everything unaccounted for.
+    """
+    top = min(pmf.max_state, trans.shape[0] - 1)
+    out = pmf.probs[: top + 1] @ trans[: top + 1]
+    return Pmf(out, max(0.0, 1.0 - math.fsum(out.tolist())))
+
+
+@dataclass(frozen=True, eq=False)
 class TupleLaw:
     """Exact joint law of a chain observed at a finite set of indices.
 
-    Atoms map observation tuples (one state per index, in index order) to
-    probabilities; ``truncation_error`` bounds the mass lost to state
-    truncation and kernel tails along the way.
+    ``mass`` is a dense tensor with one axis per observed index (in index
+    order), each axis covering the states 0..cap; ``mass[x0, x1, ...]`` is
+    the probability of that observation tuple.  ``truncation_error`` is
+    the mass lost to state truncation and kernel tails, ``1 - sum(mass)``.
     """
 
     indices: tuple[int, ...]
-    atoms: Mapping[tuple[int, ...], float]
+    mass: np.ndarray
     truncation_error: float
 
+    @cached_property
+    def atoms(self) -> Mapping[tuple[int, ...], float]:
+        """Positive-probability tuples in lexicographic order (read-only)."""
+        cells = np.nonzero(self.mass > 0.0)
+        keys = zip(*(axis.tolist() for axis in cells))
+        return MappingProxyType(dict(zip(keys, self.mass[cells].tolist())))
+
     def total(self) -> float:
-        return math.fsum(self.atoms.values())
+        return math.fsum(self.mass.ravel().tolist())
+
+    def _sum_to(self, positions: Sequence[int]) -> np.ndarray:
+        """Mass summed over every axis not listed, the rest in listed order."""
+        rest = tuple(p for p in range(self.mass.ndim) if p not in positions)
+        kept = sorted(positions)
+        return self.mass.sum(axis=rest).transpose([kept.index(p) for p in positions])
 
     def marginal(self, index: int) -> Pmf:
         """Single-coordinate marginal as a Pmf (lost mass goes to the tail)."""
-        pos = self.indices.index(index)
-        top = max(atom[pos] for atom in self.atoms)
-        probs = np.zeros(top + 1)
-        for atom, mass in self.atoms.items():
-            probs[atom[pos]] += mass
+        probs = self._sum_to([self.indices.index(index)])
+        probs = probs[: np.nonzero(probs > 0.0)[0][-1] + 1]
         return Pmf(probs, max(0.0, 1.0 - math.fsum(probs.tolist())))
 
     def split(
@@ -490,26 +516,27 @@ class TupleLaw:
         S and T must be disjoint nonempty subsets of the observed indices;
         the kept mass is renormalized to 1 so the result is a valid joint
         (the discarded mass is already reported as truncation_error).
+        Rows and columns are the positive-mass tuples, in lexicographic
+        order.
         """
         s_pos = [self.indices.index(i) for i in sorted(s_indices)]
         t_pos = [self.indices.index(i) for i in sorted(t_indices)]
         if not s_pos or not t_pos or set(s_pos) & set(t_pos):
             raise InvalidParameterError("S and T must be disjoint and nonempty")
-        grouped: dict[tuple, dict[tuple, float]] = {}
-        for atom, mass in self.atoms.items():
-            r = tuple(atom[p] for p in s_pos)
-            c = tuple(atom[p] for p in t_pos)
-            by_col = grouped.setdefault(r, {})
-            by_col[c] = by_col.get(c, 0.0) + mass
-        rows = sorted(grouped)
-        cols = sorted({c for by_col in grouped.values() for c in by_col})
-        col_at = {c: j for j, c in enumerate(cols)}
-        mass = np.zeros((len(rows), len(cols)))
-        for i, r in enumerate(rows):
-            for c, m in grouped[r].items():
-                mass[i, col_at[c]] = m
+        support = self.mass.shape[0]
+        mass = self._sum_to(s_pos + t_pos).reshape(
+            support ** len(s_pos), support ** len(t_pos)
+        )
+        rows = np.nonzero(mass.sum(axis=1) > 0.0)[0]
+        cols = np.nonzero(mass.sum(axis=0) > 0.0)[0]
+        mass = mass[np.ix_(rows, cols)]
         mass /= mass.sum()
-        return JointPmf(mass, tuple(rows), tuple(cols))
+
+        def labels(flat: np.ndarray, ndim: int) -> tuple:
+            coords = np.unravel_index(flat, (support,) * ndim)
+            return tuple(zip(*(c.tolist() for c in coords)))
+
+        return JointPmf(mass, labels(rows, len(s_pos)), labels(cols, len(t_pos)))
 
 
 def window_joint_pmf(
@@ -520,12 +547,13 @@ def window_joint_pmf(
 ) -> TupleLaw:
     """Exact joint law of the chain at the given strictly increasing indices.
 
-    Forward kernel products with per-coordinate truncation at ``cap``
-    (``spec.state_cap`` is the natural choice; larger caps refine the
-    truncation when the kernel extends).  Atoms are kept sparsely, so
-    impossible tuples (e.g. increases under a death kernel) never
-    materialize.  The accumulated lost mass is reported, not renormalized
-    away.
+    Dense contraction of the kernel truncated to {0..cap} (``spec.state_cap``
+    is the natural choice; larger caps refine the truncation when the
+    kernel extends): ``mass = init @ P^i0``, then one new axis
+    ``mass[..., None] * P^gap`` per later index, with matrix powers over
+    the unobserved gaps.  Impossible tuples (e.g. increases under a death
+    kernel) hold zero mass.  The lost mass is reported as
+    ``truncation_error``, not renormalized away.
     """
     idx = [int(i) for i in indices]
     if not idx or any(b <= a for a, b in zip(idx, idx[1:])) or idx[0] < 0:
@@ -540,40 +568,16 @@ def window_joint_pmf(
             f"window law could hold up to {support ** len(idx)} atoms "
             f"(limit {explosion_limit}); shrink the window or the cap"
         )
-    trans, escape = _truncated_transition(spec, support)
-
+    trans = transition_matrix(spec, cap)[:, :support]
     init = np.zeros(support)
     m = min(spec.initial.probs.size, support)
     init[:m] = spec.initial.probs[:m]
-    err = 1.0 - math.fsum(init.tolist())
-
-    index_set = set(idx)
-    last = idx[-1]
-    tuples: list[tuple[int, ...]] = [()]
-    mat = init[None, :]
-    atoms: dict[tuple[int, ...], float] = {}
-    for t in range(last + 1):
-        if t in index_set:
-            if t == last:
-                for row, tup in enumerate(tuples):
-                    vec = mat[row]
-                    for s in np.nonzero(vec > 0.0)[0]:
-                        atoms[tup + (int(s),)] = float(vec[s])
-                break
-            new_tuples: list[tuple[int, ...]] = []
-            rows: list[np.ndarray] = []
-            for row, tup in enumerate(tuples):
-                vec = mat[row]
-                for s in np.nonzero(vec > 0.0)[0]:
-                    unit = np.zeros(support)
-                    unit[s] = vec[s]
-                    new_tuples.append(tup + (int(s),))
-                    rows.append(unit)
-            tuples = new_tuples
-            mat = np.vstack(rows)
-        err += float((mat * escape).sum())
-        mat = mat @ trans
-    return TupleLaw(tuple(idx), atoms, max(0.0, err))
+    mass = init @ np.linalg.matrix_power(trans, idx[0])
+    for prev, cur in zip(idx, idx[1:]):
+        mass = mass[..., None] * np.linalg.matrix_power(trans, cur - prev)
+    mass.setflags(write=False)
+    err = 1.0 - math.fsum(mass.ravel().tolist())
+    return TupleLaw(tuple(idx), mass, max(0.0, err))
 
 
 def marginal_at(spec: MarkovChainSpec, j: int) -> Pmf:
@@ -585,21 +589,11 @@ def marginal_at(spec: MarkovChainSpec, j: int) -> Pmf:
     """
     if j < 0:
         raise InvalidParameterError("j must be nonnegative")
+    trans = transition_matrix(spec, spec.state_cap)
     cur = spec.initial
     for _ in range(j):
-        cur = _push_once(cur, spec.kernel, spec.state_cap)
+        cur = push(cur, trans)
     return cur
-
-
-def _push_once(pmf: Pmf, kernel: Callable[[int], Pmf], cap: int) -> Pmf:
-    top = min(pmf.max_state, cap)
-    laws = [kernel(x) for x in range(top + 1)]
-    out = np.zeros(max(law.probs.size for law in laws))
-    for x, law in enumerate(laws):
-        px = pmf.probs[x]
-        if px > 0.0:
-            out[: law.probs.size] += px * law.probs
-    return Pmf(out, max(0.0, 1.0 - math.fsum(out.tolist())))
 
 
 def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:

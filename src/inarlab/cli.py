@@ -8,6 +8,7 @@ start with `#`-prefixed metadata lines.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -323,16 +324,9 @@ def verify(config_path, seed, paths, significance, negative_controls, threads, o
         except (OSError, json.JSONDecodeError) as exc:
             click.echo(f"malformed config: {exc}", err=True)
             sys.exit(EXIT_USAGE)
-        allowed = {
-            "n_paths",
-            "path_length",
+        allowed = {f.name for f in dataclasses.fields(McConfig)} - {"seed"} | {
             "root_seed",
             "stream_index",
-            "significance",
-            "truncation_budget",
-            "a_grid",
-            "lambda_grid",
-            "negative_controls",
         }
         unknown = set(raw) - allowed
         if unknown:
@@ -350,13 +344,12 @@ def verify(config_path, seed, paths, significance, negative_controls, threads, o
 
     root_seed = fields.pop("root_seed", 20170825)
     stream_index = fields.pop("stream_index", 0)
-    if "a_grid" in fields:
-        fields["a_grid"] = tuple(fields["a_grid"])
-    if "lambda_grid" in fields:
-        fields["lambda_grid"] = tuple(fields["lambda_grid"])
     try:
+        for grid in ("a_grid", "lambda_grid"):
+            if grid in fields:
+                fields[grid] = tuple(fields[grid])
         config = McConfig(seed=SeedSpec(root_seed, stream_index), **fields)
-    except (InvalidParameterError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         click.echo(f"malformed config: {exc}", err=True)
         sys.exit(EXIT_USAGE)
 

@@ -22,8 +22,8 @@ from .errors import (
     ExplosionLimitError,
     InvalidParameterError,
 )
+from .pmf import MASS_TOL
 
-MASS_TOL = 1e-12
 DEFAULT_ALPHABET_CAP = 12
 DEFAULT_EXPLOSION_LIMIT = 2_000_000
 

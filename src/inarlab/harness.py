@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,15 +28,16 @@ from .chains import (
     InnovationDecomposition,
     PathEnsemble,
     SuperpositionConfig,
-    _push_once,
     inar_kernel,
     indicator_chain_spec,
+    push,
     simulate_inar_direct,
     simulate_inar_superposition,
+    transition_matrix,
     window_joint_pmf,
 )
 from .dependence import TripletPmf, markov_triplet_residual
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, InvalidParameterError
 from .mixing import (
     IDENTITY_BOUND,
     verify_absorbing_split,
@@ -64,7 +66,8 @@ __all__ = [
 @dataclass(frozen=True)
 class McConfig:
     """Campaign configuration; n_paths has a hard floor so distributional
-    checks keep nontrivial power."""
+    checks keep nontrivial power, and every grid point must be a valid
+    InarParams."""
 
     n_paths: int = 100_000
     path_length: int = 32
@@ -84,6 +87,11 @@ class McConfig:
             raise InvalidConfigError("significance must lie in (0, 1)")
         if not (0.0 < self.truncation_budget < 1.0):
             raise InvalidConfigError("truncation_budget must lie in (0, 1)")
+        try:
+            for a, lam in product(self.a_grid, self.lambda_grid):
+                InarParams(a=a, lam=lam)
+        except (InvalidParameterError, TypeError) as exc:
+            raise InvalidConfigError(f"invalid grid point: {exc}") from exc
 
     def as_dict(self) -> dict:
         return {
@@ -101,22 +109,21 @@ class McConfig:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Self-auditing record: passed is always (statistic <= threshold)."""
+    """Self-auditing record: passed is derived as (statistic <= threshold)."""
 
     check: str
     construction: str
     params: dict
     statistic: float
     threshold: float
-    passed: bool
     provenance: str
     budget: float = 0.0
     seed: int | None = None
     note: str = ""
 
-    def __post_init__(self):
-        if self.passed != (self.statistic <= self.threshold):
-            raise InvalidConfigError("pass flag inconsistent with statistic")
+    @property
+    def passed(self) -> bool:
+        return self.statistic <= self.threshold
 
     def to_dict(self) -> dict:
         return {
@@ -140,7 +147,6 @@ def _report(check, construction, params, statistic, threshold, provenance, **kw)
         params=params,
         statistic=float(statistic),
         threshold=float(threshold),
-        passed=bool(statistic <= threshold),
         provenance=provenance,
         **kw,
     )
@@ -248,10 +254,11 @@ def check_stationary_marginal(
     mean = params.stationary_mean if target_mean is None else target_mean
     if ensemble is None:
         spec = inar_kernel(params, truncation_budget)
+        trans = transition_matrix(spec, spec.state_cap)
         worst = 0.0
         law = spec.initial
         for _ in range(max_exact_step):
-            law = _push_once(law, spec.kernel, spec.state_cap)
+            law = push(law, trans)
             worst = max(worst, total_variation(law, spec.initial))
         return _report(
             "stationary-marginal-exact",
@@ -413,15 +420,14 @@ def check_construction_equivalence(
     )
     obs = ensemble.paths[:, list(window)]
 
-    atoms = list(law.atoms)
-    probs = np.array([law.atoms[a] for a in atoms])
-    atom_index = {a: i for i, a in enumerate(atoms)}
-    counts = np.zeros(len(atoms) + 1)  # final slot: outside the truncated law
-    for row in map(tuple, obs.tolist()):
-        counts[atom_index.get(row, len(atoms))] += 1.0
+    # final slot: rows with a coordinate outside the truncated law
+    slot = np.full(n_paths, law.mass.size)
+    inside = np.all(obs < law.mass.shape[0], axis=1)
+    slot[inside] = np.ravel_multi_index(obs[inside].T, law.mass.shape)
+    counts = np.bincount(slot, minlength=law.mass.size + 1)
 
     emp = counts / n_paths
-    exact = np.append(probs, law.truncation_error)
+    exact = np.append(law.mass.ravel(), law.truncation_error)
     tv = 0.5 * float(np.abs(emp - exact).sum())
     threshold = (
         _empirical_tv_threshold(exact, n_paths, significance) + law.truncation_error
@@ -452,20 +458,16 @@ def check_construction_equivalence(
 def _kernel_triplet(params: InarParams, cap: int, tail_budget: float) -> TripletPmf:
     """Joint of ((X0, X1), X1, X2) from kernel products; Markov by structure."""
     spec = inar_kernel(params, tail_budget)
-    init = spec.initial.probs
-    top = min(cap, spec.state_cap)
-    laws0 = [spec.kernel(x) for x in range(top + 1)]
-    b_size = max(l.probs.size for l in laws0)
-    laws1 = [spec.kernel(x1) for x1 in range(b_size)]
-    c_size = max(l.probs.size for l in laws1)
-    a_atoms = [(x0, x1) for x0 in range(top + 1) for x1 in range(laws0[x0].probs.size)]
-    mass = np.zeros((len(a_atoms), b_size, c_size))
-    for ai, (x0, x1) in enumerate(a_atoms):
-        p01 = init[x0] * laws0[x0].probs[x1]
-        vec = laws1[x1].probs
-        mass[ai, x1, : vec.size] = p01 * vec
+    first = transition_matrix(spec, min(cap, spec.state_cap))
+    second = transition_matrix(spec, first.shape[1] - 1)
+    top, b_size = first.shape
+    path = spec.initial.probs[:top, None, None] * first[:, :, None] * second
+    mass = np.zeros((top, b_size, b_size, second.shape[1]))
+    x1 = np.arange(b_size)
+    mass[:, x1, x1, :] = path  # the middle coordinate repeats X1
+    mass = mass.reshape(top * b_size, b_size, -1)
     mass /= mass.sum()
-    return TripletPmf(mass, tuple(a_atoms))
+    return TripletPmf(mass, tuple(np.ndindex(top, b_size)))
 
 
 def _decomposition_triplet(

@@ -20,11 +20,16 @@ import numpy as np
 from .chains import (
     MarkovChainSpec,
     TupleLaw,
-    _truncated_transition,
     indicator_chain_spec,
+    transition_matrix,
     window_joint_pmf,
 )
-from .dependence import JointPmf, lambda_coefficient, maximal_correlation
+from .dependence import (
+    DEFAULT_EXPLOSION_LIMIT,
+    JointPmf,
+    lambda_coefficient,
+    maximal_correlation,
+)
 from .errors import (
     InsufficientDataError,
     InvalidBoundError,
@@ -33,7 +38,6 @@ from .errors import (
 )
 
 DEFAULT_MAX_WIDTH = 8
-DEFAULT_EXPLOSION_LIMIT = 2_000_000
 
 __all__ = [
     "WindowSpec",
@@ -219,13 +223,11 @@ def lag_joint(spec: MarkovChainSpec, n: int, cap: int) -> tuple[JointPmf, float]
     if cap < 1:
         raise InvalidParameterError("cap must be positive")
     support = cap + 1
-    trans, _ = _truncated_transition(spec, support)
+    trans = transition_matrix(spec, cap)[:, :support]
     init = np.zeros(support)
     m = min(spec.initial.probs.size, support)
     init[:m] = spec.initial.probs[:m]
-    step = trans
-    for _ in range(n - 1):
-        step = step @ trans
+    step = np.linalg.matrix_power(trans, n)
     joint = init[:, None] * step
     kept = math.fsum(joint.ravel().tolist())
     escaped = max(0.0, 1.0 - kept)
@@ -369,7 +371,8 @@ def verify_absorbing_split(
         raise WindowTooWideError(
             f"window of {length} coordinates exceeds the enumeration cap {max_length}"
         )
-    if any(atom[i] not in (0, 1) for atom in law.atoms for i in range(length)):
+    binary = law.mass[(slice(0, 2),) * length]
+    if np.count_nonzero(binary) != np.count_nonzero(law.mass):
         raise InvalidParameterError("window law must be over binary states")
 
     def fail(note: str) -> AbsorbingSplitReport:
@@ -386,17 +389,11 @@ def verify_absorbing_split(
     if epsilon > 1.0 / 9.0:
         return fail(f"epsilon={epsilon} exceeds 1/9")
     for n in range(1, length):
-        prefix_mass: dict[tuple, float] = {}
-        zero_mass: dict[tuple, float] = {}
-        for atom, mass in law.atoms.items():
-            h = atom[:n]
-            prefix_mass[h] = prefix_mass.get(h, 0.0) + mass
-            if atom[n] == 0:
-                zero_mass[h] = zero_mass.get(h, 0.0) + mass
-        for h, ph in prefix_mass.items():
-            if ph <= 0.0:
-                continue
-            cond_zero = zero_mass.get(h, 0.0) / ph
+        # head[h + (x,)]: mass of history h at the first n indices, then x
+        head = binary.sum(axis=tuple(range(n + 1, length)))
+        prefix = head.sum(axis=-1)
+        for h in zip(*(c.tolist() for c in np.nonzero(prefix > 0.0))):
+            cond_zero = head[h][0] / prefix[h]
             if h[-1] == 0 and cond_zero < 1.0 - atol:
                 return fail(f"state 0 not absorbing after history {h}")
             if cond_zero < 1.0 - epsilon - atol:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import special, stats
@@ -242,9 +241,3 @@ def sample(
         raise InvalidParameterError("count must be positive")
     _require_sampleable(p, tail_threshold)
     return _sample_with_rng(p, seed.generator(), count)
-
-
-def from_probs(values: Sequence[float]) -> Pmf:
-    """Pmf from raw probabilities, assigning any missing mass to the tail."""
-    arr = np.asarray(values, dtype=np.float64)
-    return Pmf(arr, max(0.0, 1.0 - math.fsum(arr.tolist())))

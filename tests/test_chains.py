@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from inarlab import (
     InarParams,
@@ -28,6 +29,7 @@ from inarlab import (
     simulate_inar_superposition,
     thin,
     total_variation,
+    transition_matrix,
     window_joint_pmf,
     write_ensemble_csv,
 )
@@ -280,6 +282,37 @@ class TestWindowJointPmf:
         spec = inar_kernel(PARAMS)
         law = window_joint_pmf(spec, [0, 1], cap=spec.state_cap)
         assert total_variation(law.marginal(1), spec.initial) <= 1e-10
+
+    def test_joint_across_gaps_is_composed_thinning(self):
+        # Composed thinning is thinning at the product rate, so the law at
+        # indices 1, 3, 4 chains Bin(., a), Bin(., a^2) and Bin(., a).
+        a = 0.7
+        chain = binomial_death_chain(6, 0.4, a)
+        law = window_joint_pmf(chain, [1, 3, 4], cap=6)
+        y = np.arange(7)
+
+        def thinning(rate):
+            return stats.binom.pmf(y[None, :], y[:, None], rate)
+
+        start = stats.binom.pmf(y, 6, 0.4)
+        steps = (thinning(a), thinning(a * a), thinning(a))
+        want = np.einsum("w,wx,xy,yz->xyz", start, *steps)
+        assert np.abs(law.mass - want).max() <= 1e-15
+        # an extra observed index is summed out by split
+        wide = law.split([1], [4])
+        own = window_joint_pmf(chain, [1, 4], cap=6).split([1], [4])
+        assert wide.rows == own.rows and wide.cols == own.cols
+        assert np.abs(wide.mass - own.mass).max() <= 1e-15
+
+    def test_transition_matrix_tabulates_kernel_rows(self):
+        spec = inar_kernel(PARAMS)
+        trans = transition_matrix(spec, 4)
+        assert trans.shape == (5, spec.kernel(4).probs.size)
+        for x in range(5):
+            row = spec.kernel(x).probs
+            assert np.array_equal(trans[x, : row.size], row)
+            assert not trans[x, row.size :].any()
+        assert transition_matrix(binomial_death_chain(3, 0.5, 0.5), 5).shape == (6, 6)
 
     def test_death_chain_atoms_are_nonincreasing(self):
         chain = poisson_death_chain(2.0, 0.5)

@@ -223,6 +223,17 @@ class TestVerify:
         low.write_text('{"n_paths": 100}')
         assert runner.invoke(main, ["verify", "--config", str(low)]).exit_code == 2
 
+    @pytest.mark.parametrize(
+        "text", ['{"a_grid": [1.5]}', '{"root_seed": "abc"}', '{"a_grid": "ab"}']
+    )
+    def test_invalid_config_values_exit_2(self, runner, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        res = runner.invoke(main, ["verify", "--config", str(bad)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("malformed config:")
+        assert "Traceback" not in res.stderr
+
 
 class TestSerialization:
     def test_floats_round_trip_exactly(self):
