@@ -19,6 +19,7 @@ import click
 
 from .chains import (
     InarParams,
+    PathEnsemble,
     SuperpositionConfig,
     binomial_death_chain,
     iid_chain,
@@ -113,6 +114,12 @@ def _chain_spec(construction: str, opts: dict, tail_budget: float):
     raise InvalidParameterError(f"unknown construction {construction!r}")
 
 
+def _config(construction: str, opts: dict, **extra) -> dict:
+    """Echoed configuration: the construction, the parameters given, and extras."""
+    params = {k: v for k, v in opts.items() if v is not None}
+    return dict(construction=construction, params=params, **extra)
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         click.echo(text, nl=False)
@@ -131,9 +138,15 @@ param_options = [
 
 
 def _with_params(fn):
+    """Add the chain-parameter options; the command gets them as one ``opts`` dict."""
+
+    @functools.wraps(fn)
+    def wrapper(a, lam, p0, n, p, **kwargs):
+        return fn(opts={"a": a, "lam": lam, "p0": p0, "n": n, "p": p}, **kwargs)
+
     for opt in reversed(param_options):
-        fn = opt(fn)
-    return fn
+        wrapper = opt(wrapper)
+    return wrapper
 
 
 @click.group()
@@ -158,10 +171,9 @@ def main():
     help="Output directory (env INARLAB_OUT).",
 )
 @_exit_on_errors
-def simulate(construction, a, lam, p0, n, p, length, paths, seed, stream, tail_budget, out):
+def simulate(construction, opts, length, paths, seed, stream, tail_budget, out):
     """Simulate paths; writes x.csv (plus u.csv/v.csv for decomposed builds)."""
     seed_spec = SeedSpec(seed, stream)
-    opts = {"a": a, "lam": lam, "p0": p0, "n": n, "p": p}
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     prefix = outdir / construction
@@ -184,8 +196,6 @@ def simulate(construction, a, lam, p0, n, p, length, paths, seed, stream, tail_b
     write_ensemble_csv(ens, f"{prefix}_x.csv")
     written = [f"{prefix}_x.csv"]
     if dec is not None:
-        from .chains import PathEnsemble
-
         for name, mat in (("u", dec.u), ("v", dec.v)):
             part = PathEnsemble(mat, seed_spec, dict(ens.params, component=name))
             write_ensemble_csv(part, f"{prefix}_{name}.csv")
@@ -203,9 +213,8 @@ def simulate(construction, a, lam, p0, n, p, length, paths, seed, stream, tail_b
               help="Largest tolerated truncated mass per entry.")
 @click.option("--out", default=None, help="Output file; default stdout.")
 @_exit_on_errors
-def rho(construction, a, lam, p0, n, p, n_max, cap, tail_budget, max_escape, out):
+def rho(construction, opts, n_max, cap, tail_budget, max_escape, out):
     """Past/future maximal correlation across gaps 1..n-max, plus a decay fit."""
-    opts = {"a": a, "lam": lam, "p0": p0, "n": n, "p": p}
     spec = _chain_spec(construction, opts, tail_budget)
     entries = []
     for gap in range(1, n_max + 1):
@@ -222,13 +231,9 @@ def rho(construction, a, lam, p0, n, p, n_max, cap, tail_budget, max_escape, out
     except InsufficientDataError as exc:
         fit_payload = {"error": str(exc)}
     payload = {
-        "config": {
-            "construction": construction,
-            "params": {k: v for k, v in opts.items() if v is not None},
-            "n_max": n_max,
-            "cap": cap,
-            "tail_budget": tail_budget,
-        },
+        "config": _config(
+            construction, opts, n_max=n_max, cap=cap, tail_budget=tail_budget
+        ),
         "entries": entries,
         "fit": fit_payload,
     }
@@ -244,19 +249,12 @@ def rho(construction, a, lam, p0, n, p, n_max, cap, tail_budget, max_escape, out
 @click.option("--tail-budget", type=float, default=1e-12, show_default=True)
 @click.option("--out", default=None)
 @_exit_on_errors
-def rho_star(construction, a, lam, p0, n, p, width, gap, cap, tail_budget, out):
+def rho_star(construction, opts, width, gap, cap, tail_budget, out):
     """Exact interlaced coefficient over a finite window, with attaining pair."""
-    opts = {"a": a, "lam": lam, "p0": p0, "n": n, "p": p}
     spec = _chain_spec(construction, opts, tail_budget)
     scan = rho_star_window(spec, width, gap, cap)
     payload = {
-        "config": {
-            "construction": construction,
-            "params": {k: v for k, v in opts.items() if v is not None},
-            "width": width,
-            "gap": gap,
-            "cap": cap,
-        },
+        "config": _config(construction, opts, width=width, gap=gap, cap=cap),
         "value": scan.value,
         "pair_count": scan.pair_count,
         "vacuous": scan.vacuous,
@@ -277,7 +275,7 @@ def rho_star(construction, a, lam, p0, n, p, width, gap, cap, tail_budget, out):
 def gap(a, epsilon, bound_name, out):
     """Certified separation gap for a target coefficient level."""
     cert = gap_for_epsilon(a, epsilon, get_delta_bound(bound_name))
-    _write_output(dumps(dict(cert.as_dict(), delta_bound=bound_name)), out)
+    _write_output(dumps(dict(dataclasses.asdict(cert), delta_bound=bound_name)), out)
 
 
 @main.command()
@@ -287,18 +285,12 @@ def gap(a, epsilon, bound_name, out):
 @click.option("--tail-budget", type=float, default=1e-12, show_default=True)
 @click.option("--out", default=None)
 @_exit_on_errors
-def marginal(construction, a, lam, p0, n, p, at, tail_budget, out):
+def marginal(construction, opts, at, tail_budget, out):
     """Exact marginal law at a time index (initial law pushed through the kernel)."""
-    opts = {"a": a, "lam": lam, "p0": p0, "n": n, "p": p}
     spec = _chain_spec(construction, opts, tail_budget)
     law = marginal_at(spec, at)
     payload = {
-        "config": {
-            "construction": construction,
-            "params": {k: v for k, v in opts.items() if v is not None},
-            "at": at,
-            "tail_budget": tail_budget,
-        },
+        "config": _config(construction, opts, at=at, tail_budget=tail_budget),
         "probs": [float(x) for x in law.probs],
         "tail_mass": law.tail_mass,
         "mean": law.mean(),

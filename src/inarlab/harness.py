@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import product
 from typing import Callable, Sequence
 
@@ -43,7 +44,7 @@ from .mixing import (
     verify_absorbing_split,
     verify_indicator_bound,
 )
-from .pmf import SeedSpec, binomial_pmf, poisson_pmf, total_variation
+from .pmf import SeedSpec, binomial_pmf, binomial_table, poisson_pmf, total_variation
 from .serialize import dumps
 
 DEFAULT_A_GRID = (0.3, 0.5, 0.7)
@@ -94,17 +95,10 @@ class McConfig:
             raise InvalidConfigError(f"invalid grid point: {exc}") from exc
 
     def as_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "path_length": self.path_length,
-            "root_seed": self.seed.root_seed,
-            "stream_index": self.seed.stream_index,
-            "significance": self.significance,
-            "truncation_budget": self.truncation_budget,
-            "a_grid": list(self.a_grid),
-            "lambda_grid": list(self.lambda_grid),
-            "negative_controls": self.negative_controls,
-        }
+        """Fields with the seed flattened to root_seed and stream_index."""
+        out = asdict(self)
+        out.update(out.pop("seed"))
+        return out
 
 
 @dataclass(frozen=True)
@@ -126,30 +120,7 @@ class CheckReport:
         return self.statistic <= self.threshold
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "construction": self.construction,
-            "params": self.params,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "pass": self.passed,
-            "provenance": self.provenance,
-            "budget": self.budget,
-            "seed": self.seed,
-            "note": self.note,
-        }
-
-
-def _report(check, construction, params, statistic, threshold, provenance, **kw):
-    return CheckReport(
-        check=check,
-        construction=construction,
-        params=params,
-        statistic=float(statistic),
-        threshold=float(threshold),
-        provenance=provenance,
-        **kw,
-    )
+        return dict(asdict(self), **{"pass": self.passed})
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +231,7 @@ def check_stationary_marginal(
         for _ in range(max_exact_step):
             law = push(law, trans)
             worst = max(worst, total_variation(law, spec.initial))
-        return _report(
+        return CheckReport(
             "stationary-marginal-exact",
             "inar-kernel",
             {"a": params.a, "lambda": params.lam, "steps": max_exact_step},
@@ -282,7 +253,7 @@ def check_stationary_marginal(
         ratio = _pooled_gof_ratio(counts, probs, alpha)
         if ratio is not None:
             worst_ratio = max(worst_ratio, ratio)
-    return _report(
+    return CheckReport(
         "stationary-marginal" + ("" if target_mean is None else "-control"),
         str(ensemble.params.get("construction", "unknown")),
         {"a": params.a, "lambda": params.lam, "target_mean": mean, "indices": indices},
@@ -323,7 +294,7 @@ def check_innovation_independence(
         ratio = _contingency_ratio(table, alpha)
         if ratio is not None:
             worst = max(worst, ratio)
-    return _report(
+    return CheckReport(
         "innovation-independence",
         "decomposition",
         {"index": k, "partners": sorted(partners)},
@@ -374,7 +345,7 @@ def check_thinning_conditional(
         if ratio is not None:
             worst = max(worst, ratio)
             tested += 1
-    return _report(
+    return CheckReport(
         "thinning-conditional",
         "decomposition",
         {"a": params.a, "index": k, "strata_tested": tested, "strata_skipped": skipped},
@@ -432,7 +403,7 @@ def check_construction_equivalence(
     threshold = (
         _empirical_tv_threshold(exact, n_paths, significance) + law.truncation_error
     )
-    return _report(
+    return CheckReport(
         "construction-equivalence" + ("-control" if perturb_a else ""),
         "superposition",
         {
@@ -478,24 +449,18 @@ def _decomposition_triplet(
     init = poisson_pmf(params.stationary_mean, tail_budget)
     innov = poisson_pmf(params.lam, 1e-10)
     top = min(x_cap, init.max_state)
-    a_atoms = []
-    entries = []
     b_size = top + innov.max_state + 1
-    for x0 in range(top + 1):
-        surv = binomial_pmf(x0, params.a).probs
-        for u1 in range(x0 + 1):
-            for v1 in range(innov.max_state + 1):
-                p = init.probs[x0] * surv[u1] * innov.probs[v1]
-                a_atoms.append((x0, u1, v1))
-                entries.append((u1 + v1, p))
-    c_size = b_size + 1
-    mass = np.zeros((len(a_atoms), b_size, c_size))
-    binom_rows = [binomial_pmf(x1, params.a).probs for x1 in range(b_size)]
-    for ai, (x1, p) in enumerate(entries):
-        row = binom_rows[x1]
-        mass[ai, x1, : row.size] = p * row
+    table = binomial_table(b_size, params.a)
+    grid = np.meshgrid(
+        np.arange(top + 1), np.arange(top + 1), np.arange(innov.probs.size),
+        indexing="ij",
+    )
+    x0, u1, v1 = (g[grid[1] <= grid[0]] for g in grid)  # survivors u1 <= x0
+    p = init.probs[x0] * table[x0, u1] * innov.probs[v1]
+    mass = np.zeros((p.size, b_size, b_size + 1))
+    mass[np.arange(p.size), u1 + v1] = p[:, None] * table[u1 + v1]
     mass /= mass.sum()
-    return TripletPmf(mass, tuple(a_atoms))
+    return TripletPmf(mass, tuple(zip(x0.tolist(), u1.tolist(), v1.tolist())))
 
 
 def _split_triplet(
@@ -505,20 +470,15 @@ def _split_triplet(
     thinned at the same rate: the total must screen off the split."""
     p1 = poisson_pmf(lam1, tail_budget)
     p2 = poisson_pmf(lam2, tail_budget)
+    table = binomial_table(max(p1.max_state, p2.max_state), a)
+    atoms = tuple(product(range(p1.probs.size), range(p2.probs.size)))
     b_size = p1.max_state + p2.max_state + 1
-    a_atoms = []
-    mass_rows = []
-    for y1 in range(p1.max_state + 1):
-        t1 = binomial_pmf(y1, a).probs
-        for y2 in range(p2.max_state + 1):
-            z_law = np.convolve(t1, binomial_pmf(y2, a).probs)
-            a_atoms.append((y1, y2))
-            mass_rows.append((y1 + y2, p1.probs[y1] * p2.probs[y2], z_law))
-    mass = np.zeros((len(a_atoms), b_size, b_size))
-    for ai, (b, p, z_law) in enumerate(mass_rows):
-        mass[ai, b, : z_law.size] = p * z_law
+    mass = np.zeros((len(atoms), b_size, b_size))
+    for ai, (y1, y2) in enumerate(atoms):
+        z_law = np.convolve(table[y1, : y1 + 1], table[y2, : y2 + 1])
+        mass[ai, y1 + y2, : z_law.size] = p1.probs[y1] * p2.probs[y2] * z_law
     mass /= mass.sum()
-    return TripletPmf(mass, tuple(a_atoms))
+    return TripletPmf(mass, atoms)
 
 
 def nonmarkov_control_triplet() -> TripletPmf:
@@ -549,7 +509,7 @@ def check_markov_property(
             _split_triplet(params.lam, params.lam / 2.0, params.a)
         ),
     }
-    return _report(
+    return CheckReport(
         "markov-triplets",
         "exact-kernel-products",
         {"a": params.a, "lambda": params.lam, "cap": cap, "residuals": residuals},
@@ -572,7 +532,7 @@ def _corrupted_innovation_check(
     table = np.zeros((int(dec.x[:, k - 1].max()) + 1, int(bumped.max()) + 1))
     np.add.at(table, (dec.x[:, k - 1], bumped), 1.0)
     ratio = _contingency_ratio(table, significance)
-    return _report(
+    return CheckReport(
         "innovation-independence-control",
         "decomposition-corrupted",
         {"a": params.a, "lambda": params.lam, "index": k},
@@ -584,6 +544,70 @@ def _corrupted_innovation_check(
     )
 
 
+def _mc_block(
+    config: McConfig, params: InarParams, seed: SeedSpec
+) -> list[CheckReport]:
+    """Monte Carlo checks on one direct-construction ensemble."""
+    _, dec = simulate_inar_direct(params, config.path_length, config.n_paths, seed)
+    ens = PathEnsemble(dec.x, seed, {"construction": "direct"})
+    out = [
+        check_stationary_marginal(ens, params, config.significance),
+        check_innovation_independence(dec, seed.stream_index, config.significance),
+        check_thinning_conditional(dec, params, seed.stream_index, config.significance),
+    ]
+    if config.negative_controls:
+        out += [
+            check_stationary_marginal(
+                ens, params, config.significance, target_mean=params.lam
+            ),
+            _corrupted_innovation_check(
+                params, dec, seed.stream_index, config.significance
+            ),
+        ]
+    return out
+
+
+def _lemma_checks() -> list[CheckReport]:
+    """Gap certificate on the indicator chain and the odd/even split cap."""
+    out = []
+    for a, eps, width in ((0.3, 0.5, 6), (0.2, 0.3, 6)):
+        rep = verify_indicator_bound(0.5, a, eps, IDENTITY_BOUND, width)
+        params = asdict(rep)
+        params["pass"] = params.pop("passed")
+        out.append(
+            CheckReport(
+                "indicator-gap-bound", "indicator", params, rep.value, rep.epsilon,
+                "exact",
+            )
+        )
+    for eps in (0.01, 0.05, 1.0 / 9.0):
+        law = window_joint_pmf(indicator_chain_spec(1.0, eps), list(range(6)), cap=1)
+        rep = verify_absorbing_split(law, eps)
+        out.append(
+            CheckReport(
+                "absorbing-split-bound",
+                "indicator",
+                {"epsilon": eps, "length": 6, "p0": 1.0},
+                rep.value,
+                rep.bound,
+                "exact",
+            )
+        )
+    return out
+
+
+def _nonmarkov_control() -> CheckReport:
+    return CheckReport(
+        "markov-triplets-control",
+        "two-step-memory",
+        {},
+        markov_triplet_residual(nonmarkov_control_triplet()),
+        1e-10,
+        "exact",
+        note="documented non-Markov construction; expected to fail",
+    )
+
+
 def run_all(config: McConfig, threads: int = 1) -> list[CheckReport]:
     """Execute the full campaign over the parameter grid, deterministically.
 
@@ -592,140 +616,40 @@ def run_all(config: McConfig, threads: int = 1) -> list[CheckReport]:
     is identical regardless of parallelism.  Exceptions inside a check are
     captured as failing reports rather than aborting the campaign.
     """
-    jobs: list[tuple[str, Callable[[], CheckReport]]] = []
-    stream = config.seed.stream_index
-
-    def grid_jobs(gi: int, a: float, lam: float) -> None:
+    jobs: list[tuple[str, Callable[[], CheckReport | list[CheckReport]]]] = []
+    budget = config.truncation_budget
+    for gi, (a, lam) in enumerate(product(config.a_grid, config.lambda_grid)):
         params = InarParams(a=a, lam=lam)
-        base = stream + 100 * gi
-        sim_seed = config.seed.stream(base)
-        eq_seed = config.seed.stream(base + 1)
-
-        jobs.append(
+        base = config.seed.stream_index + 100 * gi
+        equivalence = partial(
+            check_construction_equivalence,
+            params,
+            config.n_paths,
+            significance=config.significance,
+            truncation_budget=budget,
+        )
+        jobs += [
             (
                 f"stationary-exact[{a},{lam}]",
-                lambda p=params: check_stationary_marginal(
-                    None, p, truncation_budget=config.truncation_budget
-                ),
-            )
-        )
-        jobs.append(
+                partial(check_stationary_marginal, None, params, truncation_budget=budget),
+            ),
             (
                 f"markov-triplets[{a},{lam}]",
-                lambda p=params: check_markov_property(
-                    p, truncation_budget=config.truncation_budget
-                ),
-            )
-        )
-
-        def mc_block(p=params, s=sim_seed) -> list[CheckReport]:
-            _, dec = simulate_inar_direct(p, config.path_length, config.n_paths, s)
-            ens = PathEnsemble(dec.x, s, {"construction": "direct"})
-            out = [
-                check_stationary_marginal(ens, p, config.significance),
-                check_innovation_independence(
-                    dec, s.stream_index, config.significance
-                ),
-                check_thinning_conditional(
-                    dec, p, s.stream_index, config.significance
-                ),
-            ]
-            if config.negative_controls:
-                out.append(
-                    check_stationary_marginal(
-                        ens, p, config.significance, target_mean=p.lam
-                    )
-                )
-                out.append(
-                    _corrupted_innovation_check(
-                        p, dec, s.stream_index, config.significance
-                    )
-                )
-            return out
-
-        jobs.append((f"direct-mc[{a},{lam}]", mc_block))
-        jobs.append(
-            (
-                f"equivalence[{a},{lam}]",
-                lambda p=params, s=eq_seed: check_construction_equivalence(
-                    p,
-                    config.n_paths,
-                    s,
-                    significance=config.significance,
-                    truncation_budget=config.truncation_budget,
-                ),
-            )
-        )
+                partial(check_markov_property, params, truncation_budget=budget),
+            ),
+            (f"direct-mc[{a},{lam}]", partial(_mc_block, config, params, config.seed.stream(base))),
+            (f"equivalence[{a},{lam}]", partial(equivalence, config.seed.stream(base + 1))),
+        ]
         if config.negative_controls:
             jobs.append(
                 (
                     f"equivalence-control[{a},{lam}]",
-                    lambda p=params, s=config.seed.stream(base + 2): (
-                        check_construction_equivalence(
-                            p,
-                            config.n_paths,
-                            s,
-                            significance=config.significance,
-                            truncation_budget=config.truncation_budget,
-                            perturb_a=0.1,
-                        )
-                    ),
+                    partial(equivalence, config.seed.stream(base + 2), perturb_a=0.1),
                 )
             )
-
-    gi = 0
-    for a in config.a_grid:
-        for lam in config.lambda_grid:
-            grid_jobs(gi, a, lam)
-            gi += 1
-
-    def lemma_jobs() -> list[CheckReport]:
-        out = []
-        for a, eps, width in ((0.3, 0.5, 6), (0.2, 0.3, 6)):
-            rep = verify_indicator_bound(0.5, a, eps, IDENTITY_BOUND, width)
-            out.append(
-                _report(
-                    "indicator-gap-bound",
-                    "indicator",
-                    rep.as_dict(),
-                    rep.value,
-                    rep.epsilon,
-                    "exact",
-                )
-            )
-        for eps in (0.01, 0.05, 1.0 / 9.0):
-            law = window_joint_pmf(
-                indicator_chain_spec(1.0, eps), list(range(6)), cap=1
-            )
-            rep = verify_absorbing_split(law, eps)
-            out.append(
-                _report(
-                    "absorbing-split-bound",
-                    "indicator",
-                    {"epsilon": eps, "length": 6, "p0": 1.0},
-                    rep.value,
-                    rep.bound,
-                    "exact",
-                )
-            )
-        return out
-
-    jobs.append(("lemma-checks", lemma_jobs))
+    jobs.append(("lemma-checks", _lemma_checks))
     if config.negative_controls:
-        jobs.append(
-            (
-                "nonmarkov-control",
-                lambda: _report(
-                    "markov-triplets-control",
-                    "two-step-memory",
-                    {},
-                    markov_triplet_residual(nonmarkov_control_triplet()),
-                    1e-10,
-                    "exact",
-                    note="documented non-Markov construction; expected to fail",
-                ),
-            )
-        )
+        jobs.append(("nonmarkov-control", _nonmarkov_control))
 
     def run_job(item) -> list[CheckReport]:
         name, fn = item
@@ -733,7 +657,7 @@ def run_all(config: McConfig, threads: int = 1) -> list[CheckReport]:
             result = fn()
         except Exception as exc:  # captured, never aborts the campaign
             return [
-                _report(
+                CheckReport(
                     "errored",
                     name,
                     {},

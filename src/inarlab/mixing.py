@@ -126,15 +126,6 @@ class GapCertificate:
     gamma: float
     m: int
 
-    def as_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "gamma": self.gamma,
-            "m": self.m,
-        }
-
 
 @dataclass(frozen=True)
 class WindowScanResult:
@@ -283,21 +274,6 @@ class IndicatorBoundReport:
     passed: bool
     truncation_error: float = 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "p0": self.p0,
-            "a": self.a,
-            "epsilon": self.epsilon,
-            "certificate": self.certificate.as_dict(),
-            "width": self.width,
-            "value": self.value,
-            "margin": self.margin,
-            "pair_count": self.pair_count,
-            "vacuous": self.vacuous,
-            "pass": self.passed,
-            "truncation_error": self.truncation_error,
-        }
-
 
 def verify_indicator_bound(
     p0: float,
@@ -338,18 +314,6 @@ class AbsorbingSplitReport:
     margin: float
     passed: bool
     truncation_error: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "hypothesis_ok": self.hypothesis_ok,
-            "hypothesis_note": self.hypothesis_note,
-            "value": self.value,
-            "bound": self.bound,
-            "margin": self.margin,
-            "pass": self.passed,
-            "truncation_error": self.truncation_error,
-        }
 
 
 def verify_absorbing_split(

@@ -27,6 +27,7 @@ __all__ = [
     "point_mass",
     "poisson_pmf",
     "binomial_pmf",
+    "binomial_table",
     "convolve",
     "thin",
     "total_variation",
@@ -168,6 +169,15 @@ def binomial_pmf(n: int, p: float) -> Pmf:
     return Pmf(np.clip(probs, 0.0, None), 0.0)
 
 
+def binomial_table(n: int, a: float) -> np.ndarray:
+    """``table[y, z] = P(Bin(y, a) = z)`` for ``0 <= y, z <= n``.
+
+    Row y equals ``binomial_pmf(y, a).probs`` bit for bit, zero-padded.
+    """
+    y = np.arange(n + 1)
+    return np.clip(stats.binom.pmf(y[None, :], y[:, None], a), 0.0, None)
+
+
 def convolve(p: Pmf, q: Pmf) -> Pmf:
     """Law of the sum of independent draws.
 
@@ -189,9 +199,7 @@ def thin(p: Pmf, a: float) -> Pmf:
     """
     if not (0.0 < a < 1.0):
         raise InvalidParameterError("thinning parameter must lie in (0, 1)")
-    y = np.arange(p.probs.size)
-    table = stats.binom.pmf(y[None, :], y[:, None], a)  # table[y, z] = P(Bin(y,a)=z)
-    out = p.probs @ table
+    out = p.probs @ binomial_table(p.max_state, a)
     tail = max(0.0, 1.0 - math.fsum(out.tolist()))
     return Pmf(np.clip(out, 0.0, None), tail)
 

@@ -19,6 +19,7 @@ from inarlab import (
     total_variation,
 )
 from inarlab.errors import InvalidParameterError, SamplingBudgetError
+from inarlab.pmf import binomial_table
 
 
 def sup_diff(p: Pmf, q: Pmf) -> float:
@@ -92,6 +93,15 @@ class TestBinomial:
             binomial_pmf(3, -0.1)
         with pytest.raises(InvalidParameterError):
             binomial_pmf(3, 1.1)
+
+    @pytest.mark.parametrize("a", [0.001, 0.05, 1 / 9, 0.3, 0.5, 0.7, 0.999])
+    def test_table_rows_are_binomial_pmfs_bitwise(self, a):
+        n = 60
+        table = binomial_table(n, a)
+        assert table.shape == (n + 1, n + 1)
+        for y in range(n + 1):
+            assert np.array_equal(table[y, : y + 1], binomial_pmf(y, a).probs)
+            assert not table[y, y + 1 :].any()
 
 
 class TestConvolve:
