@@ -316,6 +316,9 @@ def verify(config_path, seed, paths, significance, negative_controls, threads, o
         except (OSError, json.JSONDecodeError) as exc:
             click.echo(f"malformed config: {exc}", err=True)
             sys.exit(EXIT_USAGE)
+        if not isinstance(raw, dict):
+            click.echo("malformed config: top level must be a JSON object", err=True)
+            sys.exit(EXIT_USAGE)
         allowed = {f.name for f in dataclasses.fields(McConfig)} - {"seed"} | {
             "root_seed",
             "stream_index",

@@ -80,6 +80,12 @@ class McConfig:
     negative_controls: bool = False
 
     def __post_init__(self):
+        for name in ("n_paths", "path_length"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.negative_controls, bool):
+            raise InvalidConfigError("negative_controls must be true or false")
         if self.n_paths < 10_000:
             raise InvalidConfigError("n_paths must be at least 10^4")
         if self.path_length < 2:

@@ -224,7 +224,19 @@ class TestVerify:
         assert runner.invoke(main, ["verify", "--config", str(low)]).exit_code == 2
 
     @pytest.mark.parametrize(
-        "text", ['{"a_grid": [1.5]}', '{"root_seed": "abc"}', '{"a_grid": "ab"}']
+        "text",
+        [
+            '{"a_grid": [1.5]}',
+            '{"root_seed": "abc"}',
+            '{"a_grid": "ab"}',
+            '[["n_paths", 1]]',
+            "3",
+            "null",
+            '{"path_length": 2.5}',
+            '{"n_paths": 10000.5}',
+            '{"n_paths": true}',
+            '{"negative_controls": "no"}',
+        ],
     )
     def test_invalid_config_values_exit_2(self, runner, tmp_path, text):
         bad = tmp_path / "bad.json"
