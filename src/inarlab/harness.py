@@ -580,25 +580,16 @@ def _lemma_checks() -> list[CheckReport]:
         rep = verify_indicator_bound(0.5, a, eps, IDENTITY_BOUND, width)
         params = asdict(rep)
         params["pass"] = params.pop("passed")
-        out.append(
-            CheckReport(
-                "indicator-gap-bound", "indicator", params, rep.value, rep.epsilon,
-                "exact",
-            )
-        )
+        out.append(CheckReport(
+            "indicator-gap-bound", "indicator", params, rep.value, eps, "exact"
+        ))
     for eps in (0.01, 0.05, 1.0 / 9.0):
         law = window_joint_pmf(indicator_chain_spec(1.0, eps), list(range(6)), cap=1)
         rep = verify_absorbing_split(law, eps)
-        out.append(
-            CheckReport(
-                "absorbing-split-bound",
-                "indicator",
-                {"epsilon": eps, "length": 6, "p0": 1.0},
-                rep.value,
-                rep.bound,
-                "exact",
-            )
-        )
+        params = {"epsilon": eps, "length": 6, "p0": 1.0}
+        out.append(CheckReport(
+            "absorbing-split-bound", "indicator", params, rep.value, rep.bound, "exact"
+        ))
     return out
 
 
@@ -627,32 +618,23 @@ def run_all(config: McConfig, threads: int = 1) -> list[CheckReport]:
     for gi, (a, lam) in enumerate(product(config.a_grid, config.lambda_grid)):
         params = InarParams(a=a, lam=lam)
         base = config.seed.stream_index + 100 * gi
+        sim_seed, eq_seed, control_seed = map(config.seed.stream, range(base, base + 3))
         equivalence = partial(
-            check_construction_equivalence,
-            params,
-            config.n_paths,
-            significance=config.significance,
-            truncation_budget=budget,
+            check_construction_equivalence, params, config.n_paths,
+            significance=config.significance, truncation_budget=budget,
         )
+        at = f"[{a},{lam}]"
         jobs += [
-            (
-                f"stationary-exact[{a},{lam}]",
-                partial(check_stationary_marginal, None, params, truncation_budget=budget),
-            ),
-            (
-                f"markov-triplets[{a},{lam}]",
-                partial(check_markov_property, params, truncation_budget=budget),
-            ),
-            (f"direct-mc[{a},{lam}]", partial(_mc_block, config, params, config.seed.stream(base))),
-            (f"equivalence[{a},{lam}]", partial(equivalence, config.seed.stream(base + 1))),
+            ("stationary-exact" + at,
+             partial(check_stationary_marginal, None, params, truncation_budget=budget)),
+            ("markov-triplets" + at,
+             partial(check_markov_property, params, truncation_budget=budget)),
+            ("direct-mc" + at, partial(_mc_block, config, params, sim_seed)),
+            ("equivalence" + at, partial(equivalence, eq_seed)),
         ]
         if config.negative_controls:
-            jobs.append(
-                (
-                    f"equivalence-control[{a},{lam}]",
-                    partial(equivalence, config.seed.stream(base + 2), perturb_a=0.1),
-                )
-            )
+            control = partial(equivalence, control_seed, perturb_a=0.1)
+            jobs.append(("equivalence-control" + at, control))
     jobs.append(("lemma-checks", _lemma_checks))
     if config.negative_controls:
         jobs.append(("nonmarkov-control", _nonmarkov_control))
@@ -662,17 +644,10 @@ def run_all(config: McConfig, threads: int = 1) -> list[CheckReport]:
         try:
             result = fn()
         except Exception as exc:  # captured, never aborts the campaign
-            return [
-                CheckReport(
-                    "errored",
-                    name,
-                    {},
-                    ERROR_STATISTIC,
-                    0.0,
-                    "exact",
-                    note=f"check raised: {type(exc).__name__}: {exc}",
-                )
-            ]
+            note = f"check raised: {type(exc).__name__}: {exc}"
+            return [CheckReport(
+                "errored", name, {}, ERROR_STATISTIC, 0.0, "exact", note=note
+            )]
         return result if isinstance(result, list) else [result]
 
     if threads <= 1:
