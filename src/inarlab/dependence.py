@@ -132,7 +132,8 @@ def maximal_correlation(joint: JointPmf) -> float:
     mass, rm, cm = _dropped(joint)
     if min(mass.shape) < 2:
         return 0.0
-    q = mass / np.sqrt(np.outer(rm, cm))
+    # Scale by each square root separately: their product can underflow.
+    q = mass / np.sqrt(rm)[:, None] / np.sqrt(cm)
     sv = np.linalg.svd(q, compute_uv=False)
     if abs(sv[0] - 1.0) > 1e-10:
         raise ArithmeticError(

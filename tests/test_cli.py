@@ -113,6 +113,14 @@ class TestRho:
         )
         assert res.exit_code == 3
 
+    def test_subnormal_marginal_products_do_not_break_the_svd(self, runner):
+        res = run(
+            runner, "rho", "death-binomial", "--n", 60, "--p", 0.999999,
+            "--a", 0.001, "--n-max", 1, "--cap", 60,
+        )
+        assert res.exit_code == 0
+        assert 0.0 <= json.loads(res.output)["entries"][0]["rho"] <= 1.0
+
 
 class TestRhoStar:
     def test_vacuous_gap_flagged(self, runner, tmp_path):
@@ -135,6 +143,17 @@ class TestRhoStar:
         payload = json.loads(out.read_text())
         assert payload["pair_count"] == 1
         assert payload["attaining"] == {"s": [0], "t": [1]}
+
+    def test_tiny_start_probability_keeps_the_value(self, runner):
+        values = []
+        for p0 in ("1e-100", "1e-160", "1e-300"):
+            res = run(
+                runner, "rho-star", "indicator", "--p0", p0, "--a", 0.5,
+                "-W", 3, "-n", 1, "--cap", 1,
+            )
+            assert res.exit_code == 0
+            values.append(json.loads(res.output)["value"])
+        assert max(values) - min(values) <= 1e-12
 
     def test_too_wide_window_exits_3(self, runner, tmp_path):
         res = runner.invoke(
