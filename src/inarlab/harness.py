@@ -126,7 +126,7 @@ class CheckReport:
         return self.statistic <= self.threshold
 
     def to_dict(self) -> dict:
-        return dict(asdict(self), **{"pass": self.passed})
+        return {**asdict(self), "pass": self.passed}
 
 
 # ---------------------------------------------------------------------------

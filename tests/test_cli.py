@@ -253,7 +253,6 @@ class TestVerify:
             "null",
             '{"path_length": 2.5}',
             '{"n_paths": 10000.5}',
-            '{"n_paths": true}',
             '{"negative_controls": "no"}',
         ],
     )
