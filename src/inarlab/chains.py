@@ -161,9 +161,10 @@ class SuperpositionConfig:
 
     ``depth`` truncates the age sum; the neglected chains contribute mean
     mass ``lam * a**depth / (1 - a)``, which must stay at or below
-    ``tail_budget``.  ``warmup`` is the number of pre-window chain starts
-    (defaults to ``depth``, which is exactly enough: older chains only
-    contribute beyond the truncated age).
+    ``tail_budget``.  ``warmup`` is the number of pre-window chain starts;
+    it defaults to ``depth``, which is exactly enough, and may not be
+    smaller.  A warmup beyond ``depth`` adds nothing: older chains only
+    contribute beyond the truncated age, so they are never drawn.
     """
 
     depth: int
@@ -366,14 +367,16 @@ def simulate_inar_direct(
         raise InvalidParameterError("length and n_paths must be positive")
     rng = seed.generator()
     x_prev = rng.poisson(params.stationary_mean, n_paths)
-    x = np.empty((n_paths, length), dtype=np.int64)
-    u = np.empty_like(x)
-    v = np.empty_like(x)
+    u = np.empty((length, n_paths), dtype=np.int64)
+    v = np.empty_like(u)
     for k in range(length):
-        u[:, k] = rng.binomial(x_prev, params.a)
-        v[:, k] = rng.poisson(params.lam, n_paths)
-        x[:, k] = u[:, k] + v[:, k]
-        x_prev = x[:, k]
+        u[k] = rng.binomial(x_prev, params.a)
+        v[k] = rng.poisson(params.lam, n_paths)
+        x_prev = u[k] + v[k]
+    # one path per row; converted one at a time so peak memory stays flat
+    u = np.ascontiguousarray(u.T)
+    v = np.ascontiguousarray(v.T)
+    x = u + v
     ensemble = PathEnsemble(
         x,
         seed,
@@ -402,30 +405,40 @@ def simulate_inar_superposition(
     generations.  The innovation is the newborn generation and the
     survivor part is everything older, so x = u + v exactly even under
     truncation.
+
+    Composed thinning is thinning at the product rate, a∘(b∘Y) = (ab)∘Y in
+    law, so a generation born at ``start < 0`` jumps to index 0 with one
+    Binomial(y, a**-start) draw and then steps one index at a time.  Each
+    step draws only on the paths where the generation is still alive.
     """
     if length < 1 or n_paths < 1:
         raise InvalidParameterError("length and n_paths must be positive")
     config.validate_for(params)
     depth = config.depth
     rng = seed.generator()
-    x = np.zeros((n_paths, length), dtype=np.int64)
-    u = np.zeros_like(x)
-    v = np.zeros_like(x)
-    for start in range(-config.effective_warmup, length):
+    x = np.zeros((length, n_paths), dtype=np.int64)
+    v = np.empty_like(x)
+    for start in range(-depth, length):
         y = rng.poisson(params.lam, n_paths)
-        j_max = min(depth, length - 1 - start)
-        for j in range(j_max + 1):
-            k = start + j
-            if 0 <= k < length:
-                x[:, k] += y
-                if j == 0:
-                    v[:, k] = y
-                else:
-                    u[:, k] += y
-            if j < j_max:
-                if not y.any():
-                    break  # generation extinct: all later contributions are zero
-                y = rng.binomial(y, params.a)
+        if start < 0:
+            y = rng.binomial(y, params.a ** -start)  # composed thinning to index 0
+        else:
+            v[start] = y
+        k, stop = max(start, 0), min(start + depth, length - 1)
+        nz = np.flatnonzero(y)
+        y = y[nz]
+        while nz.size:
+            x[k, nz] += y
+            if k == stop:
+                break
+            k += 1
+            y = rng.binomial(y, params.a)
+            alive = y > 0
+            nz, y = nz[alive], y[alive]
+    # one path per row; converted one at a time so peak memory stays flat
+    x = np.ascontiguousarray(x.T)
+    v = np.ascontiguousarray(v.T)
+    u = x - v
     ensemble = PathEnsemble(
         x,
         seed,

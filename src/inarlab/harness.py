@@ -15,6 +15,7 @@ significance), which makes 1.0 the universal threshold.
 from __future__ import annotations
 
 import math
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -605,13 +606,25 @@ def _nonmarkov_control() -> CheckReport:
     )
 
 
+def _origin(exc: BaseException) -> str:
+    """``module:function:line`` of the last package frame the exception passed."""
+    module, function, line = [
+        (frame.f_globals["__name__"], frame.f_code.co_name, line)
+        for frame, line in traceback.walk_tb(exc.__traceback__)
+        if frame.f_globals.get("__name__", "").startswith("inarlab.")
+    ][-1]
+    return f"{module}:{function}:{line}"
+
+
 def run_all(config: McConfig, threads: int = 1) -> list[CheckReport]:
     """Execute the full campaign over the parameter grid, deterministically.
 
     Check jobs are independent; with ``threads > 1`` they run concurrently
     but the report list is always assembled in canonical order, so output
     is identical regardless of parallelism.  Exceptions inside a check are
-    captured as failing reports rather than aborting the campaign.
+    captured as failing reports rather than aborting the campaign; the note
+    names the exception and ends with the last package frame it passed,
+    as ``module:function:line``.
     """
     jobs: list[tuple[str, Callable[[], CheckReport | list[CheckReport]]]] = []
     budget = config.truncation_budget
@@ -644,7 +657,7 @@ def run_all(config: McConfig, threads: int = 1) -> list[CheckReport]:
         try:
             result = fn()
         except Exception as exc:  # captured, never aborts the campaign
-            note = f"check raised: {type(exc).__name__}: {exc}"
+            note = f"check raised: {type(exc).__name__}: {exc} at {_origin(exc)}"
             return [CheckReport(
                 "errored", name, {}, ERROR_STATISTIC, 0.0, "exact", note=note
             )]

@@ -38,6 +38,9 @@ from .errors import (
 )
 
 DEFAULT_MAX_WIDTH = 8
+# pairs within this of the maximum count as attaining it, so pairs tied in
+# exact arithmetic are not ordered by their last bits
+TIE_TOLERANCE = 1e-14
 
 __all__ = [
     "WindowSpec",
@@ -180,14 +183,14 @@ def rho_star_window(
 
     For each enumerated pair the joint law of (tuple over S, tuple over T)
     is computed exactly from kernel products and fed to the maximal
-    correlation; the reduction runs in canonical enumeration order, so the
-    attaining pair is reproducible.  An empty enumeration (width <= gap)
-    yields value 0 flagged as vacuous.
+    correlation.  The value is the maximum; the attaining pair is the first
+    in canonical enumeration order within ``TIE_TOLERANCE`` of it, so it
+    does not depend on rounding among pairs tied in exact arithmetic.  An
+    empty enumeration (width <= gap) yields value 0 flagged as vacuous.
     """
     pairs = enumerate_window_pairs(width, gap, max_width)
     laws: dict[tuple[int, ...], TupleLaw] = {}
-    best_val = 0.0
-    best: WindowSpec | None = None
+    values: list[float] = []
     worst_err = 0.0
     for pair in pairs:
         union = tuple(sorted(pair.s + pair.t))
@@ -196,10 +199,12 @@ def rho_star_window(
             law = window_joint_pmf(spec, union, cap, explosion_limit)
             laws[union] = law
         worst_err = max(worst_err, law.truncation_error)
-        value = maximal_correlation(law.split(pair.s, pair.t))
-        if value > best_val:
-            best_val = value
-            best = pair
+        values.append(maximal_correlation(law.split(pair.s, pair.t)))
+    best_val = max(values, default=0.0)
+    best = next(
+        (p for p, v in zip(pairs, values) if v > 0.0 and v >= best_val - TIE_TOLERANCE),
+        None,
+    )
     return WindowScanResult(best_val, best, len(pairs), worst_err)
 
 

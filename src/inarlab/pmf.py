@@ -10,6 +10,7 @@ of a silent error.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,12 +93,15 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.root_seed) < 2**64):
+        for name in ("root_seed", "stream_index"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
+        if not (0 <= self.root_seed < 2**64):
             raise InvalidParameterError("root_seed must be a 64-bit unsigned integer")
-        if int(self.stream_index) < 0:
+        if self.stream_index < 0:
             raise InvalidParameterError("stream_index must be nonnegative")
-        object.__setattr__(self, "root_seed", int(self.root_seed))
-        object.__setattr__(self, "stream_index", int(self.stream_index))
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(

@@ -1,6 +1,7 @@
 """Tests for chain constructions, simulation, and exact window laws."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from inarlab import (
     SuperpositionConfig,
     binomial_death_chain,
     binomial_pmf,
+    check_construction_equivalence,
     death_kernel,
     iid_chain,
     inar_kernel,
@@ -176,7 +178,45 @@ class TestSimulateChain:
             simulate_chain(spec, 3, 10, SeedSpec(0))
 
 
+def _direct_reference(params, length, n_paths, seed):
+    """Column-at-a-time simulation drawing the same variates in the same order."""
+    rng = seed.generator()
+    x_prev = rng.poisson(params.stationary_mean, n_paths)
+    x, u, v = (np.empty((n_paths, length), dtype=np.int64) for _ in range(3))
+    for k in range(length):
+        u[:, k] = rng.binomial(x_prev, params.a)
+        v[:, k] = rng.poisson(params.lam, n_paths)
+        x[:, k] = x_prev = u[:, k] + v[:, k]
+    return x, u, v
+
+
+def _superposition(length, n_paths, seed):
+    cfg = SuperpositionConfig.for_budget(PARAMS, 1e-9)
+    return simulate_inar_superposition(PARAMS, cfg, length, n_paths, seed)
+
+
+@pytest.mark.parametrize(
+    "simulate",
+    [partial(simulate_inar_direct, PARAMS), _superposition],
+    ids=["direct", "superposition"],
+)
+def test_simulators_return_path_major_matrices_without_copies(simulate):
+    ens, dec = simulate(7, 500, SeedSpec(11))
+    for m in (ens.paths, dec.x, dec.u, dec.v):
+        assert m.shape == (500, 7) and m.flags.c_contiguous
+    assert np.shares_memory(ens.paths, dec.x)
+
+
 class TestSimulateInarDirect:
+    def test_bitwise_equal_to_column_reference(self):
+        for params, seed in ((PARAMS, SeedSpec(12, 3)), (InarParams(0.9, 2.5), SeedSpec(5))):
+            ens, dec = simulate_inar_direct(params, 9, 1_000, seed)
+            x, u, v = _direct_reference(params, 9, 1_000, seed)
+            assert np.array_equal(ens.paths, x)
+            assert np.array_equal(dec.x, x)
+            assert np.array_equal(dec.u, u)
+            assert np.array_equal(dec.v, v)
+
     def test_decomposition_identity(self):
         _, dec = simulate_inar_direct(PARAMS, 30, 2_000, SeedSpec(12))
         assert np.array_equal(dec.x, dec.u + dec.v)
@@ -204,6 +244,25 @@ class TestSimulateInarSuperposition:
         _, dec = simulate_inar_superposition(PARAMS, cfg, 10, 2_000, SeedSpec(15))
         assert np.array_equal(dec.x, dec.u + dec.v)
         assert np.all(dec.u[:, 1:] <= dec.x[:, :-1])
+
+    def test_warmup_beyond_depth_adds_nothing(self):
+        depth = SuperpositionConfig.for_budget(PARAMS, 1e-9).depth
+        cfg = SuperpositionConfig(depth=depth, warmup=depth + 5)
+        _, dec = simulate_inar_superposition(PARAMS, cfg, 10, 2_000, SeedSpec(15))
+        assert np.array_equal(dec.x, dec.u + dec.v)
+        assert np.all(dec.u[:, 1:] <= dec.x[:, :-1])
+        _, base = simulate_inar_superposition(
+            PARAMS, SuperpositionConfig(depth=depth), 10, 2_000, SeedSpec(15)
+        )
+        assert np.array_equal(dec.x, base.x) and np.array_equal(dec.v, base.v)
+
+    def test_agrees_with_exact_law_where_the_jump_carries_most_mass(self):
+        # at a = 0.9 about 200 generations start before the window and each
+        # reaches index 0 in one composed-thinning draw
+        rep = check_construction_equivalence(
+            InarParams(a=0.9, lam=1.0), 100_000, SeedSpec(19)
+        )
+        assert rep.passed, (rep.statistic, rep.threshold)
 
     def test_marginal_and_innovation_laws(self):
         cfg = SuperpositionConfig.for_budget(PARAMS, 1e-9)

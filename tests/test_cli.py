@@ -254,6 +254,9 @@ class TestVerify:
             '{"path_length": 2.5}',
             '{"n_paths": 10000.5}',
             '{"negative_controls": "no"}',
+            '{"root_seed": 2.5}',
+            '{"stream_index": 1.7}',
+            '{"root_seed": true}',
         ],
     )
     def test_invalid_config_values_exit_2(self, runner, tmp_path, text):

@@ -1,5 +1,7 @@
 """Tests for the verification campaign machinery."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from inarlab import (
     run_all,
     simulate_inar_direct,
 )
+from inarlab import harness
 from inarlab.harness import (
     McConfig,
     _corrupted_innovation_check,
@@ -169,6 +172,25 @@ class TestRunAll:
         assert all(not r.passed for r in controls)
         genuine = [r for r in reports if not r.check.endswith("-control")]
         assert all(r.passed for r in genuine)
+
+    def test_errored_check_names_its_origin(self, small_config, monkeypatch):
+        def bad_grid_point(*args, **kwargs):
+            return InarParams(a=1.5, lam=1.0)
+
+        monkeypatch.setattr(harness, "check_markov_property", bad_grid_point)
+        monkeypatch.setattr(harness, "_lemma_checks", lambda: 1 / 0)
+        errored = {r.construction: r for r in run_all(small_config) if r.check == "errored"}
+        assert sorted(errored) == ["lemma-checks", "markov-triplets[0.5,1.0]"]
+        assert re.fullmatch(
+            r"check raised: InvalidParameterError: a must lie in \(0, 1\) "
+            r"at inarlab\.chains:__post_init__:\d+",
+            errored["markov-triplets[0.5,1.0]"].note,
+        )
+        assert re.fullmatch(
+            r"check raised: ZeroDivisionError: division by zero "
+            r"at inarlab\.harness:run_job:\d+",
+            errored["lemma-checks"].note,
+        )
 
     def test_exact_checks_do_not_depend_on_seed(self, small_config):
         other = McConfig(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from inarlab import mixing
 from inarlab import (
     IDENTITY_BOUND,
     DeltaBound,
@@ -99,6 +100,24 @@ class TestRhoStarWindow:
     def test_vacuous_scan(self):
         scan = rho_star_window(indicator_chain_spec(0.5, 0.5), 3, 5, cap=1)
         assert scan.vacuous and scan.value == 0.0 and scan.best is None
+
+    def test_attaining_pair_ignores_rounding_among_tied_pairs(self, monkeypatch):
+        # Markov property: rho(sigma(X0, X1), X3) = rho(X1, X3) exactly, so
+        # S = [1] and S = [0, 1] against T = [3] tie; the first in
+        # enumeration order wins whichever one rounds higher
+        chain = poisson_death_chain(1.0, 0.5)
+        scan = rho_star_window(chain, 4, 2, cap=30)
+        assert (scan.best.s, scan.best.t) == ((1,), (3,))
+        for bump in (1e-15, -1e-15):
+            calls = iter(range(100))
+
+            def nudged(joint, bump=bump):
+                return maximal_correlation(joint) + bump * next(calls)
+
+            monkeypatch.setattr(mixing, "maximal_correlation", nudged)
+            nudged_scan = rho_star_window(chain, 4, 2, cap=30)
+            assert (nudged_scan.best.s, nudged_scan.best.t) == ((1,), (3,))
+            assert abs(nudged_scan.value - scan.value) <= 1e-14
 
     def test_dominates_single_pair_value(self):
         chain = binomial_death_chain(3, 0.5, 0.4)

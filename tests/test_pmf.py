@@ -219,6 +219,16 @@ class TestSeedSpec:
         with pytest.raises(InvalidParameterError):
             SeedSpec(0, -1)
 
+    def test_numpy_integers_are_accepted(self):
+        s = SeedSpec(np.uint64(5), np.int32(2))
+        assert s == SeedSpec(5, 2)
+        assert type(s.root_seed) is int and type(s.stream_index) is int
+
+    @pytest.mark.parametrize("seeds", [(2.5,), (1, 1.7), (True,), (1, False), ("7",)])
+    def test_non_integers_are_refused(self, seeds):
+        with pytest.raises(InvalidParameterError):
+            SeedSpec(*seeds)
+
     def test_generator_is_pure(self):
         s = SeedSpec(99, 2)
         assert s.generator().random(4).tolist() == s.generator().random(4).tolist()
