@@ -62,6 +62,11 @@ __all__ = [
     "write_ensemble_csv",
 ]
 
+_BLOCK_CELLS = 1 << 16  # cells per row block when checking or writing ensembles
+# Largest stationary mean the simulators accept.  numpy refuses Poisson means
+# above about 9.2e18, and sums of counts near 2**63 would overflow int64.
+_MAX_COUNT_MEAN = 2.0**62
+
 
 @dataclass(frozen=True)
 class InarParams:
@@ -144,9 +149,11 @@ class InnovationDecomposition:
         x, u, v = (np.ascontiguousarray(m, dtype=np.int64) for m in (self.x, self.u, self.v))
         if not (x.shape == u.shape == v.shape) or x.ndim != 2:
             raise InvalidParameterError("x, u, v must share a 2-D shape")
-        if not np.array_equal(x, u + v):
+        # checked a row block at a time, so no full-size temporary is built
+        blocks = _row_blocks(*x.shape)
+        if any(not np.array_equal(x[b], u[b] + v[b]) for b in blocks):
             raise InvalidParameterError("decomposition identity x = u + v violated")
-        if x.shape[1] > 1 and np.any(u[:, 1:] > x[:, :-1]):
+        if any(np.any(u[b, 1:] > x[b, :-1]) for b in blocks):
             raise InvalidParameterError("survivors exceed their source count")
         for m in (x, u, v):
             m.setflags(write=False)
@@ -354,6 +361,14 @@ def simulate_chain(
     )
 
 
+def _require_countable(params: InarParams) -> None:
+    if params.stationary_mean > _MAX_COUNT_MEAN:
+        raise InvalidParameterError(
+            f"stationary mean lam / (1 - a) = {params.stationary_mean:.3e} is too "
+            f"large for int64 counts (at most {_MAX_COUNT_MEAN:.3e})"
+        )
+
+
 def simulate_inar_direct(
     params: InarParams, length: int, n_paths: int, seed: SeedSpec
 ) -> tuple[PathEnsemble, InnovationDecomposition]:
@@ -365,6 +380,7 @@ def simulate_inar_direct(
     """
     if length < 1 or n_paths < 1:
         raise InvalidParameterError("length and n_paths must be positive")
+    _require_countable(params)
     rng = seed.generator()
     x_prev = rng.poisson(params.stationary_mean, n_paths)
     u = np.empty((length, n_paths), dtype=np.int64)
@@ -413,6 +429,7 @@ def simulate_inar_superposition(
     """
     if length < 1 or n_paths < 1:
         raise InvalidParameterError("length and n_paths must be positive")
+    _require_countable(params)
     config.validate_for(params)
     depth = config.depth
     rng = seed.generator()
@@ -609,8 +626,20 @@ def marginal_at(spec: MarkovChainSpec, j: int) -> Pmf:
     return cur
 
 
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive row slices of about ``_BLOCK_CELLS`` cells (at least one row)."""
+    step = max(1, _BLOCK_CELLS // max(n_cols, 1))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
 def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:
-    """One row per path with `#`-prefixed metadata lines, then a header row."""
+    """One row per path with `#`-prefixed metadata lines, then a header row.
+
+    Rows are encoded a block at a time: each value's decimal digits are
+    right-aligned in a zero-filled byte grid with a sign byte in front and
+    a separator byte (``,`` or a newline) behind; the grid is written with
+    its zero bytes deleted.
+    """
     meta = {k: v for k, v in ensemble.params.items()}
     lines = [
         f"# construction={meta.pop('construction', 'unknown')}",
@@ -618,10 +647,38 @@ def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:
         f"# root_seed={ensemble.seed.root_seed} stream_index={ensemble.seed.stream_index}",
         f"# n_paths={ensemble.n_paths} length={ensemble.length}",
         ",".join(f"t{k}" for k in range(ensemble.length)),
+        "",
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-        for row in ensemble.paths:
-            fh.write(",".join(map(str, row.tolist())))
-            fh.write("\n")
+    paths = ensemble.paths
+    n_rows, n_cols = paths.shape
+    with open(path, "wb") as fh:
+        fh.write("\n".join(lines).encode("utf-8"))
+        if paths.size == 0:
+            fh.write(b"\n" * n_rows)
+            return
+        width = max(len(str(int(paths.max()))), len(str(int(paths.min())).lstrip("-")))
+        blocks = _row_blocks(n_rows, n_cols)
+        shape = (min(n_rows, blocks[0].stop), n_cols)
+        mag, quot, digit = (np.empty(shape, dtype=np.uint64) for _ in range(3))
+        live = np.empty(shape, dtype=bool)
+        grid = np.zeros(shape + (width + 2,), dtype=np.uint8)
+        grid[:, :, -1] = ord(",")
+        grid[:, -1, -1] = ord("\n")
+        for b in blocks:
+            block = paths[b]
+            r = block.shape[0]
+            g, m, q, d, nz = grid[:r], mag[:r], quot[:r], digit[:r], live[:r]
+            np.abs(block, out=m.view(np.int64))  # |int64 min| reads as 2**63 in uint64
+            np.less(block, 0, out=g[:, :, 0])
+            g[:, :, 0] *= ord("-")
+            for col in range(width, 0, -1):
+                np.floor_divide(m, 10, out=q)
+                np.multiply(q, 10, out=d)
+                np.subtract(m, d, out=d)
+                d += ord("0")
+                if col < width:  # no leading zeros
+                    np.not_equal(m, 0, out=nz)
+                    d *= nz
+                np.copyto(g[:, :, col], d, casting="unsafe")
+                m, q = q, m
+            fh.write(g.tobytes().translate(None, b"\0"))

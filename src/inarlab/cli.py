@@ -120,6 +120,14 @@ def _config(construction: str, opts: dict, **extra) -> dict:
     return dict(construction=construction, params=params, **extra)
 
 
+def _require_escape_within(escaped: float, cap: int, max_escape: float) -> None:
+    if not escaped <= max_escape:  # a NaN bound refuses rather than admits
+        raise ResourceLimitError(
+            f"cap {cap} leaves truncated mass {escaped:.3e} above "
+            f"--max-escape {max_escape:.3e}; raise --cap"
+        )
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         click.echo(text, nl=False)
@@ -219,11 +227,7 @@ def rho(construction, opts, n_max, cap, tail_budget, max_escape, out):
     entries = []
     for gap in range(1, n_max + 1):
         joint, escaped = lag_joint(spec, gap, cap)
-        if escaped > max_escape:
-            raise ResourceLimitError(
-                f"cap {cap} leaves truncated mass {escaped:.3e} above "
-                f"--max-escape {max_escape:.3e}; raise --cap"
-            )
+        _require_escape_within(escaped, cap, max_escape)
         entries.append({"n": gap, "rho": maximal_correlation(joint), "escaped": escaped})
     try:
         fit = fit_decay_rate([(e["n"], e["rho"]) for e in entries])
@@ -247,12 +251,15 @@ def rho(construction, opts, n_max, cap, tail_budget, max_escape, out):
 @click.option("--gap", "-n", "gap", type=int, required=True, help="Minimum separation.")
 @click.option("--cap", type=int, default=30, show_default=True)
 @click.option("--tail-budget", type=float, default=1e-12, show_default=True)
+@click.option("--max-escape", type=float, default=1e-9, show_default=True,
+              help="Largest tolerated truncated mass of a window law.")
 @click.option("--out", default=None)
 @_exit_on_errors
-def rho_star(construction, opts, width, gap, cap, tail_budget, out):
+def rho_star(construction, opts, width, gap, cap, tail_budget, max_escape, out):
     """Exact interlaced coefficient over a finite window, with attaining pair."""
     spec = _chain_spec(construction, opts, tail_budget)
     scan = rho_star_window(spec, width, gap, cap)
+    _require_escape_within(scan.truncation_error, cap, max_escape)
     payload = {
         "config": _config(construction, opts, width=width, gap=gap, cap=cap),
         "value": scan.value,

@@ -20,6 +20,10 @@ from .errors import InvalidParameterError, SamplingBudgetError
 
 DEFAULT_TAIL_BUDGET = 1e-12
 MASS_TOL = 1e-12
+# Largest state a Poisson or binomial table may hold, checked before the table
+# is allocated.  poisson_pmf's doubling search stops past 1e6, so for it this
+# only refuses means above about 2.08e6, whose first table is wider.
+_MAX_TABLE_STATE = 1 << 21
 
 __all__ = [
     "DEFAULT_TAIL_BUDGET",
@@ -138,6 +142,10 @@ def poisson_pmf(mean: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> Pmf:
     k_hi = int(mean + 12.0 * math.sqrt(mean) + 40.0)
     log_mean = math.log(mean)
     while True:
+        if k_hi > _MAX_TABLE_STATE:
+            raise InvalidParameterError(
+                f"mean {mean:.3e} needs a table beyond state {_MAX_TABLE_STATE}"
+            )
         k = np.arange(k_hi + 1)
         terms = np.exp(k * log_mean - mean - special.gammaln(k + 1.0))
         if 1.0 - math.fsum(terms.tolist()) <= tail_budget:
@@ -167,6 +175,8 @@ def binomial_pmf(n: int, p: float) -> Pmf:
     if not (0.0 <= p <= 1.0):
         raise InvalidParameterError("p must lie in [0, 1]")
     n = int(n)
+    if n > _MAX_TABLE_STATE:
+        raise InvalidParameterError(f"n = {n} needs a table beyond state {_MAX_TABLE_STATE}")
     if n == 0:
         return point_mass(0)
     probs = stats.binom.pmf(np.arange(n + 1), n, p)

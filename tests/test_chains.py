@@ -1,10 +1,14 @@
 """Tests for chain constructions, simulation, and exact window laws."""
 
+import json
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from inarlab import (
@@ -41,9 +45,12 @@ from inarlab.errors import (
     InvalidParameterError,
     SamplingBudgetError,
 )
+from inarlab.chains import PathEnsemble, _BLOCK_CELLS
+
 from .test_pmf import sup_diff
 
 PARAMS = InarParams(a=0.5, lam=1.0)
+INT64 = np.iinfo(np.int64)
 
 
 class TestInarKernel:
@@ -423,6 +430,119 @@ class TestDecompositionValidation:
         v = np.array([[1, -1]], dtype=np.int64)
         with pytest.raises(InvalidParameterError):
             InnovationDecomposition(x, u, v)
+
+    @pytest.fixture
+    def blocks(self):
+        """A valid decomposition spanning several row blocks, the last one partial."""
+        length = 8
+        rows = 3 * (_BLOCK_CELLS // length) + 5
+        rng = np.random.default_rng(11)
+        x = rng.poisson(2.0, (rows, length))
+        u = np.zeros_like(x)
+        u[:, 1:] = rng.binomial(x[:, :-1], 0.5)
+        InnovationDecomposition(x.copy(), u.copy(), x - u)  # valid as built
+        return x, u, x - u
+
+    def test_identity_violation_in_last_block_rejected(self, blocks):
+        x, u, v = blocks
+        v[-1, -1] += 1
+        with pytest.raises(InvalidParameterError, match="x = u"):
+            InnovationDecomposition(x, u, v)
+
+    def test_survivor_violation_in_last_block_rejected(self, blocks):
+        x, u, v = blocks
+        u[-1, -1] = x[-1, -2] + 1
+        v[-1, -1] = x[-1, -1] - u[-1, -1]
+        with pytest.raises(InvalidParameterError, match="survivors exceed"):
+            InnovationDecomposition(x, u, v)
+
+
+def _allocated_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_and_decomposition_allocate_under_a_quarter_matrix(tmp_path):
+    """Neither the CSV writer nor the decomposition checks build a full-size temporary."""
+    rng = np.random.default_rng(12)
+    x = rng.poisson(2.0, (20_000, 200))
+    u = np.zeros_like(x)
+    u[:, 1:] = rng.binomial(x[:, :-1], 0.5)
+    v = x - u
+    quarter = x.nbytes // 4
+    assert _allocated_peak(lambda: InnovationDecomposition(x, u, v)) < quarter
+    ens = PathEnsemble(x, SeedSpec(1), {"construction": "test"})
+    assert _allocated_peak(lambda: write_ensemble_csv(ens, tmp_path / "x.csv")) < quarter
+
+
+def _reference_csv(ensemble, path) -> None:
+    """The writer one row at a time with ``str``: the bytes the encoder must match."""
+    meta = dict(ensemble.params)
+    lines = [
+        f"# construction={meta.pop('construction', 'unknown')}",
+        f"# params={json.dumps(meta, sort_keys=True)}",
+        f"# root_seed={ensemble.seed.root_seed} stream_index={ensemble.seed.stream_index}",
+        f"# n_paths={ensemble.n_paths} length={ensemble.length}",
+        ",".join(f"t{k}" for k in range(ensemble.length)),
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+        for row in ensemble.paths:
+            fh.write(",".join(map(str, row.tolist())))
+            fh.write("\n")
+
+
+def _assert_matches_reference(matrix, directory) -> None:
+    ens = PathEnsemble(matrix, SeedSpec(3, 1), {"construction": "test", "a": 0.5})
+    write_ensemble_csv(ens, directory / "fast.csv")
+    _reference_csv(ens, directory / "reference.csv")
+    assert (directory / "fast.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+
+
+_RNG = np.random.default_rng(13)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.array([[INT64.min, INT64.max], [INT64.max, INT64.min], [0, -1]]),
+        _RNG.integers(-1000, 1000, (7, 9)),
+        np.zeros((4, 6), dtype=np.int64),
+        np.arange(-5, 5).reshape(10, 1),
+        _RNG.integers(-50, 50, (2, _BLOCK_CELLS + 3)),
+        _RNG.integers(0, 120, (2 * (_BLOCK_CELLS // 10) + 3, 10)),
+        np.array([[9, 10, 99, 100, -9, -10, -99, -100, 0]]),
+        np.zeros((0, 5), dtype=np.int64),
+        np.zeros((3, 0), dtype=np.int64),
+        np.zeros((0, 0), dtype=np.int64),
+    ],
+    ids=[
+        "int64-extremes", "mixed-signs", "all-zeros", "one-column",
+        "row-wider-than-a-block", "rows-not-a-block-multiple", "digit-boundaries",
+        "zero-rows", "zero-columns", "empty",
+    ],
+)
+def test_csv_bytes_equal_the_row_writer(matrix, tmp_path):
+    _assert_matches_reference(matrix, tmp_path)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    hnp.arrays(
+        np.int64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12),
+        elements=st.integers(INT64.min, INT64.max),
+    )
+)
+def test_csv_bytes_equal_the_row_writer_on_random_matrices(tmp_path_factory, matrix):
+    _assert_matches_reference(matrix, tmp_path_factory.mktemp("csv"))
 
 
 class TestCsvExport:

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import event, given, settings, strategies as st
 
-from inarlab.cli import main
+from inarlab.cli import SIM_CONSTRUCTIONS, main
 from inarlab.serialize import dumps
 
 
@@ -80,6 +82,88 @@ class TestSimulate:
                 "--out", tmp_path,
             )
             assert res.exit_code == 0
+
+    @pytest.mark.parametrize(
+        "construction, a, lam",
+        [("direct", 0.9, 1e18), ("direct", 0.5, 1e300), ("superposition", 0.9, 1e18)],
+    )
+    def test_means_too_large_for_int64_counts_exit_2(self, runner, tmp_path, construction, a, lam):
+        res = runner.invoke(
+            main,
+            ["simulate", construction, "--a", str(a), "--lambda", str(lam), "--length", "3",
+             "--paths", "2", "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 2
+        assert res.stderr.startswith("invalid parameters: stationary mean")
+        assert "too large for int64" in res.stderr
+
+    @pytest.mark.parametrize("construction", ["direct", "superposition"])
+    def test_large_means_within_int64_still_simulate(self, runner, tmp_path, construction):
+        res = run(
+            runner, "simulate", construction, "--a", 0.5, "--lambda", 1e15, "--length", 4,
+            "--paths", 3, "--out", tmp_path,
+        )
+        assert res.exit_code == 0
+        x, u, v = (_read_csv(tmp_path / f"{construction}_{c}.csv") for c in "xuv")
+        assert np.array_equal(x, u + v)
+        assert abs(x.mean() / 2e15 - 1.0) < 1e-3
+
+
+def _read_csv(path) -> np.ndarray:
+    """The data rows of a ``simulate`` CSV: 4 metadata lines, then a header row."""
+    return np.loadtxt(path, delimiter=",", skiprows=5, dtype=np.int64, ndmin=2)
+
+
+# Each flag mixes ordinary and extreme values with bad ones, and is sometimes
+# left out.  Strings that are not integers exercise click's own refusal of
+# the integer options.
+BAD = ["nan", "inf", "-inf", "0", "-1", "1e300"]
+# a stays at or below 0.999: the superposition needs about log(budget) / log(a)
+# generations, and at a = 0.999999 that is some 4.1e7 of them (over 120 s).
+A_VALUES = ["1e-300", "0.3", "0.9", "0.999"]
+LAMBDA_VALUES = ["1e-300", "0.5", "3", "1e15", "1e18"]
+PROB_VALUES = ["1e-300", "0.5", "1"]
+N_VALUES = ["1", "4", str(10**30)]
+BUDGET_VALUES = ["1e-300", "1e-12", "0.5"]
+SIZE_VALUES = ["1", "3", "17"]
+
+
+def _flag(name, values):
+    """Mostly one of ``values``, sometimes a bad value, rarely absent."""
+    pool = [None] + BAD + values * (24 // len(values))
+    return st.sampled_from(pool).map(lambda v: [] if v is None else [name, v])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    construction=st.sampled_from(SIM_CONSTRUCTIONS),
+    flags=st.tuples(
+        _flag("--a", A_VALUES),
+        _flag("--lambda", LAMBDA_VALUES),
+        _flag("--p0", PROB_VALUES),
+        _flag("--n", N_VALUES),
+        _flag("--p", PROB_VALUES),
+        _flag("--tail-budget", BUDGET_VALUES),
+        _flag("--length", SIZE_VALUES),
+        _flag("--paths", SIZE_VALUES),
+    ),
+)
+def test_simulate_flags_fuzz(tmp_path_factory, construction, flags):
+    """Any flags give exit 0, 2 or 3 and no traceback; exit-0 CSVs satisfy x = u + v."""
+    out = tmp_path_factory.mktemp("fuzz")
+    opts = dict(f for f in flags if f)
+    args = ["simulate", construction, *sum(opts.items(), ()), "--out", str(out)]
+    res = CliRunner().invoke(main, args)
+    event(f"{construction} exit {res.exit_code}")
+    assert res.exit_code in (0, 2, 3), (args, res.exception)
+    assert res.exception is None or isinstance(res.exception, SystemExit), args
+    assert "Traceback" not in res.stderr
+    if res.exit_code == 0:
+        x = _read_csv(out / f"{construction}_x.csv")
+        assert x.shape == (int(opts["--paths"]), int(opts["--length"]))
+        if construction in ("direct", "superposition"):
+            u, v = (_read_csv(out / f"{construction}_{c}.csv") for c in "uv")
+            assert np.array_equal(x, u + v)
 
 
 class TestRho:
@@ -162,6 +246,33 @@ class TestRhoStar:
              "-n", "1"],
         )
         assert res.exit_code == 3
+
+    def test_truncation_above_max_escape_exits_3(self, runner):
+        args = ["rho-star", "direct", "--a", "0.5", "--lambda", "3", "-W", "3", "-n", "1",
+                "--cap", "3"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3
+        assert res.stderr.startswith("resource limit: cap 3 leaves truncated mass")
+        assert "--max-escape 1.000e-09" in res.stderr
+        res = run(runner, *args, "--max-escape", 1.0)
+        assert res.exit_code == 0
+        assert json.loads(res.output)["truncation_error"] > 0.9
+        assert runner.invoke(main, [*args, "--max-escape", "nan"]).exit_code == 3
+
+
+class TestHugeMeans:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["rho", "direct", "--a", "0.5", "--lambda", "1e300", "--n-max", "1", "--cap", "5"],
+            ["marginal", "direct", "--a", "0.5", "--lambda", "1e300", "--at", "1"],
+            ["marginal", "death-poisson", "--a", "0.5", "--lambda", "4e6", "--at", "0"],
+        ],
+    )
+    def test_poisson_tables_beyond_the_limit_exit_2(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert res.stderr.startswith("invalid parameters: mean")
 
 
 class TestGap:

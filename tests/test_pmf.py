@@ -1,6 +1,7 @@
 """Tests for the truncated-distribution algebra."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,23 @@ class TestPoisson:
             poisson_pmf(1.0, tail_budget=0.0)
         with pytest.raises(InvalidParameterError):
             poisson_pmf(1.0, tail_budget=1.0)
+
+    def test_tables_beyond_the_limit_are_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for mean in (4e6, 1e10, 1e300):
+                with pytest.raises(InvalidParameterError, match="needs a table beyond"):
+                    poisson_pmf(mean)
+            with pytest.raises(InvalidParameterError, match="needs a table beyond"):
+                binomial_pmf(10**30, 0.5)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+    def test_wide_tables_within_the_limit_are_unchanged(self):
+        assert poisson_pmf(1e5).probs.size == 102_045
+        # the widest first table the limit admits: mean 2e6 at a loose budget
+        assert poisson_pmf(2e6, 1e-9).probs.size == 2_008_374
 
 
 class TestBinomial:
