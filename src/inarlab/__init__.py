@@ -32,8 +32,6 @@ from .chains import (
 from .dependence import (
     JointPmf,
     TripletPmf,
-    joint_from_json,
-    joint_to_json,
     lambda_coefficient,
     markov_triplet_residual,
     maximal_correlation,

@@ -168,29 +168,23 @@ class SuperpositionConfig:
 
     ``depth`` truncates the age sum; the neglected chains contribute mean
     mass ``lam * a**depth / (1 - a)``, which must stay at or below
-    ``tail_budget``.  ``warmup`` is the number of pre-window chain starts;
-    it defaults to ``depth``, which is exactly enough, and may not be
-    smaller.  A warmup beyond ``depth`` adds nothing: older chains only
-    contribute beyond the truncated age, so they are never drawn.
+    ``tail_budget``.  Chains started more than ``depth`` steps before the
+    window are never drawn.
     """
 
     depth: int
     tail_budget: float = 1e-9
-    warmup: int | None = None
 
     def __post_init__(self):
         if self.depth < 1:
             raise InvalidConfigError("depth must be a positive integer")
         if not (0.0 < self.tail_budget < 1.0):
             raise InvalidConfigError("tail_budget must lie in (0, 1)")
-        if self.warmup is not None and self.warmup < self.depth:
-            raise InvalidConfigError(
-                "warmup below depth would drop chains that still contribute"
-            )
 
     @property
     def effective_warmup(self) -> int:
-        return self.depth if self.warmup is None else self.warmup
+        """Always ``depth``; ``benchmarks/layers.py`` reads it until ROADMAP item 3."""
+        return self.depth
 
     def neglected_mean(self, params: InarParams) -> float:
         return params.lam * params.a**self.depth / (1.0 - params.a)
@@ -523,9 +517,6 @@ class TupleLaw:
         keys = zip(*(axis.tolist() for axis in cells))
         return MappingProxyType(dict(zip(keys, self.mass[cells].tolist())))
 
-    def total(self) -> float:
-        return math.fsum(self.mass.ravel().tolist())
-
     def _sum_to(self, positions: Sequence[int]) -> np.ndarray:
         """Mass summed over every axis not listed, the rest in listed order."""
         rest = tuple(p for p in range(self.mass.ndim) if p not in positions)
@@ -546,8 +537,8 @@ class TupleLaw:
         S and T must be disjoint nonempty subsets of the observed indices;
         the kept mass is renormalized to 1 so the result is a valid joint
         (the discarded mass is already reported as truncation_error).
-        Rows and columns are the positive-mass tuples, in lexicographic
-        order.
+        Rows and columns are the positive-mass tuples of S and T, in
+        lexicographic order; they carry no labels.
         """
         s_pos = [self.indices.index(i) for i in sorted(s_indices)]
         t_pos = [self.indices.index(i) for i in sorted(t_indices)]
@@ -561,12 +552,7 @@ class TupleLaw:
         cols = np.nonzero(mass.sum(axis=0) > 0.0)[0]
         mass = mass[np.ix_(rows, cols)]
         mass /= mass.sum()
-
-        def labels(flat: np.ndarray, ndim: int) -> tuple:
-            coords = np.unravel_index(flat, (support,) * ndim)
-            return tuple(zip(*(c.tolist() for c in coords)))
-
-        return JointPmf(mass, labels(rows, len(s_pos)), labels(cols, len(t_pos)))
+        return JointPmf(mass)
 
 
 def window_joint_pmf(

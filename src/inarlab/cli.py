@@ -76,8 +76,8 @@ def _exit_on_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ResourceLimitError, SamplingBudgetError) as exc:
-            click.echo(f"resource limit: {exc}", err=True)
+        except (ResourceLimitError, SamplingBudgetError, MemoryError) as exc:
+            click.echo(f"resource limit: {str(exc) or 'out of memory'}", err=True)
             sys.exit(EXIT_RESOURCE)
         except (InvalidParameterError, InsufficientDataError) as exc:
             click.echo(f"invalid parameters: {exc}", err=True)

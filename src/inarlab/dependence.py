@@ -8,11 +8,9 @@ correlation of independent blocks equals the blockwise maximum.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +32,6 @@ __all__ = [
     "lambda_coefficient",
     "markov_triplet_residual",
     "tensor_combine",
-    "joint_to_json",
-    "joint_from_json",
 ]
 
 
@@ -58,23 +54,15 @@ def _validate_mass(mass: np.ndarray, ndim: int) -> np.ndarray:
 class JointPmf:
     """Joint law of two finite discrete observables.
 
-    ``mass[r, c]`` is the probability of (row atom r, column atom c).
-    Labels are opaque; integer positions drive every computation.
+    ``mass[r, c]`` is the probability of (row atom r, column atom c).  Atoms
+    carry no labels: every coefficient here is a function of the mass matrix
+    alone and does not change when rows or columns are permuted.
     """
 
     mass: np.ndarray
-    rows: tuple = ()
-    cols: tuple = ()
 
     def __post_init__(self):
-        mass = _validate_mass(self.mass, 2)
-        rows = tuple(self.rows) if self.rows else tuple(range(mass.shape[0]))
-        cols = tuple(self.cols) if self.cols else tuple(range(mass.shape[1]))
-        if len(rows) != mass.shape[0] or len(cols) != mass.shape[1]:
-            raise InvalidParameterError("label lengths must match mass shape")
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "mass", _validate_mass(self.mass, 2))
 
     def row_marginal(self) -> np.ndarray:
         return self.mass.sum(axis=1)
@@ -82,33 +70,15 @@ class JointPmf:
     def col_marginal(self) -> np.ndarray:
         return self.mass.sum(axis=0)
 
-    def transpose(self) -> "JointPmf":
-        return JointPmf(self.mass.T.copy(), self.cols, self.rows)
-
 
 @dataclass(frozen=True)
 class TripletPmf:
     """Joint law of an ordered triple of finite discrete observables."""
 
     mass: np.ndarray
-    a_labels: tuple = ()
-    b_labels: tuple = ()
-    c_labels: tuple = ()
 
     def __post_init__(self):
-        mass = _validate_mass(self.mass, 3)
-        labels = []
-        for given, size in zip(
-            (self.a_labels, self.b_labels, self.c_labels), mass.shape
-        ):
-            lab = tuple(given) if given else tuple(range(size))
-            if len(lab) != size:
-                raise InvalidParameterError("label lengths must match mass shape")
-            labels.append(lab)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "a_labels", labels[0])
-        object.__setattr__(self, "b_labels", labels[1])
-        object.__setattr__(self, "c_labels", labels[2])
+        object.__setattr__(self, "mass", _validate_mass(self.mass, 3))
 
 
 def _dropped(joint: JointPmf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,38 +183,9 @@ def tensor_combine(
     """
     if not blocks:
         raise InvalidParameterError("need at least one block")
-    n_rows = 1
-    n_cols = 1
-    for b in blocks:
-        n_rows *= len(b.rows)
-        n_cols *= len(b.cols)
-    if n_rows * n_cols > explosion_limit:
+    cells = math.prod(b.mass.size for b in blocks)
+    if cells > explosion_limit:
         raise ExplosionLimitError(
-            f"combined joint would hold {n_rows * n_cols} atoms "
-            f"(limit {explosion_limit})"
+            f"combined joint would hold {cells} atoms (limit {explosion_limit})"
         )
-    mass = reduce(np.kron, (b.mass for b in blocks))
-    rows = tuple(product(*(b.rows for b in blocks)))
-    cols = tuple(product(*(b.cols for b in blocks)))
-    return JointPmf(mass, rows, cols)
-
-
-def joint_to_json(joint: JointPmf) -> str:
-    """Serialize as {"rows": [...], "cols": [...], "mass": [[...]]}."""
-    payload = {
-        "rows": [list(r) if isinstance(r, tuple) else r for r in joint.rows],
-        "cols": [list(c) if isinstance(c, tuple) else c for c in joint.cols],
-        "mass": [[float(x) for x in row] for row in joint.mass],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def joint_from_json(text: str) -> JointPmf:
-    payload = json.loads(text)
-    try:
-        rows = tuple(tuple(r) if isinstance(r, list) else r for r in payload["rows"])
-        cols = tuple(tuple(c) if isinstance(c, list) else c for c in payload["cols"])
-        mass = np.asarray(payload["mass"], dtype=np.float64)
-    except (KeyError, TypeError) as exc:
-        raise InvalidParameterError(f"malformed joint payload: {exc}") from exc
-    return JointPmf(mass, rows, cols)
+    return JointPmf(reduce(np.kron, (b.mass for b in blocks)))

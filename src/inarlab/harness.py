@@ -445,7 +445,7 @@ def _kernel_triplet(params: InarParams, cap: int, tail_budget: float) -> Triplet
     mass[:, x1, x1, :] = path  # the middle coordinate repeats X1
     mass = mass.reshape(top * b_size, b_size, -1)
     mass /= mass.sum()
-    return TripletPmf(mass, tuple(np.ndindex(top, b_size)))
+    return TripletPmf(mass)
 
 
 def _decomposition_triplet(
@@ -467,7 +467,7 @@ def _decomposition_triplet(
     mass = np.zeros((p.size, b_size, b_size + 1))
     mass[np.arange(p.size), u1 + v1] = p[:, None] * table[u1 + v1]
     mass /= mass.sum()
-    return TripletPmf(mass, tuple(zip(x0.tolist(), u1.tolist(), v1.tolist())))
+    return TripletPmf(mass)
 
 
 def _split_triplet(
@@ -485,7 +485,7 @@ def _split_triplet(
         z_law = np.convolve(table[y1, : y1 + 1], table[y2, : y2 + 1])
         mass[ai, y1 + y2, : z_law.size] = p1.probs[y1] * p2.probs[y2] * z_law
     mass /= mass.sum()
-    return TripletPmf(mass, atoms)
+    return TripletPmf(mass)
 
 
 def nonmarkov_control_triplet() -> TripletPmf:

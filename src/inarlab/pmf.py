@@ -83,10 +83,6 @@ class Pmf:
         k = np.arange(self.probs.size)
         return float(k @ self.probs)
 
-    def prob(self, k: int) -> float:
-        """P(X = k) for a tabulated state, 0.0 beyond the truncation."""
-        return float(self.probs[k]) if 0 <= k <= self.max_state else 0.0
-
 
 @dataclass(frozen=True)
 class SeedSpec:

@@ -252,17 +252,6 @@ class TestSimulateInarSuperposition:
         assert np.array_equal(dec.x, dec.u + dec.v)
         assert np.all(dec.u[:, 1:] <= dec.x[:, :-1])
 
-    def test_warmup_beyond_depth_adds_nothing(self):
-        depth = SuperpositionConfig.for_budget(PARAMS, 1e-9).depth
-        cfg = SuperpositionConfig(depth=depth, warmup=depth + 5)
-        _, dec = simulate_inar_superposition(PARAMS, cfg, 10, 2_000, SeedSpec(15))
-        assert np.array_equal(dec.x, dec.u + dec.v)
-        assert np.all(dec.u[:, 1:] <= dec.x[:, :-1])
-        _, base = simulate_inar_superposition(
-            PARAMS, SuperpositionConfig(depth=depth), 10, 2_000, SeedSpec(15)
-        )
-        assert np.array_equal(dec.x, base.x) and np.array_equal(dec.v, base.v)
-
     def test_agrees_with_exact_law_where_the_jump_carries_most_mass(self):
         # at a = 0.9 about 200 generations start before the window and each
         # reaches index 0 in one composed-thinning draw
@@ -285,8 +274,6 @@ class TestSimulateInarSuperposition:
             simulate_inar_superposition(
                 PARAMS, SuperpositionConfig(depth=3, tail_budget=1e-9), 5, 10, SeedSpec(0)
             )
-        with pytest.raises(InvalidConfigError):
-            SuperpositionConfig(depth=10, warmup=5)
 
     def test_minimal_depth_meets_budget(self):
         cfg = SuperpositionConfig.for_budget(PARAMS, 1e-9)
@@ -367,7 +354,7 @@ class TestWindowJointPmf:
         # an extra observed index is summed out by split
         wide = law.split([1], [4])
         own = window_joint_pmf(chain, [1, 4], cap=6).split([1], [4])
-        assert wide.rows == own.rows and wide.cols == own.cols
+        assert wide.mass.shape == own.mass.shape
         assert np.abs(wide.mass - own.mass).max() <= 1e-15
 
     def test_transition_matrix_tabulates_kernel_rows(self):

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import event, given, settings, strategies as st
 
+from inarlab import cli
 from inarlab.cli import SIM_CONSTRUCTIONS, main
 from inarlab.serialize import dumps
 
@@ -54,6 +55,25 @@ class TestSimulate:
              "--paths", "5", "--out", str(tmp_path)],
         )
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "message, shown",
+        [("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
+         ("", "out of memory")],
+    )
+    def test_out_of_memory_exits_3(self, runner, tmp_path, monkeypatch, message, shown):
+        # stands in for an allocation failure on a huge --length x --paths
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "simulate_inar_direct", exhausted)
+        res = runner.invoke(
+            main,
+            ["simulate", "direct", "--a", "0.5", "--lambda", "1", "--length", "5",
+             "--paths", "5", "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 3
+        assert res.stderr == f"resource limit: {shown}\n"
 
     def test_unknown_construction_exits_2(self, runner, tmp_path):
         res = runner.invoke(

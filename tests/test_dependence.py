@@ -8,8 +8,6 @@ import pytest
 from inarlab import (
     JointPmf,
     TripletPmf,
-    joint_from_json,
-    joint_to_json,
     lambda_coefficient,
     markov_triplet_residual,
     maximal_correlation,
@@ -121,7 +119,7 @@ class TestMaximalCorrelation:
         rho = maximal_correlation(j)
         perm = rng.permutation(j.mass.shape[0])
         assert abs(maximal_correlation(JointPmf(j.mass[perm])) - rho) <= 1e-12
-        assert abs(maximal_correlation(j.transpose()) - rho) <= 1e-12
+        assert abs(maximal_correlation(JointPmf(j.mass.T)) - rho) <= 1e-12
 
     def test_range(self):
         rng = np.random.default_rng(11)
@@ -195,8 +193,7 @@ class TestTensorCombine:
     def test_single_block_is_identity_up_to_labels(self):
         j = JointPmf(np.array([[0.2, 0.3], [0.4, 0.1]]))
         combined = tensor_combine([j])
-        assert np.allclose(combined.mass, j.mass)
-        assert combined.rows == ((0,), (1,))
+        assert np.array_equal(combined.mass, j.mass)
 
     def test_product_blocks_give_product_joint(self):
         rng = np.random.default_rng(2)
@@ -221,33 +218,9 @@ class TestTensorCombine:
             tensor_combine([j] * 6, explosion_limit=1000)
 
 
-class TestJsonRoundTrip:
-    def test_round_trip_preserves_everything(self):
-        j = JointPmf(
-            np.array([[0.25, 0.25], [0.3, 0.2]]), rows=("x", "y"), cols=(0, 1)
-        )
-        back = joint_from_json(joint_to_json(j))
-        assert np.array_equal(back.mass, j.mass)
-        assert back.rows == j.rows
-
-    def test_tuple_labels_survive(self):
-        j = tensor_combine([JointPmf(np.array([[0.5, 0.0], [0.0, 0.5]]))] * 2)
-        back = joint_from_json(joint_to_json(j))
-        assert back.rows == j.rows
-        assert abs(maximal_correlation(back) - 1.0) <= 1e-12
-
-    def test_malformed_payload(self):
-        with pytest.raises(InvalidParameterError):
-            joint_from_json('{"rows": [0]}')
-
-
 class TestValidation:
     def test_mass_must_normalize(self):
         with pytest.raises(InvalidParameterError):
             JointPmf(np.array([[0.5, 0.1], [0.1, 0.1]]))
         with pytest.raises(InvalidParameterError):
             TripletPmf(np.full((2, 2, 2), 0.2))
-
-    def test_label_shape_mismatch(self):
-        with pytest.raises(InvalidParameterError):
-            JointPmf(np.full((2, 2), 0.25), rows=("only-one",))

@@ -152,6 +152,16 @@ class TestRhoMarkov:
             ]
             assert len(one_pair) == 1
 
+    @pytest.mark.parametrize("lam, a", [(1.0, 0.5), (2.0, 0.3), (0.5, 0.7), (3.0, 0.9)])
+    def test_poisson_death_chain_matches_closed_form(self, lam, a):
+        # X_0 = X_n + Z with Z independent Poisson, so
+        # rho(X_0, X_n) = sqrt(Var X_n / Var X_0) = a**(n/2)
+        # (Dembo, Kagan & Shepp 2001); a Markov window scan at gap 2 gives a
+        chain = poisson_death_chain(lam, a)
+        for n in (1, 2, 3, 4):
+            assert abs(rho_markov(chain, n, cap=40) - a ** (n / 2)) <= 1e-9
+        assert abs(rho_star_window(chain, width=4, gap=2, cap=30).value - a) <= 1e-9
+
     def test_decaying_in_gap(self):
         spec = inar_kernel(InarParams(a=0.6, lam=1.0))
         vals = [rho_markov(spec, n, 60) for n in (1, 2, 3)]
