@@ -49,16 +49,12 @@ from .harness import (
     run_all,
 )
 from .mixing import (
-    IDENTITY_BOUND,
-    DeltaBound,
     GapCertificate,
     WindowSpec,
     enumerate_window_pairs,
     fit_decay_rate,
     gap_for_epsilon,
-    get_delta_bound,
     lag_joint,
-    register_delta_bound,
     rho_markov,
     rho_star_window,
     verify_absorbing_split,

@@ -34,7 +34,6 @@ from .pmf import (
     _sample_with_rng,
     binomial_pmf,
     convolve,
-    point_mass,
     poisson_pmf,
 )
 
@@ -323,22 +322,18 @@ def indicator_chain(
 
 
 def simulate_chain(
-    spec: MarkovChainSpec,
-    length: int,
-    n_paths: int,
-    seed: SeedSpec,
-    tail_threshold: float = DEFAULT_TAIL_BUDGET,
+    spec: MarkovChainSpec, length: int, n_paths: int, seed: SeedSpec
 ) -> PathEnsemble:
     """I.i.d. paths of a chain via tabulated inverse-CDF sampling.
 
     Deterministic given the seed: states are visited in ascending order at
     every step, so the stream consumption pattern is reproducible.  Refuses
-    to sample any pmf whose tail mass exceeds the threshold.
+    to sample any pmf whose tail mass exceeds ``DEFAULT_TAIL_BUDGET``.
     """
     if length < 1 or n_paths < 1:
         raise InvalidParameterError("length and n_paths must be positive")
     rng = seed.generator()
-    _require_sampleable(spec.initial, tail_threshold)
+    _require_sampleable(spec.initial)
     paths = np.empty((n_paths, length), dtype=np.int64)
     paths[:, 0] = _sample_with_rng(spec.initial, rng, n_paths)
     for k in range(1, length):
@@ -346,7 +341,7 @@ def simulate_chain(
         cur = np.empty(n_paths, dtype=np.int64)
         for s in np.unique(prev):
             law = spec.kernel(int(s))
-            _require_sampleable(law, tail_threshold)
+            _require_sampleable(law)
             mask = prev == s
             cur[mask] = _sample_with_rng(law, rng, int(mask.sum()))
         paths[:, k] = cur
@@ -556,10 +551,7 @@ class TupleLaw:
 
 
 def window_joint_pmf(
-    spec: MarkovChainSpec,
-    indices: Sequence[int],
-    cap: int,
-    explosion_limit: int = DEFAULT_EXPLOSION_LIMIT,
+    spec: MarkovChainSpec, indices: Sequence[int], cap: int
 ) -> TupleLaw:
     """Exact joint law of the chain at the given strictly increasing indices.
 
@@ -579,10 +571,10 @@ def window_joint_pmf(
     if cap < 0:
         raise InvalidParameterError("cap must be nonnegative")
     support = cap + 1
-    if support ** len(idx) > explosion_limit:
+    if support ** len(idx) > DEFAULT_EXPLOSION_LIMIT:
         raise ExplosionLimitError(
             f"window law could hold up to {support ** len(idx)} atoms "
-            f"(limit {explosion_limit}); shrink the window or the cap"
+            f"(limit {DEFAULT_EXPLOSION_LIMIT}); shrink the window or the cap"
         )
     trans = transition_matrix(spec, cap)[:, :support]
     init = np.zeros(support)

@@ -8,10 +8,10 @@ start with `#`-prefixed metadata lines.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -43,7 +43,6 @@ from .harness import McConfig, reports_to_json, run_all
 from .mixing import (
     fit_decay_rate,
     gap_for_epsilon,
-    get_delta_bound,
     lag_joint,
     rho_star_window,
 )
@@ -128,12 +127,23 @@ def _require_escape_within(escaped: float, cap: int, max_escape: float) -> None:
         )
 
 
+@contextlib.contextmanager
+def _writing_output():
+    """Exit 2 with one line when an output path cannot be created or written."""
+    try:
+        yield
+    except OSError as exc:
+        click.echo(f"cannot write output: {exc}", err=True)
+        sys.exit(EXIT_USAGE)
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
         click.echo(text, nl=False)
     else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text, encoding="utf-8")
+        with _writing_output():
+            Path(out).parent.mkdir(parents=True, exist_ok=True)
+            Path(out).write_text(text, encoding="utf-8")
 
 
 param_options = [
@@ -183,7 +193,8 @@ def simulate(construction, opts, length, paths, seed, stream, tail_budget, out):
     """Simulate paths; writes x.csv (plus u.csv/v.csv for decomposed builds)."""
     seed_spec = SeedSpec(seed, stream)
     outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _writing_output():
+        outdir.mkdir(parents=True, exist_ok=True)
     prefix = outdir / construction
 
     if construction == "direct":
@@ -201,13 +212,14 @@ def simulate(construction, opts, length, paths, seed, stream, tail_budget, out):
         spec = _chain_spec(construction, opts, tail_budget)
         ens, dec = simulate_chain(spec, length, paths, seed_spec), None
 
-    write_ensemble_csv(ens, f"{prefix}_x.csv")
     written = [f"{prefix}_x.csv"]
-    if dec is not None:
-        for name, mat in (("u", dec.u), ("v", dec.v)):
-            part = PathEnsemble(mat, seed_spec, dict(ens.params, component=name))
-            write_ensemble_csv(part, f"{prefix}_{name}.csv")
-            written.append(f"{prefix}_{name}.csv")
+    with _writing_output():
+        write_ensemble_csv(ens, written[0])
+        if dec is not None:
+            for name, mat in (("u", dec.u), ("v", dec.v)):
+                part = PathEnsemble(mat, seed_spec, dict(ens.params, component=name))
+                write_ensemble_csv(part, f"{prefix}_{name}.csv")
+                written.append(f"{prefix}_{name}.csv")
     click.echo("\n".join(str(w) for w in written))
 
 
@@ -276,12 +288,13 @@ def rho_star(construction, opts, width, gap, cap, tail_budget, max_escape, out):
 @main.command()
 @click.option("--a", type=float, required=True)
 @click.option("--epsilon", type=float, required=True)
-@click.option("--delta-bound", "bound_name", default="identity", show_default=True)
+@click.option("--delta-bound", "bound_name", type=click.Choice(["identity"]),
+              default="identity", show_default=True)
 @click.option("--out", default=None)
 @_exit_on_errors
 def gap(a, epsilon, bound_name, out):
     """Certified separation gap for a target coefficient level."""
-    cert = gap_for_epsilon(a, epsilon, get_delta_bound(bound_name))
+    cert = gap_for_epsilon(a, epsilon)
     _write_output(dumps(dict(dataclasses.asdict(cert), delta_bound=bound_name)), out)
 
 

@@ -118,21 +118,19 @@ def _subset_masks(n: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
 
 
-def lambda_coefficient(
-    joint: JointPmf, max_alphabet: int = DEFAULT_ALPHABET_CAP
-) -> float:
+def lambda_coefficient(joint: JointPmf) -> float:
     """Exact sup of |P(A&B) - P(A)P(B)| / sqrt(P(A)P(B)) over event pairs.
 
     Events are unions of atoms, enumerated exhaustively (2^k - 1 per side),
-    so both alphabets must stay at or below ``max_alphabet`` after null
-    atoms are dropped.
+    so both alphabets must stay at or below ``DEFAULT_ALPHABET_CAP`` after
+    null atoms are dropped.
     """
     mass, rm, cm = _dropped(joint)
     n_r, n_c = mass.shape
-    if n_r > max_alphabet or n_c > max_alphabet:
+    if n_r > DEFAULT_ALPHABET_CAP or n_c > DEFAULT_ALPHABET_CAP:
         raise AlphabetTooLargeError(
             f"alphabet sizes {mass.shape} exceed the exact-enumeration cap "
-            f"{max_alphabet}"
+            f"{DEFAULT_ALPHABET_CAP}"
         )
     if n_r == 0 or n_c == 0:
         return 0.0
@@ -172,9 +170,7 @@ def markov_triplet_residual(triplet: TripletPmf) -> float:
     return worst
 
 
-def tensor_combine(
-    blocks: Sequence[JointPmf], explosion_limit: int = DEFAULT_EXPLOSION_LIMIT
-) -> JointPmf:
+def tensor_combine(blocks: Sequence[JointPmf]) -> JointPmf:
     """Joint law of (all row parts, all column parts) under block independence.
 
     The result is the product measure on tuple alphabets; with independent
@@ -184,8 +180,9 @@ def tensor_combine(
     if not blocks:
         raise InvalidParameterError("need at least one block")
     cells = math.prod(b.mass.size for b in blocks)
-    if cells > explosion_limit:
+    if cells > DEFAULT_EXPLOSION_LIMIT:
         raise ExplosionLimitError(
-            f"combined joint would hold {cells} atoms (limit {explosion_limit})"
+            f"combined joint would hold {cells} atoms "
+            f"(limit {DEFAULT_EXPLOSION_LIMIT})"
         )
     return JointPmf(reduce(np.kron, (b.mass for b in blocks)))

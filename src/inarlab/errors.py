@@ -18,10 +18,6 @@ class InvalidConfigError(InvalidParameterError):
     """A configuration object violates one of its invariants."""
 
 
-class InvalidBoundError(InvalidParameterError):
-    """A delta-bound evaluator returned a non-positive value."""
-
-
 class SamplingBudgetError(InarLabError, RuntimeError):
     """Refused to sample: truncation tail mass exceeds the allowed threshold."""
 

@@ -40,17 +40,18 @@ from .chains import (
 )
 from .dependence import TripletPmf, markov_triplet_residual
 from .errors import InvalidConfigError, InvalidParameterError
-from .mixing import (
-    IDENTITY_BOUND,
-    verify_absorbing_split,
-    verify_indicator_bound,
-)
+from .mixing import verify_absorbing_split, verify_indicator_bound
 from .pmf import SeedSpec, binomial_pmf, binomial_table, poisson_pmf, total_variation
 from .serialize import dumps
 
 DEFAULT_A_GRID = (0.3, 0.5, 0.7)
 DEFAULT_LAMBDA_GRID = (0.5, 1.0, 2.0)
 ERROR_STATISTIC = 9.9e99  # sentinel for checks that raised; always a failure
+MIN_EXPECTED = 5.0  # chi-square cells are pooled until they expect this many
+EXACT_STEPS = 20  # kernel pushes in the exact stationarity check
+MIN_STRATUM = 200  # smallest conditioning stratum the thinning check tests
+MARKOV_CAP = 12  # state cap of the exact Markov-triplet constructions
+INNOVATION_BUDGET = 1e-10  # tail budget of the innovation laws in the triplets
 
 __all__ = [
     "McConfig",
@@ -95,6 +96,8 @@ class McConfig:
             raise InvalidConfigError("significance must lie in (0, 1)")
         if not (0.0 < self.truncation_budget < 1.0):
             raise InvalidConfigError("truncation_budget must lie in (0, 1)")
+        if not self.a_grid or not self.lambda_grid:
+            raise InvalidConfigError("a_grid and lambda_grid must be nonempty")
         try:
             for a, lam in product(self.a_grid, self.lambda_grid):
                 InarParams(a=a, lam=lam)
@@ -135,7 +138,7 @@ class CheckReport:
 
 
 def _pooled_gof_ratio(
-    counts: np.ndarray, probs: np.ndarray, alpha: float, min_expected: float = 5.0
+    counts: np.ndarray, probs: np.ndarray, alpha: float
 ) -> float | None:
     """Goodness-of-fit criticality ratio with bins pooled to expected >= 5.
 
@@ -153,7 +156,7 @@ def _pooled_gof_ratio(
     for o, e in zip(obs, exp):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= MIN_EXPECTED:
             groups_o.append(acc_o)
             groups_e.append(acc_e)
             acc_o = acc_e = 0.0
@@ -180,7 +183,7 @@ def _contingency_ratio(table: np.ndarray, alpha: float) -> float | None:
         if table.shape[0] < 2 or table.shape[1] < 2:
             return None
         expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-        if expected.min() >= 5.0:
+        if expected.min() >= MIN_EXPECTED:
             break
         if table.shape[0] >= table.shape[1] and table.shape[0] > 2:
             i = int(table.sum(axis=1).argmin())
@@ -218,7 +221,6 @@ def check_stationary_marginal(
     params: InarParams,
     significance: float = 0.01,
     truncation_budget: float = 1e-12,
-    max_exact_step: int = 20,
     target_mean: float | None = None,
 ) -> CheckReport:
     """Marginal law at every time index should be the stationary Poisson.
@@ -235,13 +237,13 @@ def check_stationary_marginal(
         trans = transition_matrix(spec, spec.state_cap)
         worst = 0.0
         law = spec.initial
-        for _ in range(max_exact_step):
+        for _ in range(EXACT_STEPS):
             law = push(law, trans)
             worst = max(worst, total_variation(law, spec.initial))
         return CheckReport(
             "stationary-marginal-exact",
             "inar-kernel",
-            {"a": params.a, "lambda": params.lam, "steps": max_exact_step},
+            {"a": params.a, "lambda": params.lam, "steps": EXACT_STEPS},
             worst,
             1e-10,
             "exact",
@@ -276,15 +278,15 @@ def check_innovation_independence(
     decomposition: InnovationDecomposition,
     seed_index: int | None = None,
     significance: float = 0.01,
-    at: int | None = None,
 ) -> CheckReport:
-    """The innovation at one time index must be independent of the previous
-    count, the concurrent survivor count, and the previous innovation.
+    """The innovation at the last time index must be independent of the
+    previous count, the concurrent survivor count, and the previous
+    innovation.
 
     Samples are taken at a single index so rows are independent across
     paths; the three contingency tests share a Bonferroni budget.
     """
-    k = decomposition.x.shape[1] - 1 if at is None else at
+    k = decomposition.x.shape[1] - 1
     if k < 1:
         raise InvalidConfigError("need at least two time indices")
     v = decomposition.v[:, k]
@@ -317,21 +319,20 @@ def check_thinning_conditional(
     params: InarParams,
     seed_index: int | None = None,
     significance: float = 0.01,
-    at: int | None = None,
-    min_stratum: int = 200,
 ) -> CheckReport:
-    """Given the previous count x, survivors must be Binomial(x, a).
+    """Given the previous count x, survivors at the last time index must be
+    Binomial(x, a).
 
-    Conditioning strata with fewer than ``min_stratum`` observations are
+    Conditioning strata with fewer than ``MIN_STRATUM`` observations are
     skipped (noted in the report) to avoid vacuous low-power passes.
     """
-    k = decomposition.x.shape[1] - 1 if at is None else at
+    k = decomposition.x.shape[1] - 1
     if k < 1:
         raise InvalidConfigError("need at least two time indices")
     prev = decomposition.x[:, k - 1]
     surv = decomposition.u[:, k]
     strata = [
-        int(x) for x in np.unique(prev) if int((prev == x).sum()) >= min_stratum
+        int(x) for x in np.unique(prev) if int((prev == x).sum()) >= MIN_STRATUM
     ]
     skipped = int(np.unique(prev).size) - len(strata)
     worst = 0.0
@@ -360,7 +361,7 @@ def check_thinning_conditional(
         1.0,
         "monte-carlo",
         seed=seed_index,
-        note=f"{skipped} strata below {min_stratum} observations skipped",
+        note=f"{skipped} strata below {MIN_STRATUM} observations skipped",
     )
 
 
@@ -368,35 +369,28 @@ def check_construction_equivalence(
     params: InarParams,
     n_paths: int,
     seed: SeedSpec,
-    window: Sequence[int] = (0, 1),
     significance: float = 0.01,
     truncation_budget: float = 1e-12,
-    superposition_budget: float = 1e-9,
     perturb_a: float = 0.0,
 ) -> CheckReport:
     """The superposition construction must reproduce the exact window law.
 
-    Compares the empirical joint over a short window against the exact law
-    from kernel products, with a rigorous multinomial-fluctuation threshold.
-    ``perturb_a`` shifts the simulated thinning parameter (the documented
-    negative control).
+    Compares the empirical joint of the first two indices against the exact
+    law from kernel products, with a rigorous multinomial-fluctuation
+    threshold.  ``perturb_a`` shifts the simulated thinning parameter (the
+    documented negative control).
     """
-    window = tuple(int(i) for i in window)
-    if len(window) > 4:
-        raise InvalidConfigError("equivalence window is limited to width 4")
     spec = inar_kernel(params, truncation_budget)
-    law = window_joint_pmf(spec, window, cap=spec.state_cap)
+    law = window_joint_pmf(spec, (0, 1), cap=spec.state_cap)
 
     sim_params = (
         params
         if perturb_a == 0.0
         else InarParams(a=params.a + perturb_a, lam=params.lam)
     )
-    config = SuperpositionConfig.for_budget(sim_params, superposition_budget)
-    ensemble, _ = simulate_inar_superposition(
-        sim_params, config, max(window) + 1, n_paths, seed
-    )
-    obs = ensemble.paths[:, list(window)]
+    config = SuperpositionConfig.for_budget(sim_params)
+    ensemble, _ = simulate_inar_superposition(sim_params, config, 2, n_paths, seed)
+    obs = ensemble.paths
 
     # final slot: rows with a coordinate outside the truncated law
     slot = np.full(n_paths, law.mass.size)
@@ -416,7 +410,7 @@ def check_construction_equivalence(
         {
             "a": params.a,
             "lambda": params.lam,
-            "window": list(window),
+            "window": [0, 1],
             "n_paths": n_paths,
             "perturb_a": perturb_a,
             "depth": config.depth,
@@ -433,10 +427,10 @@ def check_construction_equivalence(
 # exact conditional-independence (Markov triplet) constructions
 
 
-def _kernel_triplet(params: InarParams, cap: int, tail_budget: float) -> TripletPmf:
+def _kernel_triplet(params: InarParams, tail_budget: float) -> TripletPmf:
     """Joint of ((X0, X1), X1, X2) from kernel products; Markov by structure."""
     spec = inar_kernel(params, tail_budget)
-    first = transition_matrix(spec, min(cap, spec.state_cap))
+    first = transition_matrix(spec, min(MARKOV_CAP, spec.state_cap))
     second = transition_matrix(spec, first.shape[1] - 1)
     top, b_size = first.shape
     path = spec.initial.probs[:top, None, None] * first[:, :, None] * second
@@ -448,14 +442,12 @@ def _kernel_triplet(params: InarParams, cap: int, tail_budget: float) -> Triplet
     return TripletPmf(mass)
 
 
-def _decomposition_triplet(
-    params: InarParams, x_cap: int, tail_budget: float
-) -> TripletPmf:
+def _decomposition_triplet(params: InarParams, tail_budget: float) -> TripletPmf:
     """Joint of ((X0, U1, V1), X1, U2): the survivor draw given the current
     count must screen off the whole decomposed past."""
     init = poisson_pmf(params.stationary_mean, tail_budget)
-    innov = poisson_pmf(params.lam, 1e-10)
-    top = min(x_cap, init.max_state)
+    innov = poisson_pmf(params.lam, INNOVATION_BUDGET)
+    top = min(MARKOV_CAP, init.max_state)
     b_size = top + innov.max_state + 1
     table = binomial_table(b_size, params.a)
     grid = np.meshgrid(
@@ -470,13 +462,11 @@ def _decomposition_triplet(
     return TripletPmf(mass)
 
 
-def _split_triplet(
-    lam1: float, lam2: float, a: float, tail_budget: float = 1e-10
-) -> TripletPmf:
+def _split_triplet(lam1: float, lam2: float, a: float) -> TripletPmf:
     """Joint of ((Y1, Y2), Y1+Y2, Z1+Z2) for independent Poisson components
     thinned at the same rate: the total must screen off the split."""
-    p1 = poisson_pmf(lam1, tail_budget)
-    p2 = poisson_pmf(lam2, tail_budget)
+    p1 = poisson_pmf(lam1, INNOVATION_BUDGET)
+    p2 = poisson_pmf(lam2, INNOVATION_BUDGET)
     table = binomial_table(max(p1.max_state, p2.max_state), a)
     atoms = tuple(product(range(p1.probs.size), range(p2.probs.size)))
     b_size = p1.max_state + p2.max_state + 1
@@ -499,18 +489,16 @@ def nonmarkov_control_triplet() -> TripletPmf:
 
 
 def check_markov_property(
-    params: InarParams,
-    cap: int = 12,
-    truncation_budget: float = 1e-12,
+    params: InarParams, truncation_budget: float = 1e-12
 ) -> CheckReport:
     """All exact conditional-independence constructions must have residual
     at or below 1e-10."""
     residuals = {
         "kernel-window": markov_triplet_residual(
-            _kernel_triplet(params, cap, truncation_budget)
+            _kernel_triplet(params, truncation_budget)
         ),
         "decomposition": markov_triplet_residual(
-            _decomposition_triplet(params, cap, truncation_budget)
+            _decomposition_triplet(params, truncation_budget)
         ),
         "poisson-split": markov_triplet_residual(
             _split_triplet(params.lam, params.lam / 2.0, params.a)
@@ -519,7 +507,8 @@ def check_markov_property(
     return CheckReport(
         "markov-triplets",
         "exact-kernel-products",
-        {"a": params.a, "lambda": params.lam, "cap": cap, "residuals": residuals},
+        {"a": params.a, "lambda": params.lam, "cap": MARKOV_CAP,
+         "residuals": residuals},
         max(residuals.values()),
         1e-10,
         "exact",
@@ -555,8 +544,7 @@ def _mc_block(
     config: McConfig, params: InarParams, seed: SeedSpec
 ) -> list[CheckReport]:
     """Monte Carlo checks on one direct-construction ensemble."""
-    _, dec = simulate_inar_direct(params, config.path_length, config.n_paths, seed)
-    ens = PathEnsemble(dec.x, seed, {"construction": "direct"})
+    ens, dec = simulate_inar_direct(params, config.path_length, config.n_paths, seed)
     out = [
         check_stationary_marginal(ens, params, config.significance),
         check_innovation_independence(dec, seed.stream_index, config.significance),
@@ -578,7 +566,7 @@ def _lemma_checks() -> list[CheckReport]:
     """Gap certificate on the indicator chain and the odd/even split cap."""
     out = []
     for a, eps, width in ((0.3, 0.5, 6), (0.2, 0.3, 6)):
-        rep = verify_indicator_bound(0.5, a, eps, IDENTITY_BOUND, width)
+        rep = verify_indicator_bound(0.5, a, eps, width)
         params = asdict(rep)
         params["pass"] = params.pop("passed")
         out.append(CheckReport(

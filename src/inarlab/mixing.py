@@ -3,17 +3,19 @@
 Finite-window values of the interlaced maximal-correlation coefficient are
 computed exactly by enumerating every admissible pair of disjoint index
 sets inside the window; they are certified lower bounds for the
-infinite-window coefficient.  The certificate side turns a pluggable
-lambda-to-rho bound into a separation gap that provably caps the
-coefficient for product-of-indicators chains and everything built from
-them.
+infinite-window coefficient.  The certificate side turns a target level
+epsilon into a separation gap that provably caps the coefficient for
+product-of-indicators chains and everything built from them.  It takes
+delta = epsilon, the identity lambda-to-rho map, which is deliberately
+non-sharp: it asserts no quantitative comparison between the two
+coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,35 +26,31 @@ from .chains import (
     transition_matrix,
     window_joint_pmf,
 )
-from .dependence import (
-    DEFAULT_EXPLOSION_LIMIT,
-    JointPmf,
-    lambda_coefficient,
-    maximal_correlation,
-)
+from .dependence import JointPmf, lambda_coefficient, maximal_correlation
 from .errors import (
     InsufficientDataError,
-    InvalidBoundError,
     InvalidParameterError,
     WindowTooWideError,
 )
 
 DEFAULT_MAX_WIDTH = 8
+# longest window verify_absorbing_split enumerates, and the slack of its
+# hypothesis checks
+SPLIT_MAX_LENGTH = 6
+SPLIT_ATOL = 1e-12
+# fit_decay_rate discards coefficients at or below this numerical floor
+DECAY_FLOOR = 1e-13
 # pairs within this of the maximum count as attaining it, so pairs tied in
 # exact arithmetic are not ordered by their last bits
 TIE_TOLERANCE = 1e-14
 
 __all__ = [
     "WindowSpec",
-    "DeltaBound",
     "GapCertificate",
     "WindowScanResult",
     "IndicatorBoundReport",
     "AbsorbingSplitReport",
     "DecayFit",
-    "IDENTITY_BOUND",
-    "register_delta_bound",
-    "get_delta_bound",
     "enumerate_window_pairs",
     "rho_star_window",
     "lag_joint",
@@ -87,35 +85,6 @@ class WindowSpec:
 
 
 @dataclass(frozen=True)
-class DeltaBound:
-    """Monotone map from a target rho level to a sufficient lambda level."""
-
-    name: str
-    evaluator: Callable[[float], float]
-
-
-IDENTITY_BOUND = DeltaBound("identity", lambda eps: min(eps, 1.0))
-# The identity map is deliberately non-sharp: it keeps the certificate
-# pipeline runnable without asserting any particular quantitative
-# lambda-to-rho comparison.  Register sharper bounds as needed.
-
-_BOUND_REGISTRY: dict[str, DeltaBound] = {IDENTITY_BOUND.name: IDENTITY_BOUND}
-
-
-def register_delta_bound(bound: DeltaBound) -> None:
-    _BOUND_REGISTRY[bound.name] = bound
-
-
-def get_delta_bound(name: str) -> DeltaBound:
-    try:
-        return _BOUND_REGISTRY[name]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown delta bound {name!r}; registered: {sorted(_BOUND_REGISTRY)}"
-        ) from None
-
-
-@dataclass(frozen=True)
 class GapCertificate:
     """Separation gap m with the (epsilon, delta, gamma) chain that justifies it.
 
@@ -144,9 +113,7 @@ class WindowScanResult:
         return self.pair_count == 0
 
 
-def enumerate_window_pairs(
-    width: int, gap: int, max_width: int = DEFAULT_MAX_WIDTH
-) -> list[WindowSpec]:
+def enumerate_window_pairs(width: int, gap: int) -> list[WindowSpec]:
     """All unordered pairs {S, T} of disjoint nonempty subsets at distance >= gap.
 
     Unordered because the coefficient is symmetric; each pair is oriented so
@@ -155,9 +122,9 @@ def enumerate_window_pairs(
     """
     if width < 1 or gap < 1:
         raise InvalidParameterError("width and gap must be positive")
-    if width > max_width:
+    if width > DEFAULT_MAX_WIDTH:
         raise WindowTooWideError(
-            f"window width {width} exceeds the enumeration maximum {max_width}"
+            f"window width {width} exceeds the enumeration maximum {DEFAULT_MAX_WIDTH}"
         )
     out: list[WindowSpec] = []
     full = 1 << width
@@ -172,12 +139,7 @@ def enumerate_window_pairs(
 
 
 def rho_star_window(
-    spec: MarkovChainSpec,
-    width: int,
-    gap: int,
-    cap: int,
-    explosion_limit: int = DEFAULT_EXPLOSION_LIMIT,
-    max_width: int = DEFAULT_MAX_WIDTH,
+    spec: MarkovChainSpec, width: int, gap: int, cap: int
 ) -> WindowScanResult:
     """Exact interlaced coefficient over all admissible pairs in the window.
 
@@ -188,7 +150,7 @@ def rho_star_window(
     does not depend on rounding among pairs tied in exact arithmetic.  An
     empty enumeration (width <= gap) yields value 0 flagged as vacuous.
     """
-    pairs = enumerate_window_pairs(width, gap, max_width)
+    pairs = enumerate_window_pairs(width, gap)
     laws: dict[tuple[int, ...], TupleLaw] = {}
     values: list[float] = []
     worst_err = 0.0
@@ -196,7 +158,7 @@ def rho_star_window(
         union = tuple(sorted(pair.s + pair.t))
         law = laws.get(union)
         if law is None:
-            law = window_joint_pmf(spec, union, cap, explosion_limit)
+            law = window_joint_pmf(spec, union, cap)
             laws[union] = law
         worst_err = max(worst_err, law.truncation_error)
         values.append(maximal_correlation(law.split(pair.s, pair.t)))
@@ -240,20 +202,15 @@ def rho_markov(spec: MarkovChainSpec, n: int, cap: int) -> float:
     return maximal_correlation(joint)
 
 
-def gap_for_epsilon(a: float, epsilon: float, bound: DeltaBound) -> GapCertificate:
-    """Certified gap: delta from the bound, gamma = min(1/9, (delta/3)^2),
-    and the smallest positive m with a**m <= gamma (ties take the smaller m).
+def gap_for_epsilon(a: float, epsilon: float) -> GapCertificate:
+    """Certified gap: delta = epsilon, gamma = min(1/9, (delta/3)^2), and the
+    smallest positive m with a**m <= gamma (ties take the smaller m).
     """
     if not (0.0 < a < 1.0):
         raise InvalidParameterError("a must lie in (0, 1)")
     if not (0.0 < epsilon <= 1.0):
         raise InvalidParameterError("epsilon must lie in (0, 1]")
-    delta = float(bound.evaluator(epsilon))
-    if not math.isfinite(delta) or delta <= 0.0:
-        raise InvalidBoundError(
-            f"delta bound {bound.name!r} returned {delta!r} for epsilon={epsilon}"
-        )
-    delta = min(delta, 1.0)
+    delta = float(epsilon)
     gamma = min(1.0 / 9.0, (delta / 3.0) ** 2)
     m = max(1, math.ceil(math.log(gamma) / math.log(a)))
     while a**m > gamma:
@@ -281,15 +238,11 @@ class IndicatorBoundReport:
 
 
 def verify_indicator_bound(
-    p0: float,
-    a: float,
-    epsilon: float,
-    bound: DeltaBound,
-    width: int,
+    p0: float, a: float, epsilon: float, width: int
 ) -> IndicatorBoundReport:
     """Check that the certified gap caps the indicator chain's exact window
     coefficient at epsilon, recording the margin."""
-    cert = gap_for_epsilon(a, epsilon, bound)
+    cert = gap_for_epsilon(a, epsilon)
     scan = rho_star_window(indicator_chain_spec(p0, a), width, cert.m, cap=1)
     return IndicatorBoundReport(
         p0=p0,
@@ -321,9 +274,7 @@ class AbsorbingSplitReport:
     truncation_error: float = 0.0
 
 
-def verify_absorbing_split(
-    law: TupleLaw, epsilon: float, max_length: int = 6, atol: float = 1e-12
-) -> AbsorbingSplitReport:
+def verify_absorbing_split(law: TupleLaw, epsilon: float) -> AbsorbingSplitReport:
     """Exact lambda coefficient between odd- and even-position groups.
 
     Hypotheses checked on the supplied window law: epsilon <= 1/9, state 0 is
@@ -336,9 +287,10 @@ def verify_absorbing_split(
     if not (0.0 < epsilon):
         raise InvalidParameterError("epsilon must be positive")
     length = len(law.indices)
-    if length > max_length:
+    if length > SPLIT_MAX_LENGTH:
         raise WindowTooWideError(
-            f"window of {length} coordinates exceeds the enumeration cap {max_length}"
+            f"window of {length} coordinates exceeds the enumeration cap "
+            f"{SPLIT_MAX_LENGTH}"
         )
     binary = law.mass[(slice(0, 2),) * length]
     if np.count_nonzero(binary) != np.count_nonzero(law.mass):
@@ -363,9 +315,9 @@ def verify_absorbing_split(
         prefix = head.sum(axis=-1)
         for h in zip(*(c.tolist() for c in np.nonzero(prefix > 0.0))):
             cond_zero = head[h][0] / prefix[h]
-            if h[-1] == 0 and cond_zero < 1.0 - atol:
+            if h[-1] == 0 and cond_zero < 1.0 - SPLIT_ATOL:
                 return fail(f"state 0 not absorbing after history {h}")
-            if cond_zero < 1.0 - epsilon - atol:
+            if cond_zero < 1.0 - epsilon - SPLIT_ATOL:
                 return fail(
                     f"P(next=0 | history {h}) = {cond_zero:.6f} < 1 - epsilon"
                 )
@@ -392,18 +344,16 @@ class DecayFit:
     r_squared: float
 
 
-def fit_decay_rate(
-    values: Sequence[tuple[int, float]], floor: float = 1e-13
-) -> DecayFit:
+def fit_decay_rate(values: Sequence[tuple[int, float]]) -> DecayFit:
     """Least-squares slope of log(coefficient) against the gap.
 
     Points at or below the numerical floor are discarded; at least three
     usable points are required.  The returned rate is exp(slope).
     """
-    usable = [(n, c) for n, c in values if c > floor]
+    usable = [(n, c) for n, c in values if c > DECAY_FLOOR]
     if len(usable) < 3:
         raise InsufficientDataError(
-            f"need at least 3 points above {floor:.0e}, got {len(usable)}"
+            f"need at least 3 points above {DECAY_FLOOR:.0e}, got {len(usable)}"
         )
     x = np.array([n for n, _ in usable], dtype=np.float64)
     y = np.log([c for _, c in usable])

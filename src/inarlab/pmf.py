@@ -236,26 +236,21 @@ def _sample_with_rng(p: Pmf, rng: np.random.Generator, count: int) -> np.ndarray
     return np.minimum(idx, p.max_state).astype(np.int64)
 
 
-def _require_sampleable(p: Pmf, tail_threshold: float) -> None:
-    if p.tail_mass > tail_threshold:
+def _require_sampleable(p: Pmf) -> None:
+    if p.tail_mass > DEFAULT_TAIL_BUDGET:
         raise SamplingBudgetError(
             f"tail mass {p.tail_mass:.3e} exceeds sampling threshold "
-            f"{tail_threshold:.3e}; rebuild the pmf with a smaller tail budget"
+            f"{DEFAULT_TAIL_BUDGET:.3e}; rebuild the pmf with a smaller tail budget"
         )
 
 
-def sample(
-    p: Pmf,
-    seed: SeedSpec,
-    count: int,
-    tail_threshold: float = DEFAULT_TAIL_BUDGET,
-) -> np.ndarray:
+def sample(p: Pmf, seed: SeedSpec, count: int) -> np.ndarray:
     """Deterministic inverse-CDF draws; a pure function of (p, seed, count).
 
-    Refuses to sample when ``p.tail_mass`` exceeds ``tail_threshold`` so a
-    coarse truncation can never silently bias an ensemble.
+    Refuses to sample when ``p.tail_mass`` exceeds ``DEFAULT_TAIL_BUDGET`` so
+    a coarse truncation can never silently bias an ensemble.
     """
     if count <= 0:
         raise InvalidParameterError("count must be positive")
-    _require_sampleable(p, tail_threshold)
+    _require_sampleable(p)
     return _sample_with_rng(p, seed.generator(), count)

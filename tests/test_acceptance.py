@@ -11,7 +11,6 @@ import numpy as np
 from click.testing import CliRunner
 
 from inarlab import (
-    IDENTITY_BOUND,
     InarParams,
     JointPmf,
     SeedSpec,
@@ -150,7 +149,7 @@ def test_acceptance_06_gap_certificates_cap_window_coefficients():
     # chain survival rates chosen per epsilon so the certified gap fits
     # inside the enumerable windows (m = 3 in both cases)
     for eps, a in ((0.5, 0.3), (0.3, 0.2)):
-        cert = gap_for_epsilon(a, eps, IDENTITY_BOUND)
+        cert = gap_for_epsilon(a, eps)
         assert cert.m == 3
 
         scan = rho_star_window(indicator_chain_spec(0.5, a), 6, cert.m, cap=1)

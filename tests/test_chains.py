@@ -376,7 +376,7 @@ class TestWindowJointPmf:
     def test_explosion_limit(self):
         spec = inar_kernel(PARAMS)
         with pytest.raises(ExplosionLimitError):
-            window_joint_pmf(spec, list(range(6)), cap=30, explosion_limit=10_000)
+            window_joint_pmf(spec, list(range(6)), cap=30)
 
     def test_index_validation(self):
         chain = poisson_death_chain(1.0, 0.5)

@@ -388,6 +388,8 @@ class TestVerify:
             '{"root_seed": 2.5}',
             '{"stream_index": 1.7}',
             '{"root_seed": true}',
+            '{"a_grid": []}',
+            '{"lambda_grid": []}',
         ],
     )
     def test_invalid_config_values_exit_2(self, runner, tmp_path, text):
@@ -397,6 +399,34 @@ class TestVerify:
         assert res.exit_code == 2
         assert res.stderr.startswith("malformed config:")
         assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "direct", "--a", "0.5", "--lambda", "1", "--length", "3",
+         "--paths", "3"],
+        ["rho", "direct", "--a", "0.5", "--lambda", "1", "--n-max", "2", "--cap", "20"],
+        ["rho-star", "indicator", "--p0", "0.5", "--a", "0.5", "-W", "3", "-n", "1",
+         "--cap", "1"],
+        ["gap", "--a", "0.5", "--epsilon", "0.3"],
+        ["marginal", "direct", "--a", "0.5", "--lambda", "1", "--at", "2"],
+        ["verify", "--config"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_unwritable_out_exits_2(runner, tmp_path, args):
+    if args[0] == "verify":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TestVerify.CONFIG))
+        args = args + [str(config)]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    res = runner.invoke(main, args + ["--out", str(blocker / "out")])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("cannot write output: ")
+    assert res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
 
 
 class TestSerialization:

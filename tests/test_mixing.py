@@ -7,21 +7,17 @@ import pytest
 
 from inarlab import mixing
 from inarlab import (
-    IDENTITY_BOUND,
-    DeltaBound,
     InarParams,
     binomial_death_chain,
     enumerate_window_pairs,
     fit_decay_rate,
     gap_for_epsilon,
-    get_delta_bound,
     iid_chain,
     inar_kernel,
     indicator_chain_spec,
     lag_joint,
     maximal_correlation,
     poisson_death_chain,
-    register_delta_bound,
     rho_markov,
     rho_star_window,
     verify_absorbing_split,
@@ -30,7 +26,6 @@ from inarlab import (
 )
 from inarlab.errors import (
     InsufficientDataError,
-    InvalidBoundError,
     InvalidParameterError,
     WindowTooWideError,
 )
@@ -170,11 +165,11 @@ class TestRhoMarkov:
 
 class TestGapCertificate:
     def test_identity_bound_examples(self):
-        cert = gap_for_epsilon(0.5, 1.0, IDENTITY_BOUND)
+        cert = gap_for_epsilon(0.5, 1.0)
         assert cert.m == 4 and abs(cert.gamma - 1.0 / 9.0) <= 1e-15
-        cert = gap_for_epsilon(0.5, 0.3, IDENTITY_BOUND)
+        cert = gap_for_epsilon(0.5, 0.3)
         assert cert.m == 7 and abs(cert.gamma - 0.01) <= 1e-15
-        cert = gap_for_epsilon(0.9, 0.3, IDENTITY_BOUND)
+        cert = gap_for_epsilon(0.9, 0.3)
         assert cert.m == 44
 
     def test_certificate_invariants(self):
@@ -182,7 +177,7 @@ class TestGapCertificate:
         for _ in range(200):
             a = float(rng.uniform(0.05, 0.95))
             eps = float(rng.uniform(0.01, 1.0))
-            cert = gap_for_epsilon(a, eps, IDENTITY_BOUND)
+            cert = gap_for_epsilon(a, eps)
             assert cert.gamma <= 1.0 / 9.0 + 1e-15
             assert 3.0 * math.sqrt(cert.gamma) <= cert.delta + 1e-12
             assert a**cert.m <= cert.gamma
@@ -190,38 +185,26 @@ class TestGapCertificate:
 
     def test_monotone_in_epsilon(self):
         eps_grid = np.linspace(0.05, 1.0, 30)
-        ms = [gap_for_epsilon(0.5, float(e), IDENTITY_BOUND).m for e in eps_grid]
+        ms = [gap_for_epsilon(0.5, float(e)).m for e in eps_grid]
         assert all(m2 <= m1 for m1, m2 in zip(ms, ms[1:]))
-
-    def test_invalid_bound(self):
-        bad = DeltaBound("bad", lambda eps: 0.0)
-        with pytest.raises(InvalidBoundError):
-            gap_for_epsilon(0.5, 0.5, bad)
-
-    def test_registry(self):
-        assert get_delta_bound("identity") is IDENTITY_BOUND
-        register_delta_bound(DeltaBound("half", lambda e: e / 2.0))
-        assert get_delta_bound("half").evaluator(0.5) == 0.25
-        with pytest.raises(InvalidParameterError):
-            get_delta_bound("no-such-bound")
 
 
 class TestVerifyIndicatorBound:
     def test_zero_start_probability(self):
-        rep = verify_indicator_bound(0.0, 0.3, 0.5, IDENTITY_BOUND, 6)
+        rep = verify_indicator_bound(0.0, 0.3, 0.5, 6)
         assert rep.passed and rep.value == 0.0
 
     def test_half_epsilon_window_six(self):
-        rep = verify_indicator_bound(0.5, 0.5, 0.5, IDENTITY_BOUND, 6)
+        rep = verify_indicator_bound(0.5, 0.5, 0.5, 6)
         # gap m=6 cannot fit in width 6: vacuous by arithmetic, still valid
         if not rep.vacuous:
             assert rep.passed
-        rep = verify_indicator_bound(0.5, 0.3, 0.5, IDENTITY_BOUND, 6)
+        rep = verify_indicator_bound(0.5, 0.3, 0.5, 6)
         assert not rep.vacuous and rep.passed and rep.margin > 0.0
 
     def test_wider_gaps_never_increase_the_coefficient(self):
         spec = indicator_chain_spec(0.5, 0.3)
-        cert = gap_for_epsilon(0.3, 0.5, IDENTITY_BOUND)
+        cert = gap_for_epsilon(0.3, 0.5)
         values = [
             rho_star_window(spec, 6, gap, cap=1).value
             for gap in range(cert.m, 6)
