@@ -543,9 +543,9 @@ class TupleLaw:
         mass = self._sum_to(s_pos + t_pos).reshape(
             support ** len(s_pos), support ** len(t_pos)
         )
-        rows = np.nonzero(mass.sum(axis=1) > 0.0)[0]
-        cols = np.nonzero(mass.sum(axis=0) > 0.0)[0]
-        mass = mass[np.ix_(rows, cols)]
+        # compress keeps the C order that the renormalizing sum reads in
+        mass = mass.compress(mass.sum(axis=1) > 0.0, axis=0)
+        mass = mass.compress(mass.sum(axis=0) > 0.0, axis=1)
         mass /= mass.sum()
         return JointPmf(mass)
 
@@ -593,15 +593,22 @@ def marginal_at(spec: MarkovChainSpec, j: int) -> Pmf:
 
     Support grows freely up to the output of each kernel row; input states
     above the chain's cap escape into the tail, so the result's tail mass
-    is an honest bound on everything unaccounted for.
+    is an honest bound on everything unaccounted for.  This is ``push``
+    applied j times, computed as ``init @ T^(j-1) @ trans`` with ``T`` the
+    kernel truncated to {0..cap}, so the matrix power takes O(log j)
+    products.
     """
     if j < 0:
         raise InvalidParameterError("j must be nonnegative")
+    if j == 0:
+        return spec.initial
     trans = transition_matrix(spec, spec.state_cap)
-    cur = spec.initial
-    for _ in range(j):
-        cur = push(cur, trans)
-    return cur
+    rows = trans.shape[0]
+    init = np.zeros(rows)
+    top = min(spec.initial.probs.size, rows)
+    init[:top] = spec.initial.probs[:top]
+    out = init @ np.linalg.matrix_power(trans[:, :rows], j - 1) @ trans
+    return Pmf(out, max(0.0, 1.0 - math.fsum(out.tolist())))
 
 
 def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:

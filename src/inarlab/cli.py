@@ -1,9 +1,9 @@
 """Command-line interface: simulation, coefficients, certificates, campaigns.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 resource-limit error.  JSON outputs carry 17-significant-digit floats and
-sorted keys, so identical invocations produce identical bytes; CSV outputs
-start with `#`-prefixed metadata lines.
+3 resource-limit or numerical error.  JSON outputs carry 17-significant-digit
+floats and sorted keys, so identical invocations produce identical bytes; CSV
+outputs start with `#`-prefixed metadata lines.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .chains import (
 from .errors import (
     InsufficientDataError,
     InvalidParameterError,
+    NumericalError,
     ResourceLimitError,
     SamplingBudgetError,
 )
@@ -77,6 +78,9 @@ def _exit_on_errors(fn):
             return fn(*args, **kwargs)
         except (ResourceLimitError, SamplingBudgetError, MemoryError) as exc:
             click.echo(f"resource limit: {str(exc) or 'out of memory'}", err=True)
+            sys.exit(EXIT_RESOURCE)
+        except NumericalError as exc:
+            click.echo(f"numerical error: {exc}", err=True)
             sys.exit(EXIT_RESOURCE)
         except (InvalidParameterError, InsufficientDataError) as exc:
             click.echo(f"invalid parameters: {exc}", err=True)
@@ -193,8 +197,6 @@ def simulate(construction, opts, length, paths, seed, stream, tail_budget, out):
     """Simulate paths; writes x.csv (plus u.csv/v.csv for decomposed builds)."""
     seed_spec = SeedSpec(seed, stream)
     outdir = Path(out)
-    with _writing_output():
-        outdir.mkdir(parents=True, exist_ok=True)
     prefix = outdir / construction
 
     if construction == "direct":
@@ -213,7 +215,8 @@ def simulate(construction, opts, length, paths, seed, stream, tail_budget, out):
         ens, dec = simulate_chain(spec, length, paths, seed_spec), None
 
     written = [f"{prefix}_x.csv"]
-    with _writing_output():
+    with _writing_output():  # only a run that simulated creates the directory
+        outdir.mkdir(parents=True, exist_ok=True)
         write_ensemble_csv(ens, written[0])
         if dec is not None:
             for name, mat in (("u", dec.u), ("v", dec.v)):

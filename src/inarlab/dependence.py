@@ -19,6 +19,7 @@ from .errors import (
     AlphabetTooLargeError,
     ExplosionLimitError,
     InvalidParameterError,
+    NumericalError,
 )
 from .pmf import MASS_TOL
 
@@ -41,7 +42,7 @@ def _validate_mass(mass: np.ndarray, ndim: int) -> np.ndarray:
         raise InvalidParameterError(f"mass must be {ndim}-dimensional")
     if not np.all(np.isfinite(mass)) or np.any(mass < 0.0):
         raise InvalidParameterError("mass entries must be finite and nonnegative")
-    total = math.fsum(mass.ravel().tolist())
+    total = math.fsum(mass[mass != 0.0].tolist())  # zeros add nothing to the sum
     if abs(total - 1.0) > MASS_TOL:
         raise InvalidParameterError(
             f"mass sums to {total!r}, not 1 within {MASS_TOL}"
@@ -82,11 +83,16 @@ class TripletPmf:
 
 
 def _dropped(joint: JointPmf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mass with zero-marginal atoms removed, plus the surviving marginals."""
+    """Mass with zero-marginal atoms removed, plus the surviving marginals.
+
+    The joint's own (read-only) mass comes back uncopied when no atom is null.
+    """
     rm = joint.row_marginal()
     cm = joint.col_marginal()
     keep_r = rm > 0.0
     keep_c = cm > 0.0
+    if keep_r.all() and keep_c.all():
+        return joint.mass, rm, cm
     mass = joint.mass[np.ix_(keep_r, keep_c)]
     return mass, rm[keep_r], cm[keep_c]
 
@@ -106,7 +112,7 @@ def maximal_correlation(joint: JointPmf) -> float:
     q = mass / np.sqrt(rm)[:, None] / np.sqrt(cm)
     sv = np.linalg.svd(q, compute_uv=False)
     if abs(sv[0] - 1.0) > 1e-10:
-        raise ArithmeticError(
+        raise NumericalError(
             f"leading singular value {sv[0]!r} deviates from 1; joint is inconsistent"
         )
     return float(min(1.0, max(0.0, sv[1])))
@@ -134,19 +140,22 @@ def lambda_coefficient(joint: JointPmf) -> float:
         )
     if n_r == 0 or n_c == 0:
         return 0.0
+    # stat[A, B] = (P(A&B) - P(A)P(B)) / sqrt(P(A)P(B)) = left[A] . right[B],
+    # with left = [P(A&{c}) / sqrt(P(A)), -sqrt(P(A))] and
+    # right = [1{c in B} / sqrt(P(B)), sqrt(P(B))]: one product per chunk.
+    # Every term is at most 1 in magnitude, so the error is O(n_c * eps).
     row_masks = _subset_masks(n_r)
     col_masks = _subset_masks(n_c)
-    pa = row_masks @ rm
-    pb = col_masks @ cm
-    inter = row_masks @ mass  # inter[A, c] = P(A & {col c})
+    sqrt_pa = np.sqrt(row_masks @ rm)
+    sqrt_pb = np.sqrt(col_masks @ cm)
+    left = np.hstack([(row_masks @ mass) / sqrt_pa[:, None], -sqrt_pa[:, None]])
+    right = np.hstack([col_masks / sqrt_pb[:, None], sqrt_pb[:, None]])
     best = 0.0
     chunk = 1024
-    for start in range(0, col_masks.shape[0], chunk):
-        cm_chunk = col_masks[start : start + chunk]
-        pab = inter @ cm_chunk.T
-        stat = np.abs(pab - pa[:, None] * pb[None, start : start + chunk])
-        stat /= np.sqrt(pa[:, None] * pb[None, start : start + chunk])
-        best = max(best, float(stat.max()))
+    for start in range(0, right.shape[0], chunk):
+        stat = left @ right[start : start + chunk].T
+        best = max(best, float(stat.max()), -float(stat.min()))
+        del stat  # freed before the next chunk's product is allocated
     return best
 
 

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Split along the boundaries the CLI cares about: parameter/config mistakes
-(exit code 2) versus resource limits and sampling-budget refusals (exit
-code 3).
+(exit code 2) versus resource limits, sampling-budget refusals and
+numerical failures (exit code 3).
 """
 
 
@@ -36,6 +36,10 @@ class ExplosionLimitError(ResourceLimitError):
 
 class AlphabetTooLargeError(ResourceLimitError):
     """Subset enumeration requested on an alphabet above the exact cap."""
+
+
+class NumericalError(InarLabError, ArithmeticError):
+    """A computed quantity breaks an identity its inputs guarantee."""
 
 
 class InsufficientDataError(InarLabError, ValueError):

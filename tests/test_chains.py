@@ -45,7 +45,7 @@ from inarlab.errors import (
     InvalidParameterError,
     SamplingBudgetError,
 )
-from inarlab.chains import PathEnsemble, _BLOCK_CELLS
+from inarlab.chains import PathEnsemble, _BLOCK_CELLS, push
 
 from .test_pmf import sup_diff
 
@@ -403,6 +403,22 @@ class TestMarginalAt:
     def test_iid_chain_ignores_state(self):
         chain = iid_chain(1.5)
         assert sup_diff(marginal_at(chain, 4), poisson_pmf(1.5)) <= 1e-12
+
+    def test_matches_step_by_step_pushes(self):
+        for spec in (
+            inar_kernel(PARAMS),
+            poisson_death_chain(3.0, 0.5),
+            binomial_death_chain(6, 0.4, 0.7),
+            indicator_chain_spec(0.3, 0.5),
+        ):
+            trans = transition_matrix(spec, spec.state_cap)
+            stepped = spec.initial
+            for j in range(41):
+                law = marginal_at(spec, j)
+                assert law.probs.size == stepped.probs.size
+                assert float(np.abs(law.probs - stepped.probs).max()) <= 1e-14
+                assert abs(law.tail_mass - stepped.tail_mass) <= 1e-14
+                stepped = push(stepped, trans)
 
 
 class TestDecompositionValidation:

@@ -75,6 +75,16 @@ class TestSimulate:
         assert res.exit_code == 3
         assert res.stderr == f"resource limit: {shown}\n"
 
+    def test_refused_run_creates_no_directory(self, runner, tmp_path):
+        out = tmp_path / "never"
+        res = runner.invoke(
+            main,
+            ["simulate", "direct", "--a", "0.5", "--lambda", "1", "--length", "0",
+             "--paths", "3", "--out", str(out)],
+        )
+        assert res.exit_code == 2
+        assert not out.exists()
+
     def test_unknown_construction_exits_2(self, runner, tmp_path):
         res = runner.invoke(
             main,
@@ -225,6 +235,16 @@ class TestRho:
         assert res.exit_code == 0
         assert 0.0 <= json.loads(res.output)["entries"][0]["rho"] <= 1.0
 
+    def test_inconsistent_svd_exits_3(self, runner, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", lambda q, compute_uv: np.array([0.5, 0.25]))
+        res = runner.invoke(
+            main, ["rho", "direct", "--a", "0.5", "--lambda", "1", "--n-max", "1",
+                   "--cap", "20"],
+        )
+        assert res.exit_code == 3
+        assert res.stderr.startswith("numerical error: leading singular value")
+        assert res.stderr.count("\n") == 1
+
 
 class TestRhoStar:
     def test_vacuous_gap_flagged(self, runner, tmp_path):
@@ -318,6 +338,17 @@ class TestMarginal:
         )
         payload = json.loads(res.output)
         assert abs(payload["mean"] - 0.25) <= 1e-9
+
+    def test_far_index_takes_matrix_powers(self, runner):
+        res = run(
+            runner, "marginal", "direct", "--a", 0.5, "--lambda", 1, "--at", 100_000_000
+        )
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        # each step leaks the mass above the cap into the tail, and it is reported
+        assert abs(sum(payload["probs"]) + payload["tail_mass"] - 1.0) <= 1e-12
+        assert 0.0 < payload["tail_mass"] <= 1e-3
+        assert abs(payload["mean"] - 2.0) <= 1e-3
 
 
 class TestVerify:

@@ -1,6 +1,7 @@
 """Tests for the dependence coefficients, with independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from inarlab.errors import (
     AlphabetTooLargeError,
     ExplosionLimitError,
     InvalidParameterError,
+    NumericalError,
 )
 
 
@@ -73,6 +75,35 @@ def indicator_correlation_sup(mass: np.ndarray) -> float:
     return best
 
 
+def lambda_by_event_pairs(mass: np.ndarray) -> float:
+    """Sup of |P(A&B) - P(A)P(B)| / sqrt(P(A)P(B)) over every event pair.
+
+    Walks the row events one by one; P(A&B) for all column events B comes
+    from the subset-sum recurrence (adding column j to every event without
+    it), so no matrix product is involved.  Null events are skipped.
+    """
+
+    def subset_sums(weights: np.ndarray) -> np.ndarray:
+        sums = np.zeros(1)
+        for w in weights:
+            sums = np.concatenate([sums, sums + w])
+        return sums[1:]  # drop the empty event
+
+    rm = mass.sum(axis=1)
+    pb = subset_sums(mass.sum(axis=0))
+    best = 0.0
+    for a in range(1, 2 ** mass.shape[0]):
+        rows = [i for i in range(mass.shape[0]) if a >> i & 1]
+        pa = rm[rows].sum()
+        if pa == 0.0:
+            continue
+        pab = subset_sums(mass[rows].sum(axis=0))
+        live = pb > 0.0
+        stat = (pab[live] - pa * pb[live]) / (math.sqrt(pa) * np.sqrt(pb[live]))
+        best = max(best, float(np.abs(stat).max()))
+    return best
+
+
 def random_joint(rng, max_side=4) -> JointPmf:
     r = int(rng.integers(2, max_side + 1))
     c = int(rng.integers(2, max_side + 1))
@@ -121,6 +152,13 @@ class TestMaximalCorrelation:
         assert abs(maximal_correlation(JointPmf(j.mass[perm])) - rho) <= 1e-12
         assert abs(maximal_correlation(JointPmf(j.mass.T)) - rho) <= 1e-12
 
+    def test_inconsistent_singular_values_raise_a_named_error(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", lambda q, compute_uv: np.array([0.5, 0.25]))
+        j = JointPmf(np.array([[0.4, 0.1], [0.1, 0.4]]))
+        with pytest.raises(NumericalError, match="deviates from 1") as info:
+            maximal_correlation(j)
+        assert isinstance(info.value, ArithmeticError)
+
     def test_range(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -152,6 +190,32 @@ class TestLambdaCoefficient:
         for _ in range(25):
             j = random_joint(rng)
             assert lambda_coefficient(j) <= maximal_correlation(j) + 1e-10
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 5), (4, 4), (7, 3), (9, 12), (12, 12)])
+    def test_against_event_pair_enumeration(self, shape):
+        # Cell masses spread from 1e-300 to 1, a few cells exactly zero
+        # (one whole row for the larger shapes, so a null atom is dropped).
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(2):
+            mass = 10.0 ** rng.uniform(-300.0, 0.0, size=shape)
+            mass[rng.random(shape) < 0.1] = 0.0
+            if shape[0] > 4:
+                mass[0] = 0.0
+            mass.flat[int(np.argmax(mass))] += 1.0  # never all zero
+            j = JointPmf(mass / math.fsum(mass.ravel().tolist()))
+            assert abs(lambda_coefficient(j) - lambda_by_event_pairs(j.mass)) <= 1e-12
+
+    def test_full_alphabet_peak_memory(self):
+        # One 4095 x 1024 float product per chunk is 33.5 MB; a second
+        # chunk-sized temporary would push the peak past the limit.
+        j = JointPmf(np.random.default_rng(3).dirichlet(np.ones(144)).reshape(12, 12))
+        tracemalloc.start()
+        try:
+            lambda_coefficient(j)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
     def test_alphabet_cap(self):
         j = JointPmf(np.full((13, 2), 1.0 / 26.0))
