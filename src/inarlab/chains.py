@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -25,6 +26,7 @@ from .errors import (
     ExplosionLimitError,
     InvalidConfigError,
     InvalidParameterError,
+    ResourceLimitError,
 )
 from .pmf import (
     DEFAULT_TAIL_BUDGET,
@@ -65,6 +67,23 @@ _BLOCK_CELLS = 1 << 16  # cells per row block when checking or writing ensembles
 # Largest stationary mean the simulators accept.  numpy refuses Poisson means
 # above about 9.2e18, and sums of counts near 2**63 would overflow int64.
 _MAX_COUNT_MEAN = 2.0**62
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(length: int, n_paths: int, matrices: int) -> None:
+    """Refuse a simulation whose ``matrices`` int64 path-sized arrays (path
+    matrices plus time-major buffers) would exceed physical memory."""
+    need = matrices * length * n_paths * np.dtype(np.int64).itemsize
+    have = _physical_memory()
+    if need > have:
+        raise ResourceLimitError(
+            f"{n_paths} paths of length {length} need about {need / 2**30:.3g} GiB "
+            f"of int64 arrays, more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 @dataclass(frozen=True)
@@ -311,6 +330,7 @@ def indicator_chain(
         raise InvalidParameterError("a must lie in (0, 1)")
     if length < 1 or n_paths < 1:
         raise InvalidParameterError("length and n_paths must be positive")
+    _require_memory(length, n_paths, 1)
     rng = seed.generator()
     paths = np.empty((n_paths, length), dtype=np.int64)
     paths[:, 0] = rng.random(n_paths) < p0
@@ -332,6 +352,7 @@ def simulate_chain(
     """
     if length < 1 or n_paths < 1:
         raise InvalidParameterError("length and n_paths must be positive")
+    _require_memory(length, n_paths, 1)
     rng = seed.generator()
     _require_sampleable(spec.initial)
     paths = np.empty((n_paths, length), dtype=np.int64)
@@ -370,6 +391,7 @@ def simulate_inar_direct(
     if length < 1 or n_paths < 1:
         raise InvalidParameterError("length and n_paths must be positive")
     _require_countable(params)
+    _require_memory(length, n_paths, 5)  # x, u, v plus time-major u and v
     rng = seed.generator()
     x_prev = rng.poisson(params.stationary_mean, n_paths)
     u = np.empty((length, n_paths), dtype=np.int64)
@@ -420,6 +442,7 @@ def simulate_inar_superposition(
         raise InvalidParameterError("length and n_paths must be positive")
     _require_countable(params)
     config.validate_for(params)
+    _require_memory(length, n_paths, 5)  # x, u, v plus time-major x and v
     depth = config.depth
     rng = seed.generator()
     x = np.zeros((length, n_paths), dtype=np.int64)
@@ -513,10 +536,14 @@ class TupleLaw:
         return MappingProxyType(dict(zip(keys, self.mass[cells].tolist())))
 
     def _sum_to(self, positions: Sequence[int]) -> np.ndarray:
-        """Mass summed over every axis not listed, the rest in listed order."""
+        """Mass summed over every axis not listed, the rest in listed order.
+
+        With every axis listed this is a read-only view, not a copy.
+        """
         rest = tuple(p for p in range(self.mass.ndim) if p not in positions)
         kept = sorted(positions)
-        return self.mass.sum(axis=rest).transpose([kept.index(p) for p in positions])
+        mass = self.mass.sum(axis=rest) if rest else self.mass
+        return mass.transpose([kept.index(p) for p in positions])
 
     def marginal(self, index: int) -> Pmf:
         """Single-coordinate marginal as a Pmf (lost mass goes to the tail)."""

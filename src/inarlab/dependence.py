@@ -21,7 +21,7 @@ from .errors import (
     InvalidParameterError,
     NumericalError,
 )
-from .pmf import MASS_TOL
+from .pmf import MASS_TOL, total_off_unit
 
 DEFAULT_ALPHABET_CAP = 12
 DEFAULT_EXPLOSION_LIMIT = 2_000_000
@@ -40,10 +40,10 @@ def _validate_mass(mass: np.ndarray, ndim: int) -> np.ndarray:
     mass = np.ascontiguousarray(mass, dtype=np.float64)
     if mass.ndim != ndim:
         raise InvalidParameterError(f"mass must be {ndim}-dimensional")
-    if not np.all(np.isfinite(mass)) or np.any(mass < 0.0):
+    if not np.isfinite(mass).all() or (mass < 0.0).any():
         raise InvalidParameterError("mass entries must be finite and nonnegative")
-    total = math.fsum(mass[mass != 0.0].tolist())  # zeros add nothing to the sum
-    if abs(total - 1.0) > MASS_TOL:
+    total = total_off_unit(mass)
+    if total is not None:
         raise InvalidParameterError(
             f"mass sums to {total!r}, not 1 within {MASS_TOL}"
         )

@@ -14,6 +14,7 @@ coefficients.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,8 +27,14 @@ from .chains import (
     transition_matrix,
     window_joint_pmf,
 )
-from .dependence import JointPmf, lambda_coefficient, maximal_correlation
+from .dependence import (
+    DEFAULT_EXPLOSION_LIMIT,
+    JointPmf,
+    lambda_coefficient,
+    maximal_correlation,
+)
 from .errors import (
+    ExplosionLimitError,
     InsufficientDataError,
     InvalidParameterError,
     WindowTooWideError,
@@ -174,13 +181,20 @@ def lag_joint(spec: MarkovChainSpec, n: int, cap: int) -> tuple[JointPmf, float]
     """Exact joint of (state at 0, state at n) under the chain's initial law.
 
     Built from the n-step product of the truncated kernel and renormalized;
-    the escaped (truncated) mass is returned alongside.
+    the escaped (truncated) mass is returned alongside.  A cap whose square
+    table would exceed ``DEFAULT_EXPLOSION_LIMIT`` cells is refused before
+    any kernel row is built.
     """
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
     if cap < 1:
         raise InvalidParameterError("cap must be positive")
     support = cap + 1
+    if support**2 > DEFAULT_EXPLOSION_LIMIT:
+        raise ExplosionLimitError(
+            f"lag joint could hold up to {support**2} atoms "
+            f"(limit {DEFAULT_EXPLOSION_LIMIT}); shrink the cap"
+        )
     trans = transition_matrix(spec, cap)[:, :support]
     init = np.zeros(support)
     m = min(spec.initial.probs.size, support)
@@ -212,6 +226,10 @@ def gap_for_epsilon(a: float, epsilon: float) -> GapCertificate:
         raise InvalidParameterError("epsilon must lie in (0, 1]")
     delta = float(epsilon)
     gamma = min(1.0 / 9.0, (delta / 3.0) ** 2)
+    if gamma < sys.float_info.min:  # a**m steps too coarse to find the smallest m
+        raise InvalidParameterError(
+            f"epsilon {epsilon!r} is too small: (epsilon / 3)**2 underflows"
+        )
     m = max(1, math.ceil(math.log(gamma) / math.log(a)))
     while a**m > gamma:
         m += 1

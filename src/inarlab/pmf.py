@@ -20,6 +20,10 @@ from .errors import InvalidParameterError, SamplingBudgetError
 
 DEFAULT_TAIL_BUDGET = 1e-12
 MASS_TOL = 1e-12
+# Cells per float64 partial sum in total_off_unit.  A sum of B nonnegative
+# terms, added in any order, is within (B - 1) * 2**-53 of the exact sum,
+# relatively (Higham, Accuracy and Stability of Numerical Algorithms, 4.2).
+_MASS_BLOCK = 1024
 # Largest state a Poisson or binomial table may hold, checked before the table
 # is allocated.  poisson_pmf's doubling search stops past 1e6, so for it this
 # only refuses means above about 2.08e6, whose first table is wider.
@@ -64,8 +68,8 @@ class Pmf:
         if not math.isfinite(tail) or tail < -1e-15:
             raise InvalidParameterError("tail_mass must be nonnegative")
         tail = max(tail, 0.0)
-        total = math.fsum(probs.tolist()) + tail
-        if abs(total - 1.0) > MASS_TOL:
+        total = total_off_unit(probs, tail)
+        if total is not None:
             raise InvalidParameterError(
                 f"total mass {total!r} differs from 1 by more than {MASS_TOL}"
             )
@@ -82,6 +86,27 @@ class Pmf:
         """Mean of the tabulated part (a lower bound when tail_mass > 0)."""
         k = np.arange(self.probs.size)
         return float(k @ self.probs)
+
+
+def total_off_unit(cells: np.ndarray, tail: float = 0.0) -> float | None:
+    """``math.fsum(cells) + tail`` when it is not within MASS_TOL of 1, else None.
+
+    ``cells`` must be finite and nonnegative.  Beyond four blocks, the cells
+    are summed in float64 blocks and the partials fsummed; when both ends of
+    the total's error band pass, no exact sum is taken.  Every other input
+    takes the exact sum, so verdict and total are always the exact sum's.
+    """
+    flat = cells.reshape(-1)
+    if flat.size > 4 * _MASS_BLOCK:
+        full = flat.size - flat.size % _MASS_BLOCK
+        partials = flat[:full].reshape(-1, _MASS_BLOCK).sum(axis=1).tolist()
+        approx = math.fsum(partials + [float(flat[full:].sum())])
+        # twice the error bound, so the rounding of the ends is covered too
+        band = 2 * (_MASS_BLOCK + 1) * 2.0**-53 * approx
+        if all(abs(end + tail - 1.0) <= MASS_TOL for end in (approx - band, approx + band)):
+            return None
+    total = math.fsum(flat[flat != 0.0].tolist()) + tail  # zeros add nothing
+    return None if abs(total - 1.0) <= MASS_TOL else total
 
 
 @dataclass(frozen=True)

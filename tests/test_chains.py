@@ -39,10 +39,12 @@ from inarlab import (
     window_joint_pmf,
     write_ensemble_csv,
 )
+from inarlab import chains
 from inarlab.errors import (
     ExplosionLimitError,
     InvalidConfigError,
     InvalidParameterError,
+    ResourceLimitError,
     SamplingBudgetError,
 )
 from inarlab.chains import PathEnsemble, _BLOCK_CELLS, push
@@ -214,6 +216,38 @@ def test_simulators_return_path_major_matrices_without_copies(simulate):
     assert np.shares_memory(ens.paths, dec.x)
 
 
+class _UndrawableSeed:
+    """A seed whose generator must never be asked for."""
+
+    def generator(self):
+        raise AssertionError("drew before the memory check")
+
+
+SIMULATORS = {  # name -> (simulate(length, n_paths, seed), int64 arrays held)
+    "direct": (partial(simulate_inar_direct, PARAMS), 5),
+    "superposition": (
+        partial(simulate_inar_superposition, PARAMS, SuperpositionConfig.for_budget(PARAMS)), 5
+    ),
+    "chain": (partial(simulate_chain, poisson_death_chain(1.0, 0.5)), 1),
+    "indicator": (partial(indicator_chain, 0.5, 0.5), 1),
+}
+
+
+@pytest.mark.parametrize("name", SIMULATORS)
+def test_simulations_larger_than_memory_are_refused_before_drawing(name, monkeypatch):
+    simulate, arrays = SIMULATORS[name]
+    need = arrays * 7 * 30 * 8
+    monkeypatch.setattr(chains, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ResourceLimitError, match="physical memory"):
+        simulate(7, 30, _UndrawableSeed())
+    monkeypatch.setattr(chains, "_physical_memory", lambda: need)
+    assert simulate(7, 30, SeedSpec(1))
+
+
+def test_physical_memory_is_read_from_the_host():
+    assert chains._physical_memory() > 2**20
+
+
 class TestSimulateInarDirect:
     def test_bitwise_equal_to_column_reference(self):
         for params, seed in ((PARAMS, SeedSpec(12, 3)), (InarParams(0.9, 2.5), SeedSpec(5))):
@@ -366,6 +400,15 @@ class TestWindowJointPmf:
             assert np.array_equal(trans[x, : row.size], row)
             assert not trans[x, row.size :].any()
         assert transition_matrix(binomial_death_chain(3, 0.5, 0.5), 5).shape == (6, 6)
+
+    def test_unsummed_reorder_is_a_view(self):
+        law = window_joint_pmf(inar_kernel(PARAMS), [0, 1, 3], cap=5)
+        view = law._sum_to([2, 0, 1])
+        assert np.shares_memory(view, law.mass) and not view.flags.writeable
+        assert np.array_equal(view, law.mass.transpose(2, 0, 1))
+        assert np.array_equal(law._sum_to([1, 0]), law.mass.sum(axis=2).T)
+        split = law.split([0, 3], [1])
+        assert split.mass.shape == (36, 6) and not np.shares_memory(split.mass, law.mass)
 
     def test_death_chain_atoms_are_nonincreasing(self):
         chain = poisson_death_chain(2.0, 0.5)

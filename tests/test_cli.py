@@ -7,8 +7,8 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import event, given, settings, strategies as st
 
-from inarlab import cli
-from inarlab.cli import SIM_CONSTRUCTIONS, main
+from inarlab import chains, cli
+from inarlab.cli import CHAIN_CONSTRUCTIONS, SIM_CONSTRUCTIONS, main
 from inarlab.serialize import dumps
 
 
@@ -74,6 +74,20 @@ class TestSimulate:
         )
         assert res.exit_code == 3
         assert res.stderr == f"resource limit: {shown}\n"
+
+    @pytest.mark.parametrize("construction", SIM_CONSTRUCTIONS)
+    def test_run_larger_than_memory_exits_3(self, runner, tmp_path, monkeypatch, construction):
+        monkeypatch.setattr(chains, "_physical_memory", lambda: 100)
+        out = tmp_path / "never"
+        res = runner.invoke(
+            main,
+            ["simulate", construction, "--a", "0.5", "--lambda", "1", "--p0", "0.5",
+             "--n", "3", "--p", "0.5", "--length", "5", "--paths", "5", "--out", str(out)],
+        )
+        assert res.exit_code == 3
+        assert res.stderr.startswith("resource limit: 5 paths of length 5 need about")
+        assert res.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_refused_run_creates_no_directory(self, runner, tmp_path):
         out = tmp_path / "never"
@@ -196,6 +210,78 @@ def test_simulate_flags_fuzz(tmp_path_factory, construction, flags):
             assert np.array_equal(x, u + v)
 
 
+# Flags of the exact commands.  Every value is refused before anything is
+# allocated or runs in milliseconds:
+# - --cap skips 100..1413: caps past 1413 are refused, but a lag or window
+#   law at cap 1413 tabulates 1414 kernel rows, which takes seconds;
+# - -W is 1, 3 or the refused 9: at the default cap 30, width 4 already
+#   builds window laws of 31**4 cells;
+# - --n-max stays small: each gap is one matrix power and one SVD;
+# - --tail-budget leaves out tiny values: poisson_pmf searches tables up to
+#   a million states before refusing a budget it cannot reach;
+# - marginal's --a and --lambda keep the stationary mean at most 30, since
+#   its table is sized by the chain's state cap;
+# - --n stays small or past the 2**21 table limit.
+EXACT_FLAGS = (
+    _flag("--a", ["1e-300", "0.3", "0.9"]),
+    _flag("--lambda", ["1e-300", "0.5", "3", "1e15"]),
+    _flag("--p0", PROB_VALUES),
+    _flag("--n", N_VALUES),
+    _flag("--p", PROB_VALUES),
+    _flag("--tail-budget", ["1e-12", "0.5"]),
+)
+COMMAND_FLAGS = {
+    "rho": (
+        _flag("--n-max", ["1", "3", "7"]),
+        _flag("--cap", ["1", "12", "40", "100000"]),
+        _flag("--max-escape", ["1e-9", "1"]),
+    ),
+    "rho-star": (
+        _flag("-W", ["1", "3", "9"]),
+        _flag("-n", ["1", "2", "5"]),
+        _flag("--cap", ["1", "3", "100000"]),
+        _flag("--max-escape", ["1e-9", "1"]),
+    ),
+    "marginal": (_flag("--at", ["1", "5", "100000000"]),),
+}
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(sorted(COMMAND_FLAGS)),
+    construction=st.sampled_from(CHAIN_CONSTRUCTIONS),
+    data=st.data(),
+)
+def test_exact_command_flags_fuzz(command, construction, data):
+    """Any flags give exit 0, 2 or 3 with no traceback; exit 0 prints JSON."""
+    flags = data.draw(st.tuples(*EXACT_FLAGS, *COMMAND_FLAGS[command]))
+    args = [command, construction, *sum((f for f in flags if f), [])]
+    res = CliRunner().invoke(main, args)
+    event(f"{command} exit {res.exit_code}")
+    assert res.exit_code in (0, 2, 3), (args, res.exception)
+    assert res.exception is None or isinstance(res.exception, SystemExit), args
+    assert "Traceback" not in res.stderr
+    if res.exit_code == 0:
+        assert isinstance(json.loads(res.stdout), dict)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    flags=st.tuples(
+        _flag("--a", ["1e-300", "0.5", "0.9999999999999999"]),
+        _flag("--epsilon", ["5e-324", "1e-160", "1e-150", "0.3", "1"]),
+        _flag("--delta-bound", ["identity", "bogus"]),
+    )
+)
+def test_gap_flags_fuzz(flags):
+    args = ["gap", *sum((f for f in flags if f), [])]
+    res = CliRunner().invoke(main, args)
+    event(f"gap exit {res.exit_code}")
+    assert res.exit_code in (0, 2), (args, res.exception)
+    assert res.exception is None or isinstance(res.exception, SystemExit), args
+    assert "Traceback" not in res.stderr
+
+
 class TestRho:
     def test_inar_fit_recovers_thinning_rate(self, runner, tmp_path):
         out = tmp_path / "rho.json"
@@ -226,6 +312,16 @@ class TestRho:
              "--cap", "5", "--out", str(tmp_path / "rho.json")],
         )
         assert res.exit_code == 3
+
+    def test_cap_beyond_the_table_limit_exits_3(self, runner):
+        res = runner.invoke(
+            main, ["rho", "direct", "--a", "0.5", "--lambda", "1", "--cap", "100000"]
+        )
+        assert res.exit_code == 3
+        assert res.stderr == (
+            "resource limit: lag joint could hold up to 10000200001 atoms "
+            "(limit 2000000); shrink the cap\n"
+        )
 
     def test_subnormal_marginal_products_do_not_break_the_svd(self, runner):
         res = run(

@@ -20,6 +20,7 @@ from inarlab.errors import (
     InvalidParameterError,
     NumericalError,
 )
+from inarlab.pmf import MASS_TOL
 
 
 def ace_oracle(mass: np.ndarray, restarts: int = 6, iters: int = 400) -> float:
@@ -289,3 +290,23 @@ class TestValidation:
             JointPmf(np.array([[0.5, 0.1], [0.1, 0.1]]))
         with pytest.raises(InvalidParameterError):
             TripletPmf(np.full((2, 2, 2), 0.2))
+
+    def test_refused_mass_prints_its_exact_sum(self):
+        mass = np.random.default_rng(5).dirichlet(np.ones(729 * 81)).reshape(729, 81)
+        mass *= 1.0 + 4 * MASS_TOL
+        total = math.fsum(mass.ravel().tolist())
+        with pytest.raises(InvalidParameterError) as info:
+            JointPmf(mass)
+        assert str(info.value) == f"mass sums to {total!r}, not 1 within {MASS_TOL}"
+
+    def test_wide_joint_validates_in_small_memory(self):
+        # the 9**5 cells of a five-index window law split into 729 x 81; an
+        # exact sum over a list of them peaked at 2.4 MB
+        mass = np.random.default_rng(6).dirichlet(np.ones(729 * 81)).reshape(729, 81)
+        tracemalloc.start()
+        try:
+            JointPmf(mass)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6

@@ -8,6 +8,7 @@ import pytest
 from inarlab import mixing
 from inarlab import (
     InarParams,
+    MarkovChainSpec,
     binomial_death_chain,
     enumerate_window_pairs,
     fit_decay_rate,
@@ -25,6 +26,7 @@ from inarlab import (
     window_joint_pmf,
 )
 from inarlab.errors import (
+    ExplosionLimitError,
     InsufficientDataError,
     InvalidParameterError,
     WindowTooWideError,
@@ -121,6 +123,19 @@ class TestRhoStarWindow:
         assert scan.value >= maximal_correlation(joint) - 1e-12
 
 
+class TestLagJoint:
+    def test_square_table_beyond_the_limit_is_refused_before_any_row(self):
+        def kernel(x):
+            raise AssertionError("built a kernel row")
+
+        initial = inar_kernel(InarParams(a=0.5, lam=1.0)).initial
+        spec = MarkovChainSpec(initial=initial, kernel=kernel, state_cap=initial.max_state)
+        with pytest.raises(ExplosionLimitError, match="2002225 atoms"):
+            lag_joint(spec, 1, 1414)
+        with pytest.raises(AssertionError, match="kernel row"):
+            lag_joint(spec, 1, 1413)
+
+
 class TestRhoMarkov:
     def test_iid_is_zero(self):
         assert rho_markov(iid_chain(2.0), 3, 25) <= 1e-10
@@ -182,6 +197,17 @@ class TestGapCertificate:
             assert 3.0 * math.sqrt(cert.gamma) <= cert.delta + 1e-12
             assert a**cert.m <= cert.gamma
             assert cert.m == 1 or a ** (cert.m - 1) > cert.gamma
+
+    @pytest.mark.parametrize("a", [0.5, 0.9999999999999999])
+    @pytest.mark.parametrize("eps", [5e-324, 1e-300, 1e-160])
+    def test_epsilon_whose_gamma_underflows_is_refused(self, a, eps):
+        with pytest.raises(InvalidParameterError, match="underflows"):
+            gap_for_epsilon(a, eps)
+
+    @pytest.mark.parametrize("a", [0.5, 0.9999999999999999])
+    def test_smallest_normal_gamma_still_certifies(self, a):
+        cert = gap_for_epsilon(a, 1e-150)
+        assert a**cert.m <= cert.gamma < a ** (cert.m - 1)
 
     def test_monotone_in_epsilon(self):
         eps_grid = np.linspace(0.05, 1.0, 30)

@@ -20,7 +20,7 @@ from inarlab import (
     total_variation,
 )
 from inarlab.errors import InvalidParameterError, SamplingBudgetError
-from inarlab.pmf import binomial_table
+from inarlab.pmf import MASS_TOL, binomial_table, total_off_unit
 
 
 def sup_diff(p: Pmf, q: Pmf) -> float:
@@ -305,3 +305,74 @@ class TestPmfInvariants:
         for p in (poisson_pmf(lam), thin(poisson_pmf(lam), a)):
             assert np.all(p.probs >= 0.0)
             assert abs(math.fsum(p.probs.tolist()) + p.tail_mass - 1.0) <= 1e-12
+
+
+def _cells_summing_near(rng, size: int, target: float) -> np.ndarray:
+    """Nonnegative cells, some zero and some subnormal, whose fsum is within
+    a few ulps of ``target``."""
+    cells = rng.random(size) ** 4
+    cells[rng.random(size) < 0.2] = 0.0
+    cells[rng.random(size) < 0.05] = 5e-324 * rng.integers(1, 1000)
+    cells[int(rng.integers(size))] += 0.5  # never all zero
+    cells *= target / math.fsum(cells.tolist())
+    big = int(np.argmax(cells))
+    cells[big] += target - math.fsum(cells.tolist())
+    return cells
+
+
+def _ulps_from(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+class TestMassCheck:
+    # Mostly masses within a few ulps of 1 +- MASS_TOL and more than four
+    # blocks long, where a blockwise float sum can round across the boundary.
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        size=st.sampled_from([4097, 5000, 9001, 65539, 100_000])
+        | st.integers(1, 100_000),
+        offset=st.sampled_from([-1.0, 1.0] * 4 + [-0.5, 0.5, 0.0, -3.0, 3.0]),
+        ulps=st.integers(-4, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_and_total_are_the_exact_sums(self, size, offset, ulps, seed):
+        cells = _cells_summing_near(
+            np.random.default_rng(seed), size, _ulps_from(1.0 + offset * MASS_TOL, ulps)
+        )
+        exact = math.fsum(cells.tolist())
+        total = total_off_unit(cells)
+        assert (total is None) == (abs(exact - 1.0) <= MASS_TOL)
+        assert total is None or total == exact
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        size=st.sampled_from([16, 5000, 100_000]),
+        tail=st.floats(0.0, 0.5) | st.floats(0.0, 3 * MASS_TOL),
+        offset=st.sampled_from([-1.0, 1.0, 0.0]),
+        ulps=st.integers(-8, 8),
+        seed=st.integers(0, 2**32 - 1),
+        balanced=st.booleans(),
+    )
+    def test_pmf_verdict_includes_the_tail(self, size, tail, offset, ulps, seed, balanced):
+        # unbalanced cells alone sum to about 1, so any positive tail counts
+        target = _ulps_from(1.0 + offset * MASS_TOL - (tail if balanced else 0.0), ulps)
+        cells = _cells_summing_near(np.random.default_rng(seed), size, target)
+        exact = math.fsum(cells.tolist()) + tail
+        if abs(exact - 1.0) <= MASS_TOL:
+            Pmf(cells, tail)
+        else:
+            with pytest.raises(InvalidParameterError, match=f"total mass {exact!r} "):
+                Pmf(cells, tail)
+
+    @pytest.mark.parametrize("size", [10, 100_000])
+    def test_refusal_prints_the_exact_total(self, size):
+        cells = _cells_summing_near(np.random.default_rng(size), size, 1.0 + 3 * MASS_TOL)
+        exact = math.fsum(cells.tolist())
+        assert total_off_unit(cells) == exact
+        with pytest.raises(InvalidParameterError) as info:
+            Pmf(cells)
+        assert str(info.value) == (
+            f"total mass {exact!r} differs from 1 by more than {MASS_TOL}"
+        )
