@@ -577,6 +577,19 @@ class TupleLaw:
         return JointPmf(mass)
 
 
+def require_window_atoms(cap: int, count: int) -> None:
+    """Refuse a negative cap, or a window law over ``count`` indices whose
+    dense table at this cap would exceed ``DEFAULT_EXPLOSION_LIMIT`` cells."""
+    if cap < 0:
+        raise InvalidParameterError("cap must be nonnegative")
+    atoms = (cap + 1) ** count
+    if atoms > DEFAULT_EXPLOSION_LIMIT:
+        raise ExplosionLimitError(
+            f"window law could hold up to {atoms} atoms "
+            f"(limit {DEFAULT_EXPLOSION_LIMIT}); shrink the window or the cap"
+        )
+
+
 def window_joint_pmf(
     spec: MarkovChainSpec, indices: Sequence[int], cap: int
 ) -> TupleLaw:
@@ -595,14 +608,8 @@ def window_joint_pmf(
         raise InvalidParameterError(
             "indices must be nonempty, nonnegative, strictly increasing"
         )
-    if cap < 0:
-        raise InvalidParameterError("cap must be nonnegative")
+    require_window_atoms(cap, len(idx))
     support = cap + 1
-    if support ** len(idx) > DEFAULT_EXPLOSION_LIMIT:
-        raise ExplosionLimitError(
-            f"window law could hold up to {support ** len(idx)} atoms "
-            f"(limit {DEFAULT_EXPLOSION_LIMIT}); shrink the window or the cap"
-        )
     trans = transition_matrix(spec, cap)[:, :support]
     init = np.zeros(support)
     m = min(spec.initial.probs.size, support)

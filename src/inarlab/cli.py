@@ -336,7 +336,7 @@ def verify(config_path, seed, paths, significance, negative_controls, threads, o
     if config_path is not None:
         try:
             raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # bad JSON, UTF-8 or integer literal
             click.echo(f"malformed config: {exc}", err=True)
             sys.exit(EXIT_USAGE)
         if not isinstance(raw, dict):
@@ -363,11 +363,8 @@ def verify(config_path, seed, paths, significance, negative_controls, threads, o
     root_seed = fields.pop("root_seed", 20170825)
     stream_index = fields.pop("stream_index", 0)
     try:
-        for grid in ("a_grid", "lambda_grid"):
-            if grid in fields:
-                fields[grid] = tuple(fields[grid])
         config = McConfig(seed=SeedSpec(root_seed, stream_index), **fields)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         click.echo(f"malformed config: {exc}", err=True)
         sys.exit(EXIT_USAGE)
 

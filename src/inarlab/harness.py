@@ -15,6 +15,7 @@ significance), which makes 1.0 the universal threshold.
 from __future__ import annotations
 
 import math
+import numbers
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -23,7 +24,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from .chains import (
     InarParams,
@@ -66,6 +67,11 @@ __all__ = [
 ]
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a boolean (JSON true/false are ints to Python)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Campaign configuration; n_paths has a hard floor so distributional
@@ -92,17 +98,22 @@ class McConfig:
             raise InvalidConfigError("n_paths must be at least 10^4")
         if self.path_length < 2:
             raise InvalidConfigError("path_length must be at least 2")
-        if not (0.0 < self.significance < 1.0):
-            raise InvalidConfigError("significance must lie in (0, 1)")
-        if not (0.0 < self.truncation_budget < 1.0):
-            raise InvalidConfigError("truncation_budget must lie in (0, 1)")
+        for name in ("significance", "truncation_budget"):
+            value = getattr(self, name)
+            if not (_is_real(value) and 0.0 < value < 1.0):
+                raise InvalidConfigError(f"{name} must be a number in (0, 1), got {value!r}")
+        for name in ("a_grid", "lambda_grid"):
+            grid = getattr(self, name)
+            if not isinstance(grid, (tuple, list)) or not all(map(_is_real, grid)):
+                raise InvalidConfigError(f"{name} must be a list of numbers")
+            object.__setattr__(self, name, tuple(grid))
         if not self.a_grid or not self.lambda_grid:
             raise InvalidConfigError("a_grid and lambda_grid must be nonempty")
         try:
             for a, lam in product(self.a_grid, self.lambda_grid):
                 InarParams(a=a, lam=lam)
-        except (InvalidParameterError, TypeError) as exc:
-            raise InvalidConfigError(f"invalid grid point: {exc}") from exc
+        except (InvalidParameterError, OverflowError) as exc:  # ints past float range
+            raise InvalidConfigError(f"invalid a_grid x lambda_grid point: {exc}") from exc
 
     def as_dict(self) -> dict:
         """Fields with the seed flattened to root_seed and stream_index."""
@@ -135,6 +146,11 @@ class CheckReport:
 
 # ---------------------------------------------------------------------------
 # chi-square machinery
+
+
+def _chi2_critical(alpha: float, dof: int) -> float:
+    """Upper-alpha chi-square quantile, as scipy.stats.chi2.isf(alpha, dof)."""
+    return float(special.chdtri(dof, alpha))
 
 
 def _pooled_gof_ratio(
@@ -171,8 +187,7 @@ def _pooled_gof_ratio(
     o_arr = np.array(groups_o)
     e_arr = np.array(groups_e)
     stat = float(((o_arr - e_arr) ** 2 / e_arr).sum())
-    dof = len(groups_e) - 1
-    return stat / float(sps.chi2.isf(alpha, dof))
+    return stat / _chi2_critical(alpha, len(groups_e) - 1)
 
 
 def _contingency_ratio(table: np.ndarray, alpha: float) -> float | None:
@@ -197,8 +212,9 @@ def _contingency_ratio(table: np.ndarray, alpha: float) -> float | None:
             table = np.delete(table, i, axis=1)
         else:
             return None
-    stat, _, dof, _ = sps.chi2_contingency(table, correction=False)
-    return float(stat) / float(sps.chi2.isf(alpha, dof))
+    # Pearson's statistic as chi2_contingency(correction=False) computes it
+    stat = float(((table - expected) ** 2 / expected).sum())
+    return stat / _chi2_critical(alpha, (table.shape[0] - 1) * (table.shape[1] - 1))
 
 
 def _empirical_tv_threshold(probs: np.ndarray, n: int, alpha: float) -> float:

@@ -24,6 +24,7 @@ from .chains import (
     MarkovChainSpec,
     TupleLaw,
     indicator_chain_spec,
+    require_window_atoms,
     transition_matrix,
     window_joint_pmf,
 )
@@ -155,9 +156,12 @@ def rho_star_window(
     correlation.  The value is the maximum; the attaining pair is the first
     in canonical enumeration order within ``TIE_TOLERANCE`` of it, so it
     does not depend on rounding among pairs tied in exact arithmetic.  An
-    empty enumeration (width <= gap) yields value 0 flagged as vacuous.
+    empty enumeration (width <= gap) yields value 0 flagged as vacuous.  A
+    window whose widest union exceeds the atom limit is refused up front.
     """
     pairs = enumerate_window_pairs(width, gap)
+    for pair in pairs:  # refuse the first too-wide union before any law is built
+        require_window_atoms(cap, len(pair.s) + len(pair.t))
     laws: dict[tuple[int, ...], TupleLaw] = {}
     values: list[float] = []
     worst_err = 0.0

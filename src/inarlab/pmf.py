@@ -14,7 +14,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
+from scipy.special._ufuncs import _binom_pmf  # the ufunc behind scipy.stats.binom.pmf
 
 from .errors import InvalidParameterError, SamplingBudgetError
 
@@ -200,17 +201,17 @@ def binomial_pmf(n: int, p: float) -> Pmf:
         raise InvalidParameterError(f"n = {n} needs a table beyond state {_MAX_TABLE_STATE}")
     if n == 0:
         return point_mass(0)
-    probs = stats.binom.pmf(np.arange(n + 1), n, p)
-    return Pmf(np.clip(probs, 0.0, None), 0.0)
+    return Pmf(np.clip(_binom_pmf(np.arange(n + 1), n, p), 0.0, 1.0), 0.0)
 
 
 def binomial_table(n: int, a: float) -> np.ndarray:
     """``table[y, z] = P(Bin(y, a) = z)`` for ``0 <= y, z <= n``.
 
-    Row y equals ``binomial_pmf(y, a).probs`` bit for bit, zero-padded.
+    Row y equals ``binomial_pmf(y, a).probs`` bit for bit, zero-padded; the
+    ufunc gives NaN for z > y, which ``tril`` sets to 0.
     """
     y = np.arange(n + 1)
-    return np.clip(stats.binom.pmf(y[None, :], y[:, None], a), 0.0, None)
+    return np.clip(np.tril(_binom_pmf(y[None, :], y[:, None], a)), 0.0, 1.0)
 
 
 def convolve(p: Pmf, q: Pmf) -> Pmf:

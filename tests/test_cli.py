@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from inarlab import chains, cli
 from inarlab.cli import CHAIN_CONSTRUCTIONS, SIM_CONSTRUCTIONS, main
@@ -343,6 +344,21 @@ class TestRho:
 
 
 class TestRhoStar:
+    def test_too_wide_window_exits_3_before_any_law(self, runner, monkeypatch):
+        from inarlab import mixing
+
+        built = []
+        monkeypatch.setattr(mixing, "window_joint_pmf", lambda *args: built.append(args))
+        res = runner.invoke(
+            main, ["rho-star", "direct", "--a", "0.9", "--lambda", "0.5", "-W", "5", "-n", "1"]
+        )
+        assert res.exit_code == 3
+        assert res.stderr == (
+            "resource limit: window law could hold up to 28629151 atoms "
+            "(limit 2000000); shrink the window or the cap\n"
+        )
+        assert built == []
+
     def test_vacuous_gap_flagged(self, runner, tmp_path):
         out = tmp_path / "rs.json"
         res = run(
@@ -517,6 +533,8 @@ class TestVerify:
             '{"root_seed": true}',
             '{"a_grid": []}',
             '{"lambda_grid": []}',
+            '{"lambda_grid": [1' + "0" * 400 + "]}",
+            '{"n_paths": 1' + "0" * 5000 + "}",
         ],
     )
     def test_invalid_config_values_exit_2(self, runner, tmp_path, text):
@@ -526,6 +544,107 @@ class TestVerify:
         assert res.exit_code == 2
         assert res.stderr.startswith("malformed config:")
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lambda_grid", [True]),
+            ("a_grid", [[0.5]]),
+            ("a_grid", 5),
+            ("significance", "0.1"),
+            ("truncation_budget", None),
+        ],
+    )
+    def test_non_numbers_exit_2_naming_the_key(self, runner, tmp_path, key, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({key: value}))
+        res = runner.invoke(main, ["verify", "--config", str(bad)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"malformed config: {key} must be ")
+        assert res.stderr.count("\n") == 1
+
+    def test_config_that_is_not_utf8_exits_2(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"a_grid": "\xff"}')
+        res = runner.invoke(main, ["verify", "--config", str(bad)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("malformed config:")
+
+
+# Any JSON value: nested lists and objects, strings, booleans, nulls, and
+# huge, tiny and non-finite numbers (json writes them as NaN and Infinity).
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(2**64), 10**400, 0, 1, 2, 10_000])
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _real_in(v, lo, hi):
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return lo < float(v) < hi
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _grid_in(v, lo, hi):
+    return isinstance(v, list) and bool(v) and all(_real_in(x, lo, hi) for x in v)
+
+
+# What the config accepts, key by key, written out independently of McConfig.
+CONFIG_ACCEPTS = {
+    "n_paths": lambda v: _int(v) and v >= 10_000,
+    "path_length": lambda v: _int(v) and v >= 2,
+    "root_seed": lambda v: _int(v) and 0 <= v < 2**64,
+    "stream_index": lambda v: _int(v) and v >= 0,
+    "significance": lambda v: _real_in(v, 0.0, 1.0),
+    "truncation_budget": lambda v: _real_in(v, 0.0, 1.0),
+    "a_grid": lambda v: _grid_in(v, 0.0, 1.0),
+    "lambda_grid": lambda v: _grid_in(v, 0.0, math.inf),
+    "negative_controls": lambda v: isinstance(v, bool),
+}
+
+
+def _config_accepted(config) -> bool:
+    return isinstance(config, dict) and all(
+        key in CONFIG_ACCEPTS and CONFIG_ACCEPTS[key](value) for key, value in config.items()
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    config=JSON_VALUES
+    | st.dictionaries(
+        st.sampled_from(sorted(CONFIG_ACCEPTS)) | st.text(max_size=6),
+        JSON_VALUES | st.sampled_from([0.5, [0.5], [1.0], 10_000, 12, 7, True]),
+        max_size=4,
+    )
+)
+def test_verify_config_fuzz(tmp_path_factory, config):
+    """A config refused by validation exits 2 with one line and no traceback."""
+    assume(not _config_accepted(config))
+    path = tmp_path_factory.mktemp("cfg") / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    res = CliRunner().invoke(main, ["verify", "--config", str(path)])
+    event(f"top level {type(config).__name__}")
+    assert res.exit_code == 2, (config, res.exception)
+    assert isinstance(res.exception, SystemExit), config
+    assert res.stderr.startswith("malformed config: ")
+    assert res.stderr.count("\n") == 1, res.stderr
+    named = [*config, "unknown keys"] if isinstance(config, dict) else ["top level"]
+    assert any(name in res.stderr for name in named), (config, res.stderr)
 
 
 @pytest.mark.parametrize(

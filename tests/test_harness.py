@@ -126,6 +126,79 @@ class TestMcConfig:
         with pytest.raises(InvalidConfigError):
             McConfig(significance=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("significance", "0.1"),
+            ("significance", True),
+            ("truncation_budget", None),
+            ("a_grid", ((0.5,),)),
+            ("a_grid", "ab"),
+            ("lambda_grid", (True,)),
+            ("lambda_grid", 1.0),
+        ],
+    )
+    def test_non_numbers_are_refused_by_name(self, field, value):
+        with pytest.raises(InvalidConfigError, match=field):
+            McConfig(**{field: value})
+
+    def test_grid_lists_become_tuples(self):
+        config = McConfig(a_grid=[0.5], lambda_grid=[1, 2.0])
+        assert config.a_grid == (0.5,) and config.lambda_grid == (1, 2.0)
+
+
+class TestChiSquareMatchesScipyStats:
+    """The chi-square machinery calls scipy.special directly; each number
+    must equal the scipy.stats function it stands for bit for bit."""
+
+    def test_critical_value_is_the_upper_quantile(self):
+        from scipy import stats
+
+        for dof in range(1, 120):
+            for alpha in (1e-12, 1e-6, 0.01 / 59, 0.01, 0.05, 0.5, 0.99):
+                ref = float(stats.chi2.isf(alpha, dof))
+                assert harness._chi2_critical(alpha, dof).hex() == ref.hex()
+
+    @staticmethod
+    def statistic(table, monkeypatch):
+        """The ratio's numerator and the dof it asked the quantile for."""
+        seen = []
+        monkeypatch.setattr(
+            harness, "_chi2_critical", lambda alpha, dof: seen.append(dof) or 1.0
+        )
+        stat = harness._contingency_ratio(np.asarray(table), 0.01)
+        return stat, seen[0]
+
+    @staticmethod
+    def reference(table):
+        from scipy import stats
+
+        res = stats.chi2_contingency(np.asarray(table, dtype=np.float64), correction=False)
+        return float(res.statistic), int(res.dof)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_unpooled_statistic(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(2, 7, size=2)
+        table = rng.integers(200, 400, size=(rows, cols))  # every cell expects >= 100
+        stat, dof = self.statistic(table, monkeypatch)
+        ref_stat, ref_dof = self.reference(table)
+        assert (stat.hex(), dof) == (ref_stat.hex(), ref_dof)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pooled_statistic(self, seed, monkeypatch):
+        # a sparse last row is the smallest, so it is pooled into the row above
+        rng = np.random.default_rng(100 + seed)
+        cols = int(rng.integers(2, 5))
+        dense = rng.integers(200, 400, size=(cols + 1, cols))
+        sparse = rng.integers(0, 2, size=cols)
+        sparse[0] = 1
+        pooled = dense.copy()
+        pooled[-1] += sparse
+        stat, dof = self.statistic(np.vstack([dense, sparse]), monkeypatch)
+        ref_stat, ref_dof = self.reference(pooled)
+        assert (stat.hex(), dof) == (ref_stat.hex(), ref_dof)
+
 
 @pytest.fixture(scope="module")
 def small_config():

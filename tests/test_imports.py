@@ -1,6 +1,10 @@
-"""Every name a module imports is used in that module (or exported)."""
+"""Every name a module imports is used in that module (or exported), and the
+package loads no more of scipy than ``scipy.special``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,15 @@ def test_module_uses_every_import(path):
 def test_scan_flags_an_unused_import():
     source = "import os\nfrom json import dumps, loads\n__all__ = ['loads']\nos.sep\n"
     assert unused_imports(source) == ["dumps (line 2)"]
+
+
+def test_package_does_not_import_scipy_stats():
+    """scipy.stats takes most of a cold start to import; nothing needs it."""
+    src = str(Path(inarlab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, inarlab, inarlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

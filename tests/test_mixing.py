@@ -116,6 +116,15 @@ class TestRhoStarWindow:
             assert (nudged_scan.best.s, nudged_scan.best.t) == ((1,), (3,))
             assert abs(nudged_scan.value - scan.value) <= 1e-14
 
+    def test_too_wide_window_is_refused_before_any_law(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(mixing, "window_joint_pmf", lambda *args: built.append(args))
+        chain = inar_kernel(InarParams(a=0.9, lam=0.5))
+        # unions of four indices fit (31**4 cells), those of five do not
+        with pytest.raises(ExplosionLimitError, match="28629151 atoms"):
+            rho_star_window(chain, 5, 1, cap=30)
+        assert built == []
+
     def test_dominates_single_pair_value(self):
         chain = binomial_death_chain(3, 0.5, 0.4)
         scan = rho_star_window(chain, 4, 1, cap=3)

@@ -122,6 +122,45 @@ class TestBinomial:
             assert not table[y, y + 1 :].any()
 
 
+class TestBinomialMatchesScipyStats:
+    """The tables call the ufunc behind ``scipy.stats.binom.pmf`` directly;
+    every cell must equal the scipy.stats value bit for bit."""
+
+    SIZES = (0, 1, 2, 5, 40, 300, 1413)
+    RATES = (0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0)
+
+    @staticmethod
+    def reference_table(n, a):
+        from scipy import stats
+
+        y = np.arange(n + 1)
+        return stats.binom.pmf(y[None, :], y[:, None], a)
+
+    @pytest.mark.parametrize("a", RATES)
+    def test_tables_on_a_grid(self, a):
+        for n in self.SIZES:
+            assert binomial_table(n, a).tobytes() == self.reference_table(n, a).tobytes()
+
+    def test_seeded_sizes_and_rates(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(20170825)
+        for n, a in zip(rng.integers(1, 1414, size=12), rng.random(12)):
+            n, a = int(n), float(a)
+            ref = stats.binom.pmf(np.arange(n + 1), n, a)
+            assert binomial_pmf(n, a).probs.tobytes() == ref.tobytes()
+            if n <= 300:
+                assert binomial_table(n, a).tobytes() == self.reference_table(n, a).tobytes()
+
+    @pytest.mark.parametrize("a", RATES)
+    def test_pmfs_on_a_grid(self, a):
+        from scipy import stats
+
+        for n in self.SIZES[1:]:
+            ref = stats.binom.pmf(np.arange(n + 1), n, a)
+            assert binomial_pmf(n, a).probs.tobytes() == ref.tobytes()
+
+
 class TestConvolve:
     def test_point_mass_is_neutral(self):
         p = poisson_pmf(1.5)
