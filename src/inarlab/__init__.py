@@ -15,7 +15,6 @@ from .chains import (
     SuperpositionConfig,
     TupleLaw,
     binomial_death_chain,
-    death_kernel,
     iid_chain,
     inar_kernel,
     indicator_chain,
@@ -67,7 +66,6 @@ from .pmf import (
     convolve,
     point_mass,
     poisson_pmf,
-    sample,
     thin,
     total_variation,
 )

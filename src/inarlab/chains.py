@@ -4,9 +4,10 @@ Covers the count autoregression with binomial thinning and Poisson
 innovations (built two ways: directly from its transition structure, and
 as a superposition of independent pure-death chains), the pure-death
 chains themselves, binary indicator-product chains, and seeded path
-simulation.  Every exact law (window joints, lag joints, marginals) comes
-from one dense engine: the kernel tabulated once by
-:func:`transition_matrix`, then contracted with numpy.
+simulation.  A chain is data: an initial law, a survival rate and an
+innovation law.  Every exact law (window joints, lag joints, marginals)
+comes from one dense engine: the closed-form kernel table of
+:func:`transition_matrix`, contracted with numpy.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +36,8 @@ from .pmf import (
     _require_sampleable,
     _sample_with_rng,
     binomial_pmf,
-    convolve,
+    binomial_table,
+    point_mass,
     poisson_pmf,
 )
 
@@ -48,7 +50,6 @@ __all__ = [
     "TupleLaw",
     "inar_kernel",
     "iid_chain",
-    "death_kernel",
     "binomial_death_chain",
     "poisson_death_chain",
     "indicator_chain_spec",
@@ -106,20 +107,21 @@ class InarParams:
 
 @dataclass(frozen=True)
 class MarkovChainSpec:
-    """Initial law plus one-step kernel (state -> Pmf) with a state cap.
-
-    ``kernel(x)`` must be a valid Pmf for every ``x <= state_cap``; death
-    kernels additionally never place mass above their input state.
-    """
+    """Initial law plus one step: from state x, Binomial(x, a) survivors plus
+    an independent ``innovation`` draw (death chains add ``point_mass(0)``)."""
 
     initial: Pmf
-    kernel: Callable[[int], Pmf]
-    state_cap: int
+    a: float
+    innovation: Pmf
     description: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.state_cap < 0:
-            raise InvalidParameterError("state_cap must be nonnegative")
+        if not (0.0 <= self.a <= 1.0):
+            raise InvalidParameterError("a must lie in [0, 1]")
+
+    @property
+    def state_cap(self) -> int:
+        return self.initial.max_state
 
 
 @dataclass(frozen=True)
@@ -227,6 +229,11 @@ class SuperpositionConfig:
         return cls(depth=depth, tail_budget=tail_budget)
 
 
+def _require_survival(a: float) -> None:
+    if not (0.0 < a < 1.0):
+        raise InvalidParameterError("a must lie in (0, 1)")
+
+
 def inar_kernel(
     params: InarParams, tail_budget: float = DEFAULT_TAIL_BUDGET
 ) -> MarkovChainSpec:
@@ -237,41 +244,20 @@ def inar_kernel(
     Poisson(lam / (1 - a)); the state cap is its truncation point.
     """
     innovation = poisson_pmf(params.lam, tail_budget)
-    initial = poisson_pmf(params.stationary_mean, tail_budget)
-
-    @lru_cache(maxsize=None)
-    def kernel(x: int) -> Pmf:
-        return convolve(binomial_pmf(x, params.a), innovation)
-
     return MarkovChainSpec(
-        initial=initial,
-        kernel=kernel,
-        state_cap=initial.max_state,
+        initial=poisson_pmf(params.stationary_mean, tail_budget),
+        a=params.a,
+        innovation=innovation,
         description={"construction": "inar", "a": params.a, "lambda": params.lam},
     )
 
 
 def iid_chain(lam: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> MarkovChainSpec:
-    """Kernel that ignores its state: an i.i.d. Poisson sequence (null model)."""
+    """No survivors (a = 0): an i.i.d. Poisson sequence (null model)."""
     law = poisson_pmf(lam, tail_budget)
     return MarkovChainSpec(
-        initial=law,
-        kernel=lambda x: law,
-        state_cap=law.max_state,
-        description={"construction": "iid", "lambda": lam},
+        initial=law, a=0.0, innovation=law, description={"construction": "iid", "lambda": lam}
     )
-
-
-def death_kernel(a: float) -> Callable[[int], Pmf]:
-    """Pure-death step: Binomial(y, a) from state y, so support never grows."""
-    if not (0.0 < a < 1.0):
-        raise InvalidParameterError("a must lie in (0, 1)")
-
-    @lru_cache(maxsize=None)
-    def kernel(y: int) -> Pmf:
-        return binomial_pmf(y, a)
-
-    return kernel
 
 
 def binomial_death_chain(n: int, p: float, a: float) -> MarkovChainSpec:
@@ -280,10 +266,12 @@ def binomial_death_chain(n: int, p: float, a: float) -> MarkovChainSpec:
         raise InvalidParameterError("n must be a positive integer")
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
+    initial = binomial_pmf(int(n), p)
+    _require_survival(a)
     return MarkovChainSpec(
-        initial=binomial_pmf(int(n), p),
-        kernel=death_kernel(a),
-        state_cap=int(n),
+        initial=initial,
+        a=a,
+        innovation=point_mass(0),
         description={"construction": "death-binomial", "n": int(n), "p": p, "a": a},
     )
 
@@ -293,10 +281,11 @@ def poisson_death_chain(
 ) -> MarkovChainSpec:
     """Pure-death chain started from Poisson(lam)."""
     initial = poisson_pmf(lam, tail_budget)
+    _require_survival(a)
     return MarkovChainSpec(
         initial=initial,
-        kernel=death_kernel(a),
-        state_cap=initial.max_state,
+        a=a,
+        innovation=point_mass(0),
         description={"construction": "death-poisson", "lambda": lam, "a": a},
     )
 
@@ -309,10 +298,11 @@ def indicator_chain_spec(p0: float, a: float) -> MarkovChainSpec:
     """
     if not (0.0 <= p0 <= 1.0):
         raise InvalidParameterError("p0 must lie in [0, 1]")
+    _require_survival(a)
     return MarkovChainSpec(
         initial=Pmf(np.array([1.0 - p0, p0])),
-        kernel=death_kernel(a),
-        state_cap=1,
+        a=a,
+        innovation=point_mass(0),
         description={"construction": "indicator", "p0": p0, "a": a},
     )
 
@@ -326,8 +316,7 @@ def indicator_chain(
     """
     if not (0.0 <= p0 <= 1.0):
         raise InvalidParameterError("p0 must lie in [0, 1]")
-    if not (0.0 < a < 1.0):
-        raise InvalidParameterError("a must lie in (0, 1)")
+    _require_survival(a)
     if length < 1 or n_paths < 1:
         raise InvalidParameterError("length and n_paths must be positive")
     _require_memory(length, n_paths, 1)
@@ -347,25 +336,30 @@ def simulate_chain(
     """I.i.d. paths of a chain via tabulated inverse-CDF sampling.
 
     Deterministic given the seed: states are visited in ascending order at
-    every step, so the stream consumption pattern is reproducible.  Refuses
-    to sample any pmf whose tail mass exceeds ``DEFAULT_TAIL_BUDGET``.
+    every step, so the stream consumption pattern is reproducible.  Only the
+    kernel rows of visited states are built, once per call.  Refuses to
+    sample an initial law or innovation whose tail mass exceeds
+    ``DEFAULT_TAIL_BUDGET``.
     """
     if length < 1 or n_paths < 1:
         raise InvalidParameterError("length and n_paths must be positive")
     _require_memory(length, n_paths, 1)
     rng = seed.generator()
     _require_sampleable(spec.initial)
+    if length > 1:
+        _require_sampleable(spec.innovation)
     paths = np.empty((n_paths, length), dtype=np.int64)
     paths[:, 0] = _sample_with_rng(spec.initial, rng, n_paths)
+    cdfs: dict[int, np.ndarray] = {}
     for k in range(1, length):
-        prev = paths[:, k - 1]
-        cur = np.empty(n_paths, dtype=np.int64)
-        for s in np.unique(prev):
-            law = spec.kernel(int(s))
-            _require_sampleable(law)
+        prev, cur = paths[:, k - 1], paths[:, k]
+        for s in np.unique(prev).tolist():
+            cdf = cdfs.get(s)
+            if cdf is None:
+                cdf = cdfs[s] = np.cumsum(_kernel_row(spec, s))
             mask = prev == s
-            cur[mask] = _sample_with_rng(law, rng, int(mask.sum()))
-        paths[:, k] = cur
+            draws = np.searchsorted(cdf, rng.random(int(mask.sum())), side="right")
+            cur[mask] = np.minimum(draws, cdf.size - 1)  # clamp at the row's support end
     return PathEnsemble(
         paths, seed, dict(spec.description, length=length, n_paths=n_paths)
     )
@@ -483,22 +477,34 @@ def simulate_inar_superposition(
     return ensemble, InnovationDecomposition(x, u, v)
 
 
+def _kernel_row(spec: MarkovChainSpec, x: int) -> np.ndarray:
+    """Row ``x`` of ``transition_matrix`` without its zero padding."""
+    if spec.a == 0.0:
+        return spec.innovation.probs
+    return np.convolve(binomial_pmf(x, spec.a).probs, spec.innovation.probs)
+
+
 def transition_matrix(spec: MarkovChainSpec, cap: int) -> np.ndarray:
     """Kernel rows for the states 0..cap, zero-padded to the widest row.
 
-    Row ``x`` holds ``spec.kernel(x).probs``; the matrix is at least
-    ``cap + 1`` columns wide, so ``[:, :cap + 1]`` is the kernel truncated
-    to {0..cap}.  Every exact law in this package is built from this table.
-    The kernel must be evaluable up to ``cap``; all built-in chains define
-    it for every nonnegative state, so a cap may exceed the chain's
-    advertised ``state_cap`` to refine a truncation.
+    Row ``x`` is Binomial(x, a), read from one ``binomial_table``, convolved
+    with the innovation (with ``a = 0``, the innovation alone).  The matrix
+    is at least ``cap + 1`` columns wide, so ``[:, :cap + 1]`` is the kernel
+    truncated to {0..cap}.  Every exact law in this package is built from
+    this table.  A cap may exceed the chain's ``state_cap`` to refine a
+    truncation.
     """
     if cap < 0:
         raise InvalidParameterError("cap must be nonnegative")
-    rows = [spec.kernel(x).probs for x in range(cap + 1)]
-    out = np.zeros((cap + 1, max(cap + 1, max(row.size for row in rows))))
-    for x, row in enumerate(rows):
-        out[x, : row.size] = row
+    innovation = spec.innovation.probs
+    if spec.a == 0.0:
+        out = np.zeros((cap + 1, max(cap + 1, innovation.size)))
+        out[:, : innovation.size] = innovation
+        return out
+    table = binomial_table(cap, spec.a)
+    out = np.zeros((cap + 1, cap + innovation.size))
+    for x in range(cap + 1):
+        out[x, : x + innovation.size] = np.convolve(table[x, : x + 1], innovation)
     return out
 
 
@@ -596,8 +602,8 @@ def window_joint_pmf(
     """Exact joint law of the chain at the given strictly increasing indices.
 
     Dense contraction of the kernel truncated to {0..cap} (``spec.state_cap``
-    is the natural choice; larger caps refine the truncation when the
-    kernel extends): ``mass = init @ P^i0``, then one new axis
+    is the natural choice; larger caps refine the truncation):
+    ``mass = init @ P^i0``, then one new axis
     ``mass[..., None] * P^gap`` per later index, with matrix powers over
     the unobserved gaps.  Impossible tuples (e.g. increases under a death
     kernel) hold zero mass.  The lost mass is reported as
@@ -618,7 +624,7 @@ def window_joint_pmf(
     for prev, cur in zip(idx, idx[1:]):
         mass = mass[..., None] * np.linalg.matrix_power(trans, cur - prev)
     mass.setflags(write=False)
-    err = 1.0 - math.fsum(mass.ravel().tolist())
+    err = 1.0 - math.fsum(mass[mass != 0.0].tolist())  # zeros add nothing
     return TupleLaw(tuple(idx), mass, max(0.0, err))
 
 

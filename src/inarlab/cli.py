@@ -330,6 +330,7 @@ def marginal(construction, opts, at, tail_budget, out):
 @click.option("--negative-controls/--no-negative-controls", default=None)
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--out", default=None, help="Report file; default stdout.")
+@_exit_on_errors
 def verify(config_path, seed, paths, significance, negative_controls, threads, out):
     """Run the full verification campaign; exit 0 iff every check passes."""
     fields = {}

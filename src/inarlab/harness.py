@@ -31,6 +31,7 @@ from .chains import (
     InnovationDecomposition,
     PathEnsemble,
     SuperpositionConfig,
+    _require_memory,
     inar_kernel,
     indicator_chain_spec,
     push,
@@ -628,8 +629,12 @@ def run_all(config: McConfig, threads: int = 1) -> list[CheckReport]:
     is identical regardless of parallelism.  Exceptions inside a check are
     captured as failing reports rather than aborting the campaign; the note
     names the exception and ends with the last package frame it passed,
-    as ``module:function:line``.
+    as ``module:function:line``.  A path count whose simulations cannot fit
+    in physical memory is refused before any check runs.
     """
+    # the largest simulation holds five int64 path matrices of path_length
+    # (the equivalence check's are shorter)
+    _require_memory(config.path_length, config.n_paths, 5)
     jobs: list[tuple[str, Callable[[], CheckReport | list[CheckReport]]]] = []
     budget = config.truncation_budget
     for gi, (a, lam) in enumerate(product(config.a_grid, config.lambda_grid)):

@@ -25,7 +25,6 @@ from .chains import (
     TupleLaw,
     indicator_chain_spec,
     require_window_atoms,
-    transition_matrix,
     window_joint_pmf,
 )
 from .dependence import (
@@ -184,30 +183,23 @@ def rho_star_window(
 def lag_joint(spec: MarkovChainSpec, n: int, cap: int) -> tuple[JointPmf, float]:
     """Exact joint of (state at 0, state at n) under the chain's initial law.
 
-    Built from the n-step product of the truncated kernel and renormalized;
-    the escaped (truncated) mass is returned alongside.  A cap whose square
-    table would exceed ``DEFAULT_EXPLOSION_LIMIT`` cells is refused before
-    any kernel row is built.
+    The window law of the indices (0, n), renormalized; the escaped
+    (truncated) mass is returned alongside.  A cap whose square table would
+    exceed ``DEFAULT_EXPLOSION_LIMIT`` cells is refused before the kernel
+    table is built.
     """
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
     if cap < 1:
         raise InvalidParameterError("cap must be positive")
-    support = cap + 1
-    if support**2 > DEFAULT_EXPLOSION_LIMIT:
+    if (cap + 1) ** 2 > DEFAULT_EXPLOSION_LIMIT:
         raise ExplosionLimitError(
-            f"lag joint could hold up to {support**2} atoms "
+            f"lag joint could hold up to {(cap + 1) ** 2} atoms "
             f"(limit {DEFAULT_EXPLOSION_LIMIT}); shrink the cap"
         )
-    trans = transition_matrix(spec, cap)[:, :support]
-    init = np.zeros(support)
-    m = min(spec.initial.probs.size, support)
-    init[:m] = spec.initial.probs[:m]
-    step = np.linalg.matrix_power(trans, n)
-    joint = init[:, None] * step
-    kept = math.fsum(joint.ravel().tolist())
-    escaped = max(0.0, 1.0 - kept)
-    return JointPmf(joint / kept), escaped
+    law = window_joint_pmf(spec, (0, n), cap)
+    kept = math.fsum(law.mass[law.mass != 0.0].tolist())  # zeros add nothing
+    return JointPmf(law.mass / kept), law.truncation_error
 
 
 def rho_markov(spec: MarkovChainSpec, n: int, cap: int) -> float:

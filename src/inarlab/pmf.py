@@ -41,7 +41,6 @@ __all__ = [
     "convolve",
     "thin",
     "total_variation",
-    "sample",
 ]
 
 
@@ -268,15 +267,3 @@ def _require_sampleable(p: Pmf) -> None:
             f"tail mass {p.tail_mass:.3e} exceeds sampling threshold "
             f"{DEFAULT_TAIL_BUDGET:.3e}; rebuild the pmf with a smaller tail budget"
         )
-
-
-def sample(p: Pmf, seed: SeedSpec, count: int) -> np.ndarray:
-    """Deterministic inverse-CDF draws; a pure function of (p, seed, count).
-
-    Refuses to sample when ``p.tail_mass`` exceeds ``DEFAULT_TAIL_BUDGET`` so
-    a coarse truncation can never silently bias an ensemble.
-    """
-    if count <= 0:
-        raise InvalidParameterError("count must be positive")
-    _require_sampleable(p)
-    return _sample_with_rng(p, seed.generator(), count)

@@ -21,7 +21,7 @@ from inarlab import (
     binomial_death_chain,
     binomial_pmf,
     check_construction_equivalence,
-    death_kernel,
+    convolve,
     iid_chain,
     inar_kernel,
     indicator_chain,
@@ -39,7 +39,7 @@ from inarlab import (
     window_joint_pmf,
     write_ensemble_csv,
 )
-from inarlab import chains
+from inarlab import chains, pmf
 from inarlab.errors import (
     ExplosionLimitError,
     InvalidConfigError,
@@ -58,12 +58,15 @@ INT64 = np.iinfo(np.int64)
 class TestInarKernel:
     def test_kernel_at_zero_is_innovation_law(self):
         spec = inar_kernel(PARAMS)
-        assert sup_diff(spec.kernel(0), poisson_pmf(1.0)) <= 1e-12
+        row = transition_matrix(spec, 1)[0]
+        innovation = poisson_pmf(1.0).probs
+        assert np.abs(row[: innovation.size] - innovation).max() <= 1e-12
+        assert not row[innovation.size :].any()
 
     def test_kernel_one_hand_value(self):
         # from state 1: both survivors die AND zero innovations arrive
         spec = inar_kernel(PARAMS)
-        assert abs(spec.kernel(1).probs[0] - 0.5 * math.exp(-1.0)) <= 1e-15
+        assert abs(transition_matrix(spec, 1)[1, 0] - 0.5 * math.exp(-1.0)) <= 1e-15
 
     def test_one_step_push_preserves_stationary_law(self):
         for a in (0.3, 0.5, 0.7):
@@ -80,21 +83,41 @@ class TestInarKernel:
 
 
 class TestDeathKernel:
+    """Rows of a pure-death chain's table: Binomial(y, a) from state y."""
+
     def test_zero_is_absorbing(self):
-        k = death_kernel(0.4)
-        assert k(0).probs.tolist() == [1.0]
+        trans = transition_matrix(poisson_death_chain(1.0, 0.4), 3)
+        assert trans[0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_single_trial(self):
-        k = death_kernel(0.4)
-        assert np.allclose(k(1).probs, [0.6, 0.4], atol=1e-15)
+        trans = transition_matrix(binomial_death_chain(1, 0.5, 0.4), 1)
+        assert np.allclose(trans[1], [0.6, 0.4], atol=1e-15)
 
     def test_binomial_coefficient_value(self):
-        assert abs(death_kernel(0.5)(3).probs[2] - 0.375) <= 1e-15
+        trans = transition_matrix(poisson_death_chain(1.0, 0.5), 3)
+        assert abs(trans[3, 2] - 0.375) <= 1e-15
 
     def test_support_never_grows(self):
-        k = death_kernel(0.7)
+        trans = transition_matrix(poisson_death_chain(1.0, 0.7), 7)
+        assert trans.shape == (8, 8)
         for y in range(8):
-            assert k(y).max_state == max(y, 0)
+            assert trans[y, y] > 0.0 and not trans[y, y + 1 :].any()
+
+    def test_spec_is_data_with_a_derived_state_cap(self):
+        chain = binomial_death_chain(5, 0.6, 0.4)
+        assert (chain.a, chain.innovation.probs.tolist(), chain.state_cap) == (0.4, [1.0], 5)
+        with pytest.raises(InvalidParameterError, match=r"a must lie in \[0, 1\]"):
+            MarkovChainSpec(point_mass(0), 1.5, point_mass(0))
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, -0.1, 1.5, math.nan])
+    def test_builders_refuse_a_outside_the_open_unit_interval(self, a):
+        for build in (
+            partial(poisson_death_chain, 1.0),
+            partial(binomial_death_chain, 3, 0.5),
+            partial(indicator_chain_spec, 0.5),
+        ):
+            with pytest.raises(InvalidParameterError, match=r"a must lie in \(0, 1\)"):
+                build(a)
 
 
 class TestBinomialDeathChain:
@@ -161,6 +184,45 @@ class TestIndicatorChain:
         assert not ens.paths.any()
 
 
+def _chain_reference(spec, length, n_paths, seed):
+    """Per-state sampling loop: from each state present, in ascending order,
+    draw its kernel row, built as a Pmf from the row-by-row closed form."""
+    rng = seed.generator()
+    paths = np.empty((n_paths, length), dtype=np.int64)
+    paths[:, 0] = pmf._sample_with_rng(spec.initial, rng, n_paths)
+    for k in range(1, length):
+        prev = paths[:, k - 1]
+        for s in np.unique(prev):
+            mask = prev == s
+            paths[mask, k] = pmf._sample_with_rng(_row_reference(spec, int(s)), rng, mask.sum())
+    return paths
+
+
+def _row_reference(spec, x):
+    """Kernel row ``x`` as a validated Pmf: the survivors' Binomial(x, a),
+    convolved with the innovation; with no survivors, the innovation."""
+    if spec.a == 0.0:
+        return spec.innovation
+    return convolve(binomial_pmf(x, spec.a), spec.innovation)
+
+
+STREAM_CHAINS = {  # name -> (spec, length, n_paths)
+    "death-poisson": (poisson_death_chain(3.0, 0.6), 30, 2_000),
+    "death-binomial": (binomial_death_chain(12, 0.7, 0.8), 25, 2_000),
+    "iid": (iid_chain(2.5), 20, 2_000),
+    "inar": (inar_kernel(InarParams(a=0.7, lam=1.5)), 25, 2_000),
+    "inar-high-rate": (inar_kernel(InarParams(a=0.95, lam=0.3)), 40, 1_000),
+}
+
+TABLE_CHAINS = {
+    "death-binomial": binomial_death_chain(5, 0.6, 0.4),
+    "death-poisson": poisson_death_chain(2.0, 0.7),
+    "iid": iid_chain(3.0),
+    "indicator": indicator_chain_spec(0.3, 0.6),
+    "inar": inar_kernel(InarParams(a=0.9, lam=2.0)),
+}
+
+
 class TestSimulateChain:
     def test_single_step_matches_initial_law(self):
         chain = poisson_death_chain(2.0, 0.5)
@@ -182,9 +244,31 @@ class TestSimulateChain:
 
     def test_refuses_fat_tailed_kernel(self):
         fat = Pmf(np.array([0.5, 0.4]), 0.1)
-        spec = MarkovChainSpec(initial=fat, kernel=lambda x: fat, state_cap=1)
+        spec = MarkovChainSpec(initial=point_mass(0), a=0.5, innovation=fat)
         with pytest.raises(SamplingBudgetError):
             simulate_chain(spec, 3, 10, SeedSpec(0))
+        # a single step draws only from the initial law
+        assert not simulate_chain(spec, 1, 10, SeedSpec(0)).paths.any()
+
+    @pytest.mark.parametrize("seed", [SeedSpec(3), SeedSpec(2017, 5)], ids=["seed3", "seed2017-5"])
+    @pytest.mark.parametrize("construction", sorted(STREAM_CHAINS))
+    def test_paths_equal_the_per_state_reference(self, construction, seed):
+        spec, length, n_paths = STREAM_CHAINS[construction]
+        ens = simulate_chain(spec, length, n_paths, seed)
+        assert np.array_equal(ens.paths, _chain_reference(spec, length, n_paths, seed))
+
+    def test_large_state_cap_builds_only_visited_rows(self, monkeypatch):
+        # a full table at this state cap would hold about 1e10 cells
+        chain = poisson_death_chain(1e5, 0.5)
+        assert chain.state_cap > 100_000
+
+        def no_table(*args):
+            raise AssertionError("built a binomial table")
+
+        monkeypatch.setattr(chains, "binomial_table", no_table)
+        ens = simulate_chain(chain, 4, 20, SeedSpec(4))
+        assert np.array_equal(ens.paths, _chain_reference(chain, 4, 20, SeedSpec(4)))
+
 
 
 def _direct_reference(params, length, n_paths, seed):
@@ -391,15 +475,17 @@ class TestWindowJointPmf:
         assert wide.mass.shape == own.mass.shape
         assert np.abs(wide.mass - own.mass).max() <= 1e-15
 
-    def test_transition_matrix_tabulates_kernel_rows(self):
-        spec = inar_kernel(PARAMS)
-        trans = transition_matrix(spec, 4)
-        assert trans.shape == (5, spec.kernel(4).probs.size)
-        for x in range(5):
-            row = spec.kernel(x).probs
-            assert np.array_equal(trans[x, : row.size], row)
-            assert not trans[x, row.size :].any()
-        assert transition_matrix(binomial_death_chain(3, 0.5, 0.5), 5).shape == (6, 6)
+    @pytest.mark.parametrize("cap", [0, 1, 8, 100])
+    @pytest.mark.parametrize("construction", sorted(TABLE_CHAINS))
+    def test_transition_matrix_equals_the_row_reference(self, construction, cap):
+        spec = TABLE_CHAINS[construction]
+        rows = [_row_reference(spec, x).probs for x in range(cap + 1)]
+        want = np.zeros((cap + 1, max(cap + 1, max(row.size for row in rows))))
+        for x, row in enumerate(rows):
+            want[x, : row.size] = row
+        got = transition_matrix(spec, cap)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
     def test_unsummed_reorder_is_a_view(self):
         law = window_joint_pmf(inar_kernel(PARAMS), [0, 1, 3], cap=5)

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, event, given, settings, strategies as st
 
-from inarlab import chains, cli
+from inarlab import chains, cli, harness
 from inarlab.cli import CHAIN_CONSTRUCTIONS, SIM_CONSTRUCTIONS, main
 from inarlab.serialize import dumps
 
@@ -213,8 +213,9 @@ def test_simulate_flags_fuzz(tmp_path_factory, construction, flags):
 
 # Flags of the exact commands.  Every value is refused before anything is
 # allocated or runs in milliseconds:
-# - --cap skips 100..1413: caps past 1413 are refused, but a lag or window
-#   law at cap 1413 tabulates 1414 kernel rows, which takes seconds;
+# - --cap skips 100..1413: caps past 1413 are refused, but a lag law at cap
+#   1413 takes a power of the 1414 x 1414 kernel table per gap, up to about
+#   a second each (the table itself takes a fifth of a second);
 # - -W is 1, 3 or the refused 9: at the default cap 30, width 4 already
 #   builds window laws of 31**4 cells;
 # - --n-max stays small: each gap is one matrix power and one SVD;
@@ -569,6 +570,20 @@ class TestVerify:
         res = runner.invoke(main, ["verify", "--config", str(bad)])
         assert res.exit_code == 2
         assert res.stderr.startswith("malformed config:")
+
+    def test_paths_beyond_memory_exit_3_before_any_check(self, runner, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "_lemma_checks", lambda: ran.append(1) or [])
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"n_paths": 10**12}))
+        out = tmp_path / "report.json"
+        res = runner.invoke(main, ["verify", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 3
+        assert res.stderr.startswith(
+            "resource limit: 1000000000000 paths of length 32 need about"
+        )
+        assert res.stderr.count("\n") == 1
+        assert ran == [] and not out.exists()
 
 
 # Any JSON value: nested lists and objects, strings, booleans, nulls, and

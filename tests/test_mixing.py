@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from inarlab import mixing
+from inarlab import chains, mixing
 from inarlab import (
     InarParams,
-    MarkovChainSpec,
     binomial_death_chain,
     enumerate_window_pairs,
     fit_decay_rate,
@@ -21,6 +20,7 @@ from inarlab import (
     poisson_death_chain,
     rho_markov,
     rho_star_window,
+    transition_matrix,
     verify_absorbing_split,
     verify_indicator_bound,
     window_joint_pmf,
@@ -133,16 +133,41 @@ class TestRhoStarWindow:
 
 
 class TestLagJoint:
-    def test_square_table_beyond_the_limit_is_refused_before_any_row(self):
-        def kernel(x):
-            raise AssertionError("built a kernel row")
+    def test_square_table_beyond_the_limit_is_refused_before_any_row(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("built the kernel table")
 
-        initial = inar_kernel(InarParams(a=0.5, lam=1.0)).initial
-        spec = MarkovChainSpec(initial=initial, kernel=kernel, state_cap=initial.max_state)
+        monkeypatch.setattr(chains, "binomial_table", no_table)
+        spec = inar_kernel(InarParams(a=0.5, lam=1.0))
         with pytest.raises(ExplosionLimitError, match="2002225 atoms"):
             lag_joint(spec, 1, 1414)
-        with pytest.raises(AssertionError, match="kernel row"):
+        with pytest.raises(AssertionError, match="kernel table"):
             lag_joint(spec, 1, 1413)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            inar_kernel(InarParams(a=0.5, lam=1.0)),
+            poisson_death_chain(2.0, 0.7),
+            binomial_death_chain(4, 0.5, 0.3),
+            indicator_chain_spec(0.4, 0.6),
+            iid_chain(1.5),
+        ],
+        ids=["inar", "death-poisson", "death-binomial", "indicator", "iid"],
+    )
+    def test_equals_the_renormalized_n_step_product(self, spec):
+        # init[x] * P^n[x, y] over {0..cap}, renormalized, bit for bit
+        for cap in (1, 7, 20):
+            trans = transition_matrix(spec, cap)[:, : cap + 1]
+            init = np.zeros(cap + 1)
+            m = min(spec.initial.probs.size, cap + 1)
+            init[:m] = spec.initial.probs[:m]
+            for n in (1, 3, 7):
+                want = init[:, None] * np.linalg.matrix_power(trans, n)
+                kept = math.fsum(want.ravel().tolist())
+                joint, escaped = lag_joint(spec, n, cap)
+                assert np.array_equal(joint.mass, want / kept)
+                assert escaped == max(0.0, 1.0 - kept)
 
 
 class TestRhoMarkov:

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inarlab import (
+    MarkovChainSpec,
     Pmf,
     SeedSpec,
     binomial_pmf,
     convolve,
     point_mass,
     poisson_pmf,
-    sample,
+    simulate_chain,
     thin,
     total_variation,
 )
@@ -235,6 +236,11 @@ class TestTotalVariation:
         p = poisson_pmf(2.0)
         q = binomial_pmf(5, 0.4)
         assert total_variation(p, q) == total_variation(q, p)
+
+
+def sample(p: Pmf, seed: SeedSpec, count: int) -> np.ndarray:
+    """``count`` inverse-CDF draws from ``p``: the first step of i.i.d. paths of ``p``."""
+    return simulate_chain(MarkovChainSpec(p, 0.0, p), 1, count, seed).paths[:, 0]
 
 
 class TestSample:
