@@ -34,6 +34,7 @@ from .dependence import (
     lambda_coefficient,
     markov_triplet_residual,
     maximal_correlation,
+    maximal_correlations,
     tensor_combine,
 )
 from .harness import (
@@ -54,6 +55,7 @@ from .mixing import (
     fit_decay_rate,
     gap_for_epsilon,
     lag_joint,
+    lag_joints,
     rho_markov,
     rho_star_window,
     verify_absorbing_split,

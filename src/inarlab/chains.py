@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -615,17 +615,27 @@ def window_joint_pmf(
             "indices must be nonempty, nonnegative, strictly increasing"
         )
     require_window_atoms(cap, len(idx))
+    return next(_window_laws(spec, [idx], cap))
+
+
+def _window_laws(
+    spec: MarkovChainSpec, index_sets: Iterable[Sequence[int]], cap: int
+) -> Iterator[TupleLaw]:
+    """The contraction of :func:`window_joint_pmf` at each index set in turn,
+    all from one kernel table built on first use.  The caller validates the
+    index sets and the cap."""
     support = cap + 1
     trans = transition_matrix(spec, cap)[:, :support]
     init = np.zeros(support)
     m = min(spec.initial.probs.size, support)
     init[:m] = spec.initial.probs[:m]
-    mass = init @ np.linalg.matrix_power(trans, idx[0])
-    for prev, cur in zip(idx, idx[1:]):
-        mass = mass[..., None] * np.linalg.matrix_power(trans, cur - prev)
-    mass.setflags(write=False)
-    err = 1.0 - math.fsum(mass[mass != 0.0].tolist())  # zeros add nothing
-    return TupleLaw(tuple(idx), mass, max(0.0, err))
+    for idx in index_sets:
+        mass = init @ np.linalg.matrix_power(trans, idx[0])
+        for prev, cur in zip(idx, idx[1:]):
+            mass = mass[..., None] * np.linalg.matrix_power(trans, cur - prev)
+        mass.setflags(write=False)
+        err = 1.0 - math.fsum(mass[mass != 0.0].tolist())  # zeros add nothing
+        yield TupleLaw(tuple(idx), mass, max(0.0, err))
 
 
 def marginal_at(spec: MarkovChainSpec, j: int) -> Pmf:

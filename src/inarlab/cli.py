@@ -44,7 +44,7 @@ from .harness import McConfig, reports_to_json, run_all
 from .mixing import (
     fit_decay_rate,
     gap_for_epsilon,
-    lag_joint,
+    lag_joints,
     rho_star_window,
 )
 from .dependence import maximal_correlation
@@ -240,8 +240,8 @@ def rho(construction, opts, n_max, cap, tail_budget, max_escape, out):
     """Past/future maximal correlation across gaps 1..n-max, plus a decay fit."""
     spec = _chain_spec(construction, opts, tail_budget)
     entries = []
-    for gap in range(1, n_max + 1):
-        joint, escaped = lag_joint(spec, gap, cap)
+    gaps = range(1, n_max + 1)
+    for gap, (joint, escaped) in zip(gaps, lag_joints(spec, gaps, cap)):
         _require_escape_within(escaped, cap, max_escape)
         entries.append({"n": gap, "rho": maximal_correlation(joint), "escaped": escaped})
     try:

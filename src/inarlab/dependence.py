@@ -1,9 +1,10 @@
 """Exact dependence coefficients between finite discrete observables.
 
-Maximal correlation (spectral form), the event-pair lambda coefficient
-(full subset enumeration), conditional-independence residuals for ordered
-triplets, and the product-measure combination used to check that maximal
-correlation of independent blocks equals the blockwise maximum.
+Maximal correlation (spectral form, batched by shape), the event-pair lambda
+coefficient (subset enumeration up to complement), conditional-independence
+residuals for ordered triplets, and the product-measure combination used to
+check that maximal correlation of independent blocks equals the blockwise
+maximum.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "JointPmf",
     "TripletPmf",
     "maximal_correlation",
+    "maximal_correlations",
     "lambda_coefficient",
     "markov_triplet_residual",
     "tensor_combine",
@@ -89,10 +91,10 @@ def _dropped(joint: JointPmf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     rm = joint.row_marginal()
     cm = joint.col_marginal()
+    if rm.all() and cm.all():  # marginals are nonnegative: nonzero means positive
+        return joint.mass, rm, cm
     keep_r = rm > 0.0
     keep_c = cm > 0.0
-    if keep_r.all() and keep_c.all():
-        return joint.mass, rm, cm
     mass = joint.mass[np.ix_(keep_r, keep_c)]
     return mass, rm[keep_r], cm[keep_c]
 
@@ -103,19 +105,58 @@ def maximal_correlation(joint: JointPmf) -> float:
     For finite alphabets this is the second-largest singular value of
     ``mass[r, c] / sqrt(rowmass[r] * colmass[c])`` after null atoms are
     dropped.  A degenerate side (one positive-mass atom) yields 0: constant
-    observables correlate with nothing.
+    observables correlate with nothing.  The one-joint case of
+    :func:`maximal_correlations`.
     """
-    mass, rm, cm = _dropped(joint)
-    if min(mass.shape) < 2:
-        return 0.0
-    # Scale by each square root separately: their product can underflow.
-    q = mass / np.sqrt(rm)[:, None] / np.sqrt(cm)
-    sv = np.linalg.svd(q, compute_uv=False)
-    if abs(sv[0] - 1.0) > 1e-10:
-        raise NumericalError(
-            f"leading singular value {sv[0]!r} deviates from 1; joint is inconsistent"
-        )
-    return float(min(1.0, max(0.0, sv[1])))
+    return maximal_correlations([joint])[0]
+
+
+def maximal_correlations(joints: Iterable[JointPmf]) -> list[float]:
+    """:func:`maximal_correlation` of each joint, in input order.
+
+    Joints are read lazily and held until their shape's group is flushed:
+    each group is normalized straight into one stack and takes one
+    ``np.linalg.svd`` call.  Every group is flushed once the held joints
+    reach ``DEFAULT_EXPLOSION_LIMIT`` cells, and at the end.
+    """
+    values: list[float] = []
+    pending: dict[tuple[int, int], list] = {}
+    cells = 0
+    for joint in joints:
+        mass, rm, cm = _dropped(joint)
+        values.append(0.0)
+        if min(mass.shape) < 2:
+            continue
+        pending.setdefault(mass.shape, []).append((len(values) - 1, mass, rm, cm))
+        cells += mass.size
+        if cells >= DEFAULT_EXPLOSION_LIMIT:
+            _flush(pending, values)
+            cells = 0
+    _flush(pending, values)
+    return values
+
+
+def _flush(pending: dict[tuple[int, int], list], values: list[float]) -> None:
+    """Store the second singular value of every pending joint, then clear."""
+    for shape, group in pending.items():
+        stack = np.empty((len(group),) + shape)
+        rows = np.empty((len(group), shape[0]))
+        cols = np.empty((len(group), shape[1]))
+        for i, (_, mass, rm, cm) in enumerate(group):
+            stack[i], rows[i], cols[i] = mass, rm, cm
+        # Scale by each square root separately: their product can underflow.
+        stack /= np.sqrt(rows)[:, :, None]
+        stack /= np.sqrt(cols)[:, None, :]
+        sv = np.linalg.svd(stack, compute_uv=False).reshape(len(group), -1)
+        off = np.flatnonzero(np.abs(sv[:, 0] - 1.0) > 1e-10)
+        if off.size:
+            raise NumericalError(
+                f"leading singular value {sv[off[0], 0]!r} deviates from 1; "
+                "joint is inconsistent"
+            )
+        for (pos, *_), second in zip(group, sv[:, 1].tolist()):
+            values[pos] = min(1.0, max(0.0, second))
+    pending.clear()
 
 
 def _subset_masks(n: int) -> np.ndarray:
@@ -124,12 +165,28 @@ def _subset_masks(n: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
 
 
+def _half_events(marginal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indicator rows and probabilities of the events A with P(A) <= P(A^c).
+
+    Row i of ``_subset_masks`` is the event i + 1; its complement is row
+    ``rows - 2 - i``, and the full event has the empty one.  The comparison
+    allows for the rounding of the sums, so both members of a tied pair stay.
+    """
+    masks = _subset_masks(marginal.size)
+    p = masks @ marginal
+    keep = p <= np.append(p[-2::-1], 0.0) + marginal.size * 2.0**-52
+    return masks[keep], p[keep]
+
+
 def lambda_coefficient(joint: JointPmf) -> float:
     """Exact sup of |P(A&B) - P(A)P(B)| / sqrt(P(A)P(B)) over event pairs.
 
-    Events are unions of atoms, enumerated exhaustively (2^k - 1 per side),
+    Events are unions of atoms, enumerated exhaustively up to complement,
     so both alphabets must stay at or below ``DEFAULT_ALPHABET_CAP`` after
-    null atoms are dropped.
+    null atoms are dropped.  An event and its complement share
+    |P(A&B) - P(A)P(B)|, and the smaller of the two has the larger ratio, so
+    each side keeps only the events with P(A) <= P(A^c).  A side with one
+    atom has no such event and yields 0.
     """
     mass, rm, cm = _dropped(joint)
     n_r, n_c = mass.shape
@@ -138,16 +195,16 @@ def lambda_coefficient(joint: JointPmf) -> float:
             f"alphabet sizes {mass.shape} exceed the exact-enumeration cap "
             f"{DEFAULT_ALPHABET_CAP}"
         )
-    if n_r == 0 or n_c == 0:
+    if n_r < 2 or n_c < 2:
         return 0.0
     # stat[A, B] = (P(A&B) - P(A)P(B)) / sqrt(P(A)P(B)) = left[A] . right[B],
     # with left = [P(A&{c}) / sqrt(P(A)), -sqrt(P(A))] and
     # right = [1{c in B} / sqrt(P(B)), sqrt(P(B))]: one product per chunk.
     # Every term is at most 1 in magnitude, so the error is O(n_c * eps).
-    row_masks = _subset_masks(n_r)
-    col_masks = _subset_masks(n_c)
-    sqrt_pa = np.sqrt(row_masks @ rm)
-    sqrt_pb = np.sqrt(col_masks @ cm)
+    row_masks, pa = _half_events(rm)
+    col_masks, pb = _half_events(cm)
+    sqrt_pa = np.sqrt(pa)
+    sqrt_pb = np.sqrt(pb)
     left = np.hstack([(row_masks @ mass) / sqrt_pa[:, None], -sqrt_pa[:, None]])
     right = np.hstack([col_masks / sqrt_pb[:, None], sqrt_pb[:, None]])
     best = 0.0

@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .chains import (
     MarkovChainSpec,
     TupleLaw,
+    _window_laws,
     indicator_chain_spec,
     require_window_atoms,
     window_joint_pmf,
@@ -32,6 +33,7 @@ from .dependence import (
     JointPmf,
     lambda_coefficient,
     maximal_correlation,
+    maximal_correlations,
 )
 from .errors import (
     ExplosionLimitError,
@@ -61,6 +63,7 @@ __all__ = [
     "enumerate_window_pairs",
     "rho_star_window",
     "lag_joint",
+    "lag_joints",
     "rho_markov",
     "gap_for_epsilon",
     "verify_indicator_bound",
@@ -120,12 +123,14 @@ class WindowScanResult:
         return self.pair_count == 0
 
 
-def enumerate_window_pairs(width: int, gap: int) -> list[WindowSpec]:
-    """All unordered pairs {S, T} of disjoint nonempty subsets at distance >= gap.
+def _window_pairs(
+    width: int, gap: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """Index tuples (S, T, S u T) of every admissible pair, in canonical order.
 
-    Unordered because the coefficient is symmetric; each pair is oriented so
-    the smallest index of S u T sits in S.  Returned in a fixed canonical
-    order (ascending S bitmask, then T bitmask).
+    S runs over the bitmasks of the window in ascending order.  T runs in
+    ascending order over the nonempty submasks of the indices above min(S)
+    at distance >= gap from all of S.
     """
     if width < 1 or gap < 1:
         raise InvalidParameterError("width and gap must be positive")
@@ -133,16 +138,29 @@ def enumerate_window_pairs(width: int, gap: int) -> list[WindowSpec]:
         raise WindowTooWideError(
             f"window width {width} exceeds the enumeration maximum {DEFAULT_MAX_WIDTH}"
         )
-    out: list[WindowSpec] = []
-    full = 1 << width
-    for s_mask in range(1, full):
-        s = [i for i in range(width) if s_mask >> i & 1]
-        rest = [i for i in range(width) if not s_mask >> i & 1 and i > s[0]]
-        for t_mask in range(1, 1 << len(rest)):
-            t = [rest[i] for i in range(len(rest)) if t_mask >> i & 1]
-            if min(abs(x - y) for x in s for y in t) >= gap:
-                out.append(WindowSpec(width, tuple(s), tuple(t), gap))
+    full = (1 << width) - 1
+    sets = [tuple(i for i in range(width) if mask >> i & 1) for mask in range(full + 1)]
+    out = []
+    for s in range(1, full + 1):
+        near = 0  # indices closer than gap to S, S included
+        for k in range(min(gap, width)):
+            near |= s << k | s >> k
+        allowed = full & ~near & -((s & -s) << 1)
+        t = (-allowed) & allowed
+        while t:
+            out.append((sets[s], sets[t], sets[s | t]))
+            t = (t - allowed) & allowed
     return out
+
+
+def enumerate_window_pairs(width: int, gap: int) -> list[WindowSpec]:
+    """All unordered pairs {S, T} of disjoint nonempty subsets at distance >= gap.
+
+    Unordered because the coefficient is symmetric; each pair is oriented so
+    the smallest index of S u T sits in S.  Returned in a fixed canonical
+    order (ascending S bitmask, then T bitmask).
+    """
+    return [WindowSpec(width, s, t, gap) for s, t, _ in _window_pairs(width, gap)]
 
 
 def rho_star_window(
@@ -151,30 +169,36 @@ def rho_star_window(
     """Exact interlaced coefficient over all admissible pairs in the window.
 
     For each enumerated pair the joint law of (tuple over S, tuple over T)
-    is computed exactly from kernel products and fed to the maximal
-    correlation.  The value is the maximum; the attaining pair is the first
-    in canonical enumeration order within ``TIE_TOLERANCE`` of it, so it
-    does not depend on rounding among pairs tied in exact arithmetic.  An
-    empty enumeration (width <= gap) yields value 0 flagged as vacuous.  A
-    window whose widest union exceeds the atom limit is refused up front.
+    is computed exactly from kernel products, one window law per union,
+    and the splits go to the batched maximal correlation.  The value is the
+    maximum; the attaining pair is the first in canonical enumeration order
+    within ``TIE_TOLERANCE`` of it, so it does not depend on rounding among
+    pairs tied in exact arithmetic.  An empty enumeration (width <= gap)
+    yields value 0 flagged as vacuous.  A window whose widest union exceeds
+    the atom limit is refused up front.
     """
-    pairs = enumerate_window_pairs(width, gap)
-    for pair in pairs:  # refuse the first too-wide union before any law is built
-        require_window_atoms(cap, len(pair.s) + len(pair.t))
+    pairs = _window_pairs(width, gap)
+    # refuse the first too-wide union, in enumeration order, before any law
+    for size in dict.fromkeys(len(union) for _, _, union in pairs):
+        require_window_atoms(cap, size)
     laws: dict[tuple[int, ...], TupleLaw] = {}
-    values: list[float] = []
-    worst_err = 0.0
-    for pair in pairs:
-        union = tuple(sorted(pair.s + pair.t))
-        law = laws.get(union)
-        if law is None:
-            law = window_joint_pmf(spec, union, cap)
-            laws[union] = law
-        worst_err = max(worst_err, law.truncation_error)
-        values.append(maximal_correlation(law.split(pair.s, pair.t)))
+
+    def splits() -> Iterator[JointPmf]:
+        for s, t, union in pairs:
+            law = laws.get(union)
+            if law is None:
+                law = laws[union] = window_joint_pmf(spec, union, cap)
+            yield law.split(s, t)
+
+    values = maximal_correlations(splits())
+    worst_err = max((law.truncation_error for law in laws.values()), default=0.0)
     best_val = max(values, default=0.0)
     best = next(
-        (p for p, v in zip(pairs, values) if v > 0.0 and v >= best_val - TIE_TOLERANCE),
+        (
+            WindowSpec(width, s, t, gap)
+            for (s, t, _), v in zip(pairs, values)
+            if v > 0.0 and v >= best_val - TIE_TOLERANCE
+        ),
         None,
     )
     return WindowScanResult(best_val, best, len(pairs), worst_err)
@@ -186,9 +210,21 @@ def lag_joint(spec: MarkovChainSpec, n: int, cap: int) -> tuple[JointPmf, float]
     The window law of the indices (0, n), renormalized; the escaped
     (truncated) mass is returned alongside.  A cap whose square table would
     exceed ``DEFAULT_EXPLOSION_LIMIT`` cells is refused before the kernel
-    table is built.
+    table is built.  The one-gap case of :func:`lag_joints`.
     """
-    if n < 1:
+    return next(lag_joints(spec, [n], cap))
+
+
+def lag_joints(
+    spec: MarkovChainSpec, gaps: Iterable[int], cap: int
+) -> Iterator[tuple[JointPmf, float]]:
+    """:func:`lag_joint` at each gap in turn, all from one kernel table.
+
+    Gaps and cap are checked, and a too-large cap refused, at the call; the
+    table is built when the first joint is drawn.
+    """
+    gaps = list(gaps)
+    if any(n < 1 for n in gaps):
         raise InvalidParameterError("n must be a positive integer")
     if cap < 1:
         raise InvalidParameterError("cap must be positive")
@@ -197,9 +233,14 @@ def lag_joint(spec: MarkovChainSpec, n: int, cap: int) -> tuple[JointPmf, float]
             f"lag joint could hold up to {(cap + 1) ** 2} atoms "
             f"(limit {DEFAULT_EXPLOSION_LIMIT}); shrink the cap"
         )
-    law = window_joint_pmf(spec, (0, n), cap)
-    kept = math.fsum(law.mass[law.mass != 0.0].tolist())  # zeros add nothing
-    return JointPmf(law.mass / kept), law.truncation_error
+    return _renormalized(_window_laws(spec, [(0, n) for n in gaps], cap))
+
+
+def _renormalized(laws: Iterator[TupleLaw]) -> Iterator[tuple[JointPmf, float]]:
+    """Each law's mass renormalized to 1, with the mass it lost."""
+    for law in laws:
+        kept = math.fsum(law.mass[law.mass != 0.0].tolist())  # zeros add nothing
+        yield JointPmf(law.mass / kept), law.truncation_error
 
 
 def rho_markov(spec: MarkovChainSpec, n: int, cap: int) -> float:

@@ -9,11 +9,14 @@ import pytest
 from inarlab import (
     JointPmf,
     TripletPmf,
+    dependence,
     lambda_coefficient,
     markov_triplet_residual,
     maximal_correlation,
+    maximal_correlations,
     tensor_combine,
 )
+from inarlab.dependence import DEFAULT_EXPLOSION_LIMIT
 from inarlab.errors import (
     AlphabetTooLargeError,
     ExplosionLimitError,
@@ -105,6 +108,17 @@ def lambda_by_event_pairs(mass: np.ndarray) -> float:
     return best
 
 
+def svd_per_joint(joint: JointPmf) -> float:
+    """One joint at a time: drop null atoms, normalize, one SVD."""
+    mass = joint.mass
+    rm, cm = mass.sum(axis=1), mass.sum(axis=0)
+    mass, rm, cm = mass[np.ix_(rm > 0.0, cm > 0.0)], rm[rm > 0.0], cm[cm > 0.0]
+    if min(mass.shape) < 2:
+        return 0.0
+    sv = np.linalg.svd(mass / np.sqrt(rm)[:, None] / np.sqrt(cm), compute_uv=False)
+    return float(min(1.0, max(0.0, sv[1])))
+
+
 def random_joint(rng, max_side=4) -> JointPmf:
     r = int(rng.integers(2, max_side + 1))
     c = int(rng.integers(2, max_side + 1))
@@ -166,6 +180,58 @@ class TestMaximalCorrelation:
             assert 0.0 <= maximal_correlation(random_joint(rng)) <= 1.0
 
 
+class TestMaximalCorrelations:
+    def test_batch_equals_the_one_joint_path_bitwise(self, monkeypatch):
+        # Mixed shapes in one batch, null rows and columns, one-atom sides,
+        # and 2 x 200000 joints that push the held cells past the flush limit.
+        rng = np.random.default_rng(17)
+        joints = []
+        for k in range(120):
+            if k % 20 == 19:
+                joints.append(JointPmf(rng.dirichlet(np.ones(400_000)).reshape(2, -1)))
+                continue
+            shape = tuple(rng.integers(1, 6, size=2))
+            mass = rng.dirichlet(np.ones(math.prod(shape))).reshape(shape)
+            if k % 3 == 0:
+                mass[rng.integers(shape[0])] = 0.0
+            if k % 4 == 0:
+                mass[:, rng.integers(shape[1])] = 0.0
+            if mass.sum() == 0.0:
+                mass[0, 0] = 1.0
+            joints.append(JointPmf(mass / math.fsum(mass.ravel().tolist())))
+        flushes = []
+
+        def counting_flush(pending, values):
+            flushes.append(sum(len(group) for group in pending.values()))
+            return flush(pending, values)
+
+        flush = dependence._flush
+        monkeypatch.setattr(dependence, "_flush", counting_flush)
+        batch = maximal_correlations(iter(joints))
+        assert sum(j.mass.size for j in joints) > DEFAULT_EXPLOSION_LIMIT
+        assert len(flushes) >= 2 and flushes[0] > 0
+        one_by_one = [maximal_correlation(j) for j in joints]
+        assert batch == one_by_one == [svd_per_joint(j) for j in joints]
+        assert any(v == 0.0 for v in batch) and all(0.0 <= v <= 1.0 for v in batch)
+
+    def test_inconsistent_joint_in_a_batch_raises(self, monkeypatch):
+        real_svd = np.linalg.svd
+
+        def skewed(stack, compute_uv):
+            sv = real_svd(stack, compute_uv=compute_uv)
+            sv[-1, 0] += 1e-9
+            return sv
+
+        joints = [JointPmf(np.eye(3) / 3.0)] * 4
+        assert maximal_correlations(joints) == [1.0] * 4
+        monkeypatch.setattr(np.linalg, "svd", skewed)
+        with pytest.raises(NumericalError, match="deviates from 1"):
+            maximal_correlations(joints)
+
+    def test_empty_batch(self):
+        assert maximal_correlations([]) == []
+
+
 class TestLambdaCoefficient:
     def test_product_joint(self):
         rng = np.random.default_rng(0)
@@ -205,6 +271,29 @@ class TestLambdaCoefficient:
             mass.flat[int(np.argmax(mass))] += 1.0  # never all zero
             j = JointPmf(mass / math.fsum(mass.ravel().tolist()))
             assert abs(lambda_coefficient(j) - lambda_by_event_pairs(j.mass)) <= 1e-12
+
+    def test_one_atom_side_is_exactly_zero(self):
+        assert lambda_coefficient(JointPmf(np.array([[0.6, 0.4]]))) == 0.0
+        assert lambda_coefficient(JointPmf(np.array([[0.2], [0.3], [0.5]]))) == 0.0
+        padded = JointPmf(np.array([[0.6, 0.0, 0.4], [0.0, 0.0, 0.0]]))
+        assert lambda_coefficient(padded) == 0.0
+
+    def test_events_tied_with_their_complement_are_both_kept(self):
+        # P({1}) = P({0, 2, 3}) = 1/2 exactly, but the two sums round apart
+        marginal = np.array([5.0, 21.0, 6.0, 10.0]) / 42.0
+        p = marginal @ np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 1.0]]).T
+        assert p[0] != p[1]
+        masks, probs = dependence._half_events(marginal)
+        kept = {tuple(np.flatnonzero(m).tolist()) for m in masks}
+        assert {(1,), (0, 2, 3)} <= kept
+        assert kept == {(0,), (1,), (2,), (3,), (0, 2), (0, 3), (2, 3), (0, 2, 3)}
+        assert np.all(probs <= 0.5 + 1e-15)
+        # a joint with that row marginal, against the full enumeration
+        mass = np.outer(marginal, [0.5, 0.5])
+        mass[1] = [marginal[1], 0.0]
+        mass[3] = [0.0, marginal[3]]
+        j = JointPmf(mass)
+        assert abs(lambda_coefficient(j) - lambda_by_event_pairs(j.mass)) <= 1e-12
 
     def test_full_alphabet_peak_memory(self):
         # One 4095 x 1024 float product per chunk is 33.5 MB; a second

@@ -16,7 +16,9 @@ from inarlab import (
     inar_kernel,
     indicator_chain_spec,
     lag_joint,
+    lag_joints,
     maximal_correlation,
+    maximal_correlations,
     poisson_death_chain,
     rho_markov,
     rho_star_window,
@@ -25,6 +27,7 @@ from inarlab import (
     verify_indicator_bound,
     window_joint_pmf,
 )
+from inarlab.mixing import TIE_TOLERANCE
 from inarlab.errors import (
     ExplosionLimitError,
     InsufficientDataError,
@@ -39,6 +42,41 @@ ABSORBING_SPLIT_FIXTURES = {
     0.05: 0.22360540020749306,
     1.0 / 9.0: 0.333282528069908,
 }
+
+
+def window_pairs_by_filter(width, gap):
+    """(S, T) index tuples in canonical order: every S bitmask in ascending
+    order, every T bitmask over the indices above min(S), filtered by distance."""
+    out = []
+    for s_mask in range(1, 1 << width):
+        s = [i for i in range(width) if s_mask >> i & 1]
+        rest = [i for i in range(width) if not s_mask >> i & 1 and i > s[0]]
+        for t_mask in range(1, 1 << len(rest)):
+            t = [rest[i] for i in range(len(rest)) if t_mask >> i & 1]
+            if min(abs(x - y) for x in s for y in t) >= gap:
+                out.append((tuple(s), tuple(t)))
+    return out
+
+
+def scan_pair_by_pair(spec, width, gap, cap):
+    """The window scan one pair at a time: one law per union, one split and
+    one maximal correlation per pair, the first pair within the tie
+    tolerance of the maximum attains it."""
+    pairs = enumerate_window_pairs(width, gap)
+    laws = {}
+    values = []
+    for pair in pairs:
+        union = tuple(sorted(pair.s + pair.t))
+        if union not in laws:
+            laws[union] = window_joint_pmf(spec, union, cap)
+        values.append(maximal_correlation(laws[union].split(pair.s, pair.t)))
+    best_val = max(values, default=0.0)
+    best = next(
+        (p for p, v in zip(pairs, values) if v > 0.0 and v >= best_val - TIE_TOLERANCE),
+        None,
+    )
+    worst_err = max((law.truncation_error for law in laws.values()), default=0.0)
+    return best_val, best, len(pairs), worst_err
 
 
 class TestEnumerateWindowPairs:
@@ -67,6 +105,12 @@ class TestEnumerateWindowPairs:
     def test_width_cap(self):
         with pytest.raises(WindowTooWideError):
             enumerate_window_pairs(9, 1)
+
+    def test_canonical_order_matches_the_filtered_enumeration(self):
+        for width in range(1, 9):
+            for gap in range(1, width + 2):
+                got = [(p.s, p.t) for p in enumerate_window_pairs(width, gap)]
+                assert got == window_pairs_by_filter(width, gap)
 
 
 class TestRhoStarWindow:
@@ -106,15 +150,44 @@ class TestRhoStarWindow:
         scan = rho_star_window(chain, 4, 2, cap=30)
         assert (scan.best.s, scan.best.t) == ((1,), (3,))
         for bump in (1e-15, -1e-15):
-            calls = iter(range(100))
+            nudged_batches = []
 
-            def nudged(joint, bump=bump):
-                return maximal_correlation(joint) + bump * next(calls)
+            def nudged(joints, bump=bump):
+                values = maximal_correlations(joints)
+                nudged_batches.append(len(values))
+                return [v + bump * k for k, v in enumerate(values)]
 
-            monkeypatch.setattr(mixing, "maximal_correlation", nudged)
+            monkeypatch.setattr(mixing, "maximal_correlations", nudged)
             nudged_scan = rho_star_window(chain, 4, 2, cap=30)
+            # every compared value went through the nudge, and it moved the maximum
+            assert nudged_batches == [scan.pair_count]
+            assert nudged_scan.value != scan.value
             assert (nudged_scan.best.s, nudged_scan.best.t) == ((1,), (3,))
             assert abs(nudged_scan.value - scan.value) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "spec, width, gap, cap",
+        [
+            (inar_kernel(InarParams(a=0.9, lam=0.5)), 4, 1, 20),
+            (inar_kernel(InarParams(a=0.5, lam=1.0)), 6, 1, 5),
+            (inar_kernel(InarParams(a=0.3, lam=2.0)), 5, 2, 10),
+            (poisson_death_chain(1.0, 0.5), 4, 2, 30),
+            (binomial_death_chain(3, 0.5, 0.4), 4, 1, 3),
+            (indicator_chain_spec(0.5, 0.3), 6, 3, 1),
+            (indicator_chain_spec(0.5, 0.2), 6, 3, 1),
+            (indicator_chain_spec(0.3, 0.5), 8, 2, 1),
+            (iid_chain(1.0), 3, 1, 20),
+        ],
+        ids=[
+            "inar-w4", "inar-w6", "inar-w5-n2", "death-poisson", "death-binomial",
+            "indicator-a0.3", "indicator-a0.2", "indicator-w8", "iid",
+        ],
+    )
+    def test_equals_the_pair_by_pair_scan_bitwise(self, spec, width, gap, cap):
+        scan = rho_star_window(spec, width, gap, cap)
+        assert (scan.value, scan.best, scan.pair_count, scan.truncation_error) == (
+            scan_pair_by_pair(spec, width, gap, cap)
+        )
 
     def test_too_wide_window_is_refused_before_any_law(self, monkeypatch):
         built = []
@@ -143,6 +216,26 @@ class TestLagJoint:
             lag_joint(spec, 1, 1414)
         with pytest.raises(AssertionError, match="kernel table"):
             lag_joint(spec, 1, 1413)
+
+    def test_many_gaps_share_one_table_and_match_one_gap_calls(self, monkeypatch):
+        spec = inar_kernel(InarParams(a=0.5, lam=1.0))
+        gaps = [1, 2, 5, 3]
+        one_by_one = [lag_joint(spec, n, 40) for n in gaps]
+        tables = []
+        real = chains.transition_matrix
+        monkeypatch.setattr(chains, "transition_matrix", lambda *a: tables.append(a) or real(*a))
+        joints = lag_joints(spec, gaps, 40)
+        assert tables == []  # built when the first joint is drawn
+        for (joint, escaped), (want, want_escaped) in zip(joints, one_by_one, strict=True):
+            assert np.array_equal(joint.mass, want.mass) and escaped == want_escaped
+        assert len(tables) == 1
+
+    def test_many_gaps_refuse_at_the_call(self):
+        spec = inar_kernel(InarParams(a=0.5, lam=1.0))
+        with pytest.raises(ExplosionLimitError, match="2002225 atoms"):
+            lag_joints(spec, [1, 2], 1414)
+        with pytest.raises(InvalidParameterError, match="positive integer"):
+            lag_joints(spec, [1, 0], 20)
 
     @pytest.mark.parametrize(
         "spec",
