@@ -353,13 +353,21 @@ def simulate_chain(
     cdfs: dict[int, np.ndarray] = {}
     for k in range(1, length):
         prev, cur = paths[:, k - 1], paths[:, k]
-        for s in np.unique(prev).tolist():
+        counts = np.bincount(prev)
+        # paths grouped by state, ascending, in path order within a state; a
+        # key of the narrowest unsigned type lets the stable sort run as radix
+        order = np.argsort(prev.astype(np.min_scalar_type(counts.size - 1)), kind="stable")
+        # one call takes the same uniforms as one call per state laid end to end
+        uniforms = rng.random(n_paths)
+        lo = 0
+        for s in np.flatnonzero(counts).tolist():
+            hi = lo + int(counts[s])
             cdf = cdfs.get(s)
             if cdf is None:
                 cdf = cdfs[s] = np.cumsum(_kernel_row(spec, s))
-            mask = prev == s
-            draws = np.searchsorted(cdf, rng.random(int(mask.sum())), side="right")
-            cur[mask] = np.minimum(draws, cdf.size - 1)  # clamp at the row's support end
+            draws = np.searchsorted(cdf, uniforms[lo:hi], side="right")
+            cur[order[lo:hi]] = np.minimum(draws, cdf.size - 1)  # clamp at the row's support end
+            lo = hi
     return PathEnsemble(
         paths, seed, dict(spec.description, length=length, n_paths=n_paths)
     )
@@ -673,7 +681,9 @@ def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:
     Rows are encoded a block at a time: each value's decimal digits are
     right-aligned in a zero-filled byte grid with a sign byte in front and
     a separator byte (``,`` or a newline) behind; the grid is written with
-    its zero bytes deleted.
+    its zero bytes deleted.  Digits are computed in the narrowest unsigned
+    type that holds the largest magnitude, and the sign bytes are filled
+    only when some value is negative.
     """
     meta = {k: v for k, v in ensemble.params.items()}
     lines = [
@@ -691,10 +701,12 @@ def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:
         if paths.size == 0:
             fh.write(b"\n" * n_rows)
             return
-        width = max(len(str(int(paths.max()))), len(str(int(paths.min())).lstrip("-")))
+        lo = int(paths.min())
+        top = max(int(paths.max()), -lo)  # the largest magnitude
+        width = len(str(top))
         blocks = _row_blocks(n_rows, n_cols)
         shape = (min(n_rows, blocks[0].stop), n_cols)
-        mag, quot, digit = (np.empty(shape, dtype=np.uint64) for _ in range(3))
+        mag, quot, digit = (np.empty(shape, dtype=np.min_scalar_type(top)) for _ in range(3))
         live = np.empty(shape, dtype=bool)
         grid = np.zeros(shape + (width + 2,), dtype=np.uint8)
         grid[:, :, -1] = ord(",")
@@ -703,9 +715,12 @@ def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:
             block = paths[b]
             r = block.shape[0]
             g, m, q, d, nz = grid[:r], mag[:r], quot[:r], digit[:r], live[:r]
-            np.abs(block, out=m.view(np.int64))  # |int64 min| reads as 2**63 in uint64
-            np.less(block, 0, out=g[:, :, 0])
-            g[:, :, 0] *= ord("-")
+            if lo < 0:
+                np.abs(block, out=m, casting="unsafe")  # |int64 min| reads as 2**63 in uint64
+                np.less(block, 0, out=g[:, :, 0])
+                g[:, :, 0] *= ord("-")
+            else:  # the sign bytes stay zero and are deleted with the others
+                np.copyto(m, block, casting="unsafe")
             for col in range(width, 0, -1):
                 np.floor_divide(m, 10, out=q)
                 np.multiply(q, 10, out=d)

@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -40,7 +41,7 @@ from .errors import (
     ResourceLimitError,
     SamplingBudgetError,
 )
-from .harness import McConfig, reports_to_json, run_all
+from .harness import McConfig, job_seconds, reports_to_json, run_all
 from .mixing import (
     fit_decay_rate,
     gap_for_epsilon,
@@ -148,6 +149,14 @@ def _write_output(text: str, out: str | None) -> None:
         with _writing_output():
             Path(out).parent.mkdir(parents=True, exist_ok=True)
             Path(out).write_text(text, encoding="utf-8")
+
+
+def _run_metrics(seconds: dict, wall: float) -> dict:
+    """The ``verify --metrics`` sidecar; none of it enters the report."""
+    import resource  # loaded only by a run that writes the sidecar
+
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    return {"job_wall_s": seconds, "wall_s": wall, "peak_rss_mb": peak_kib / 1024.0}
 
 
 param_options = [
@@ -330,8 +339,11 @@ def marginal(construction, opts, at, tail_budget, out):
 @click.option("--negative-controls/--no-negative-controls", default=None)
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--out", default=None, help="Report file; default stdout.")
+@click.option("--metrics", "metrics_out", default=None,
+              help="Also write per-job wall seconds and peak RSS to this JSON file.")
 @_exit_on_errors
-def verify(config_path, seed, paths, significance, negative_controls, threads, out):
+def verify(config_path, seed, paths, significance, negative_controls, threads, out,
+           metrics_out):
     """Run the full verification campaign; exit 0 iff every check passes."""
     fields = {}
     if config_path is not None:
@@ -369,8 +381,13 @@ def verify(config_path, seed, paths, significance, negative_controls, threads, o
         click.echo(f"malformed config: {exc}", err=True)
         sys.exit(EXIT_USAGE)
 
-    reports = run_all(config, threads=max(1, threads))
+    with job_seconds() as seconds:
+        start = time.perf_counter()
+        reports = run_all(config, threads=max(1, threads))
+        wall = time.perf_counter() - start
     _write_output(reports_to_json(reports, config), out)
+    if metrics_out is not None:
+        _write_output(dumps(_run_metrics(seconds, wall)), metrics_out)
     failures = [r for r in reports if not r.passed]
     if failures:
         for r in failures:

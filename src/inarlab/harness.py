@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import math
 import numbers
+import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import special
@@ -64,6 +67,7 @@ __all__ = [
     "check_construction_equivalence",
     "check_markov_property",
     "run_all",
+    "job_seconds",
     "reports_to_json",
 ]
 
@@ -191,6 +195,14 @@ def _pooled_gof_ratio(
     return stat / _chi2_critical(alpha, len(groups_e) - 1)
 
 
+def _pair_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Counts of the pairs (a[i], b[i]): rows 0..max(a), columns 0..max(b)."""
+    rows, cols = int(a.max()) + 1, int(b.max()) + 1
+    keys = a * cols
+    keys += b  # in place: one path-sized temporary, not two
+    return np.bincount(keys, minlength=rows * cols).reshape(rows, cols)
+
+
 def _contingency_ratio(table: np.ndarray, alpha: float) -> float | None:
     """Independence-test criticality ratio after pooling sparse margins."""
     table = table.astype(np.float64)
@@ -315,9 +327,7 @@ def check_innovation_independence(
     alpha = significance / len(partners)
     worst = 0.0
     for name, other in partners.items():
-        table = np.zeros((int(other.max()) + 1, int(v.max()) + 1))
-        np.add.at(table, (other, v), 1.0)
-        ratio = _contingency_ratio(table, alpha)
+        ratio = _contingency_ratio(_pair_counts(other, v), alpha)
         if ratio is not None:
             worst = max(worst, ratio)
     return CheckReport(
@@ -346,22 +356,21 @@ def check_thinning_conditional(
     k = decomposition.x.shape[1] - 1
     if k < 1:
         raise InvalidConfigError("need at least two time indices")
-    prev = decomposition.x[:, k - 1]
-    surv = decomposition.u[:, k]
-    strata = [
-        int(x) for x in np.unique(prev) if int((prev == x).sum()) >= MIN_STRATUM
-    ]
-    skipped = int(np.unique(prev).size) - len(strata)
+    table = _pair_counts(decomposition.x[:, k - 1], decomposition.u[:, k])
+    sizes = table.sum(axis=1)  # observations per previous count
+    strata = np.flatnonzero(sizes >= MIN_STRATUM).tolist()
+    skipped = int(np.count_nonzero(sizes)) - len(strata)
     worst = 0.0
     tested = 0
     alpha = significance / max(1, len(strata))
     for x in strata:
-        sel = surv[prev == x]
         if x == 0:
-            if np.any(sel != 0):
+            if table[0, 1:].any():
                 worst = max(worst, ERROR_STATISTIC)
             continue
-        counts = np.bincount(sel, minlength=x + 1)
+        # survivor counts 0..max(x, largest observed), as bincount would size them
+        counts = np.trim_zeros(table[x], "b")
+        counts = np.pad(counts, (0, max(0, x + 1 - counts.size)))
         probs = binomial_pmf(x, params.a).probs
         if counts.size > probs.size:  # impossible survivor counts
             worst = max(worst, ERROR_STATISTIC)
@@ -542,9 +551,7 @@ def _corrupted_innovation_check(
     """Negative control: leak the previous count into the innovation."""
     k = dec.x.shape[1] - 1
     bumped = dec.v[:, k] + (dec.x[:, k - 1] > params.stationary_mean)
-    table = np.zeros((int(dec.x[:, k - 1].max()) + 1, int(bumped.max()) + 1))
-    np.add.at(table, (dec.x[:, k - 1], bumped), 1.0)
-    ratio = _contingency_ratio(table, significance)
+    ratio = _contingency_ratio(_pair_counts(dec.x[:, k - 1], bumped), significance)
     return CheckReport(
         "innovation-independence-control",
         "decomposition-corrupted",
@@ -621,6 +628,25 @@ def _origin(exc: BaseException) -> str:
     return f"{module}:{function}:{line}"
 
 
+_JOB_SECONDS: ContextVar[dict[str, float] | None] = ContextVar("job_seconds", default=None)
+
+
+@contextmanager
+def job_seconds() -> Iterator[dict[str, float]]:
+    """Collect the wall seconds of the campaign jobs ``run_all`` runs in this block.
+
+    The yielded dict maps each job name to its seconds, summed over jobs
+    that share a name (a grid that repeats a value).  Outside such a block
+    ``run_all`` records nothing.  The timings never reach the reports.
+    """
+    seconds: dict[str, float] = {}
+    token = _JOB_SECONDS.set(seconds)
+    try:
+        yield seconds
+    finally:
+        _JOB_SECONDS.reset(token)
+
+
 def run_all(config: McConfig, threads: int = 1) -> list[CheckReport]:
     """Execute the full campaign over the parameter grid, deterministically.
 
@@ -661,23 +687,29 @@ def run_all(config: McConfig, threads: int = 1) -> list[CheckReport]:
     if config.negative_controls:
         jobs.append(("nonmarkov-control", _nonmarkov_control))
 
-    def run_job(item) -> list[CheckReport]:
+    def run_job(item) -> tuple[list[CheckReport], float]:
         name, fn = item
+        start = time.perf_counter()
         try:
             result = fn()
         except Exception as exc:  # captured, never aborts the campaign
             note = f"check raised: {type(exc).__name__}: {exc} at {_origin(exc)}"
-            return [CheckReport(
+            result = CheckReport(
                 "errored", name, {}, ERROR_STATISTIC, 0.0, "exact", note=note
-            )]
-        return result if isinstance(result, list) else [result]
+            )
+        elapsed = time.perf_counter() - start
+        return (result if isinstance(result, list) else [result]), elapsed
 
     if threads <= 1:
         blocks = [run_job(job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(run_job, jobs))
-    return [rep for block in blocks for rep in block]
+    seconds = _JOB_SECONDS.get()  # read by this thread: pool threads run outside its context
+    if seconds is not None:
+        for (name, _), (_, elapsed) in zip(jobs, blocks):
+            seconds[name] = seconds.get(name, 0.0) + elapsed
+    return [rep for block, _ in blocks for rep in block]
 
 
 def reports_to_json(reports: Sequence[CheckReport], config: McConfig) -> str:

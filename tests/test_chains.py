@@ -269,6 +269,18 @@ class TestSimulateChain:
         ens = simulate_chain(chain, 4, 20, SeedSpec(4))
         assert np.array_equal(ens.paths, _chain_reference(chain, 4, 20, SeedSpec(4)))
 
+    def test_uniforms_past_a_rows_mass_clamp_to_its_support_end(self):
+        class TopSeed:  # every uniform is the largest double below 1
+            def generator(self):
+                return self
+
+            def random(self, n):
+                return np.full(n, np.nextafter(1.0, 0.0))
+
+        chain = iid_chain(2.5)  # its rows sum to 1 - 4e-13
+        ens = simulate_chain(chain, 3, 5, TopSeed())
+        assert np.all(ens.paths == chain.innovation.max_state)
+
 
 
 def _direct_reference(params, length, n_paths, seed):
@@ -641,6 +653,17 @@ def _assert_matches_reference(matrix, directory) -> None:
 _RNG = np.random.default_rng(13)
 
 
+def _peaked(top):
+    """Small counts plus one cell of ``top``: the digit buffer type is set by ``top``."""
+    return np.array([[0, 7, 10], [top, 9, 1]], dtype=np.int64)
+
+
+def _negative_in_last_block():
+    m = _RNG.integers(0, 120, (2 * (_BLOCK_CELLS // 10) + 3, 10))
+    m[-1, 4] = -7
+    return m
+
+
 @pytest.mark.parametrize(
     "matrix",
     [
@@ -654,11 +677,16 @@ _RNG = np.random.default_rng(13)
         np.zeros((0, 5), dtype=np.int64),
         np.zeros((3, 0), dtype=np.int64),
         np.zeros((0, 0), dtype=np.int64),
+        *(_peaked(top) for top in (255, 256, 65535, 65536, 2**32 - 1, 2**32)),
+        *(_peaked(top) for top in (-255, -256, -65536)),
+        _negative_in_last_block(),
     ],
     ids=[
         "int64-extremes", "mixed-signs", "all-zeros", "one-column",
         "row-wider-than-a-block", "rows-not-a-block-multiple", "digit-boundaries",
         "zero-rows", "zero-columns", "empty",
+        "top-255", "top-256", "top-65535", "top-65536", "top-2**32-1", "top-2**32",
+        "low--255", "low--256", "low--65536", "negative-only-in-last-block",
     ],
 )
 def test_csv_bytes_equal_the_row_writer(matrix, tmp_path):
@@ -674,6 +702,19 @@ def test_csv_bytes_equal_the_row_writer(matrix, tmp_path):
     )
 )
 def test_csv_bytes_equal_the_row_writer_on_random_matrices(tmp_path_factory, matrix):
+    _assert_matches_reference(matrix, tmp_path_factory.mktemp("csv"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    hnp.arrays(
+        np.int64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12),
+        elements=st.integers(-69_999, 69_999),
+    )
+)
+def test_csv_bytes_equal_the_row_writer_on_narrow_magnitudes(tmp_path_factory, matrix):
+    """Magnitudes below 70 000 put the digits in 8-, 16- and 32-bit buffers."""
     _assert_matches_reference(matrix, tmp_path_factory.mktemp("csv"))
 
 

@@ -8,9 +8,12 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, event, given, settings, strategies as st
 
-from inarlab import chains, cli, harness
+from inarlab import SeedSpec, binomial_death_chain, chains, cli, harness, poisson_death_chain
+from inarlab.chains import PathEnsemble
 from inarlab.cli import CHAIN_CONSTRUCTIONS, SIM_CONSTRUCTIONS, main
 from inarlab.serialize import dumps
+
+from .test_chains import _chain_reference, _reference_csv
 
 
 @pytest.fixture
@@ -127,6 +130,28 @@ class TestSimulate:
                 "--out", tmp_path,
             )
             assert res.exit_code == 0
+
+    @pytest.mark.parametrize(
+        "construction, flags, spec",
+        [
+            ("death-poisson", ["--lambda", 3.0, "--a", 0.6], poisson_death_chain(3.0, 0.6, 1e-12)),
+            ("death-binomial", ["--n", 12, "--p", 0.7, "--a", 0.8],
+             binomial_death_chain(12, 0.7, 0.8)),
+        ],
+    )
+    def test_death_chain_csvs_equal_the_reference_writer(self, runner, tmp_path, construction,
+                                                        flags, spec):
+        length, n_paths, seed = 15, 400, SeedSpec(5, 2)
+        res = run(
+            runner, "simulate", construction, *flags, "--length", length, "--paths", n_paths,
+            "--seed", 5, "--stream", 2, "--out", tmp_path,
+        )
+        assert res.exit_code == 0
+        paths = _chain_reference(spec, length, n_paths, seed)
+        ens = PathEnsemble(paths, seed, dict(spec.description, length=length, n_paths=n_paths))
+        _reference_csv(ens, tmp_path / "reference.csv")
+        written = (tmp_path / f"{construction}_x.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "construction, a, lam",
@@ -500,6 +525,25 @@ class TestVerify:
         failing = [c["check"] for c in payload["checks"] if not c["pass"]]
         assert failing and all(name.endswith("-control") for name in failing)
 
+    def test_metrics_sidecar_leaves_the_report_bytes_alone(self, runner, tmp_path):
+        cfg = self.write_config(tmp_path)
+        plain = tmp_path / "plain.json"
+        assert run(runner, "verify", "--config", cfg, "--out", plain).exit_code == 0
+        for threads in (1, 2):
+            out, metrics = tmp_path / f"r{threads}.json", tmp_path / f"m{threads}.json"
+            res = run(runner, "verify", "--config", cfg, "--out", out, "--metrics", metrics,
+                      "--threads", threads)
+            assert res.exit_code == 0
+            assert out.read_bytes() == plain.read_bytes()
+            sidecar = json.loads(metrics.read_text())
+            assert sorted(sidecar) == ["job_wall_s", "peak_rss_mb", "wall_s"]
+            assert sorted(sidecar["job_wall_s"]) == [
+                "direct-mc[0.5,1.0]", "equivalence[0.5,1.0]", "lemma-checks",
+                "markov-triplets[0.5,1.0]", "stationary-exact[0.5,1.0]",
+            ]
+            assert 0.0 < max(sidecar["job_wall_s"].values()) <= sidecar["wall_s"]
+            assert sidecar["peak_rss_mb"] > 1.0
+
     def test_seed_override_is_reflected(self, runner, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "rep.json"
@@ -683,7 +727,21 @@ def test_unwritable_out_exits_2(runner, tmp_path, args):
         args = args + [str(config)]
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    res = runner.invoke(main, args + ["--out", str(blocker / "out")])
+    _assert_cannot_write(runner.invoke(main, args + ["--out", str(blocker / "out")]))
+
+
+def test_unwritable_metrics_exits_2(runner, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TestVerify.CONFIG))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    _assert_cannot_write(runner.invoke(main, [
+        "verify", "--config", str(config), "--out", str(tmp_path / "r.json"),
+        "--metrics", str(blocker / "m.json"),
+    ]))
+
+
+def _assert_cannot_write(res):
     assert res.exit_code == 2
     assert res.stderr.startswith("cannot write output: ")
     assert res.stderr.count("\n") == 1

@@ -9,6 +9,7 @@ from inarlab import (
     InarParams,
     PathEnsemble,
     SeedSpec,
+    binomial_pmf,
     check_construction_equivalence,
     check_innovation_independence,
     check_markov_property,
@@ -21,8 +22,12 @@ from inarlab import (
 )
 from inarlab import harness
 from inarlab.harness import (
+    MIN_STRATUM,
+    CheckReport,
     McConfig,
     _corrupted_innovation_check,
+    _pooled_gof_ratio,
+    job_seconds,
     nonmarkov_control_triplet,
 )
 from inarlab.errors import InvalidConfigError
@@ -87,6 +92,79 @@ class TestThinningConditional:
         k = dec.x.shape[1] - 1
         zero_rows = dec.x[:, k - 1] == 0
         assert np.all(dec.u[zero_rows, k] == 0)
+
+
+def _add_at_table(a, b):
+    """Contingency table tallied one observation at a time."""
+    table = np.zeros((int(a.max()) + 1, int(b.max()) + 1))
+    np.add.at(table, (a, b), 1.0)
+    return table
+
+
+def _thinning_reference(dec, params, significance=0.01):
+    """The thinning check with one mask per previous count."""
+    k = dec.x.shape[1] - 1
+    prev, surv = dec.x[:, k - 1], dec.u[:, k]
+    strata = [int(x) for x in np.unique(prev) if int((prev == x).sum()) >= MIN_STRATUM]
+    skipped = int(np.unique(prev).size) - len(strata)
+    worst, tested = 0.0, 0
+    alpha = significance / max(1, len(strata))
+    for x in strata:
+        sel = surv[prev == x]
+        if x == 0:
+            if np.any(sel != 0):
+                worst = max(worst, harness.ERROR_STATISTIC)
+            continue
+        counts = np.bincount(sel, minlength=x + 1)
+        probs = binomial_pmf(x, params.a).probs
+        if counts.size > probs.size:
+            worst = max(worst, harness.ERROR_STATISTIC)
+            continue
+        ratio = _pooled_gof_ratio(counts, probs[: counts.size], alpha)
+        if ratio is not None:
+            worst, tested = max(worst, ratio), tested + 1
+    return CheckReport(
+        "thinning-conditional", "decomposition",
+        {"a": params.a, "index": k, "strata_tested": tested, "strata_skipped": skipped},
+        worst, 1.0, "monte-carlo", seed=None,
+        note=f"{skipped} strata below {MIN_STRATUM} observations skipped",
+    )
+
+
+TALLY_RUNS = [  # (params, path length, paths, seed)
+    (InarParams(a=0.5, lam=1.0), 6, 20_000, SeedSpec(41)),
+    (InarParams(a=0.3, lam=2.0), 3, 15_000, SeedSpec(42, 3)),
+    (InarParams(a=0.8, lam=0.5), 9, 12_000, SeedSpec(43, 1)),
+]
+
+
+class TestTallies:
+    @pytest.mark.parametrize("run", TALLY_RUNS, ids=["seed41", "seed42", "seed43"])
+    def test_tables_equal_the_add_at_reference(self, run, monkeypatch):
+        params, length, n_paths, seed = run
+        _, dec = simulate_inar_direct(params, length, n_paths, seed)
+        seen = []
+        ratio = harness._contingency_ratio
+        monkeypatch.setattr(
+            harness, "_contingency_ratio", lambda t, alpha: seen.append(t) or ratio(t, alpha)
+        )
+        check_innovation_independence(dec)
+        _corrupted_innovation_check(params, dec, 0, 0.01)
+        k = length - 1
+        bumped = dec.v[:, k] + (dec.x[:, k - 1] > params.stationary_mean)
+        pairs = [(dec.x[:, k - 1], dec.v[:, k]), (dec.u[:, k], dec.v[:, k]),
+                 (dec.v[:, k - 1], dec.v[:, k]), (dec.x[:, k - 1], bumped)]
+        assert len(seen) == len(pairs)
+        for table, (a, b) in zip(seen, pairs):
+            assert np.array_equal(table.astype(np.float64), _add_at_table(a, b))
+
+    @pytest.mark.parametrize("run", TALLY_RUNS, ids=["seed41", "seed42", "seed43"])
+    def test_thinning_report_equals_the_per_stratum_reference(self, run):
+        params, length, n_paths, seed = run
+        _, dec = simulate_inar_direct(params, length, n_paths, seed)
+        rep = check_thinning_conditional(dec, params)
+        assert rep.params["strata_skipped"] > 0 and rep.params["strata_tested"] > 0
+        assert rep.to_dict() == _thinning_reference(dec, params).to_dict()
 
 
 class TestConstructionEquivalence:
@@ -264,6 +342,20 @@ class TestRunAll:
             r"at inarlab\.harness:run_job:\d+",
             errored["lemma-checks"].note,
         )
+
+    def test_job_seconds_name_every_job_and_leave_reports_alone(self, small_config):
+        plain = reports_to_json(run_all(small_config), small_config)
+        for threads in (1, 2):
+            with job_seconds() as seconds:
+                timed = reports_to_json(run_all(small_config, threads), small_config)
+            assert timed == plain
+            assert sorted(seconds) == [
+                "direct-mc[0.5,1.0]", "equivalence[0.5,1.0]", "lemma-checks",
+                "markov-triplets[0.5,1.0]", "stationary-exact[0.5,1.0]",
+            ]
+            assert all(s > 0.0 for s in seconds.values())
+        run_all(small_config)  # no collector is active: nothing is recorded
+        assert len(seconds) == 5
 
     def test_exact_checks_do_not_depend_on_seed(self, small_config):
         other = McConfig(
