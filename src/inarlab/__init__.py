@@ -45,7 +45,6 @@ from .harness import (
     check_markov_property,
     check_stationary_marginal,
     check_thinning_conditional,
-    job_seconds,
     reports_to_json,
     run_all,
 )

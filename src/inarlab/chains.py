@@ -715,12 +715,10 @@ def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:
             block = paths[b]
             r = block.shape[0]
             g, m, q, d, nz = grid[:r], mag[:r], quot[:r], digit[:r], live[:r]
-            if lo < 0:
-                np.abs(block, out=m, casting="unsafe")  # |int64 min| reads as 2**63 in uint64
+            np.abs(block, out=m, casting="unsafe")  # |int64 min| reads as 2**63 in uint64
+            if lo < 0:  # otherwise the sign bytes stay zero and are deleted with the others
                 np.less(block, 0, out=g[:, :, 0])
                 g[:, :, 0] *= ord("-")
-            else:  # the sign bytes stay zero and are deleted with the others
-                np.copyto(m, block, casting="unsafe")
             for col in range(width, 0, -1):
                 np.floor_divide(m, 10, out=q)
                 np.multiply(q, 10, out=d)

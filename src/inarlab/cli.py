@@ -41,7 +41,7 @@ from .errors import (
     ResourceLimitError,
     SamplingBudgetError,
 )
-from .harness import McConfig, job_seconds, reports_to_json, run_all
+from .harness import McConfig, _job_seconds, reports_to_json, run_all
 from .mixing import (
     fit_decay_rate,
     gap_for_epsilon,
@@ -381,7 +381,7 @@ def verify(config_path, seed, paths, significance, negative_controls, threads, o
         click.echo(f"malformed config: {exc}", err=True)
         sys.exit(EXIT_USAGE)
 
-    with job_seconds() as seconds:
+    with _job_seconds() as seconds:
         start = time.perf_counter()
         reports = run_all(config, threads=max(1, threads))
         wall = time.perf_counter() - start

@@ -67,7 +67,6 @@ __all__ = [
     "check_construction_equivalence",
     "check_markov_property",
     "run_all",
-    "job_seconds",
     "reports_to_json",
 ]
 
@@ -196,10 +195,17 @@ def _pooled_gof_ratio(
 
 
 def _pair_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Counts of the pairs (a[i], b[i]): rows 0..max(a), columns 0..max(b)."""
-    rows, cols = int(a.max()) + 1, int(b.max()) + 1
-    keys = a * cols
-    keys += b  # in place: one path-sized temporary, not two
+    """Counts of the pairs (a[i], b[i]) over the observed ranges.
+
+    Entry [i, j] counts the pairs (a.min() + i, b.min() + j), so the table
+    grows with the spread of the counts, not with their size.
+    """
+    a_lo, b_lo = int(a.min()), int(b.min())
+    rows, cols = int(a.max()) - a_lo + 1, int(b.max()) - b_lo + 1
+    keys = a - a_lo
+    keys *= cols  # in place: one path-sized temporary
+    keys += b
+    keys -= b_lo
     return np.bincount(keys, minlength=rows * cols).reshape(rows, cols)
 
 
@@ -356,21 +362,24 @@ def check_thinning_conditional(
     k = decomposition.x.shape[1] - 1
     if k < 1:
         raise InvalidConfigError("need at least two time indices")
-    table = _pair_counts(decomposition.x[:, k - 1], decomposition.u[:, k])
+    prev, surv = decomposition.x[:, k - 1], decomposition.u[:, k]
+    x_lo, s_lo = int(prev.min()), int(surv.min())
+    table = _pair_counts(prev, surv)
     sizes = table.sum(axis=1)  # observations per previous count
-    strata = np.flatnonzero(sizes >= MIN_STRATUM).tolist()
+    strata = (x_lo + np.flatnonzero(sizes >= MIN_STRATUM)).tolist()
     skipped = int(np.count_nonzero(sizes)) - len(strata)
     worst = 0.0
     tested = 0
     alpha = significance / max(1, len(strata))
     for x in strata:
+        # survivor counts 0..max(x, largest observed), as bincount would size them
+        row = np.trim_zeros(table[x - x_lo], "b")
+        counts = np.zeros(max(x + 1, s_lo + row.size), dtype=row.dtype)
+        counts[s_lo:s_lo + row.size] = row
         if x == 0:
-            if table[0, 1:].any():
+            if counts[1:].any():
                 worst = max(worst, ERROR_STATISTIC)
             continue
-        # survivor counts 0..max(x, largest observed), as bincount would size them
-        counts = np.trim_zeros(table[x], "b")
-        counts = np.pad(counts, (0, max(0, x + 1 - counts.size)))
         probs = binomial_pmf(x, params.a).probs
         if counts.size > probs.size:  # impossible survivor counts
             worst = max(worst, ERROR_STATISTIC)
@@ -628,11 +637,11 @@ def _origin(exc: BaseException) -> str:
     return f"{module}:{function}:{line}"
 
 
-_JOB_SECONDS: ContextVar[dict[str, float] | None] = ContextVar("job_seconds", default=None)
+_JOB_SECONDS: ContextVar[dict[str, float] | None] = ContextVar("_job_seconds", default=None)
 
 
 @contextmanager
-def job_seconds() -> Iterator[dict[str, float]]:
+def _job_seconds() -> Iterator[dict[str, float]]:
     """Collect the wall seconds of the campaign jobs ``run_all`` runs in this block.
 
     The yielded dict maps each job name to its seconds, summed over jobs

@@ -1,6 +1,7 @@
 """Tests for the verification campaign machinery."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from inarlab.harness import (
     CheckReport,
     McConfig,
     _corrupted_innovation_check,
+    _job_seconds,
     _pooled_gof_ratio,
-    job_seconds,
     nonmarkov_control_triplet,
 )
 from inarlab.errors import InvalidConfigError
@@ -94,10 +95,12 @@ class TestThinningConditional:
         assert np.all(dec.u[zero_rows, k] == 0)
 
 
-def _add_at_table(a, b):
-    """Contingency table tallied one observation at a time."""
-    table = np.zeros((int(a.max()) + 1, int(b.max()) + 1))
-    np.add.at(table, (a, b), 1.0)
+def _add_at_table(a, b, lo=None):
+    """Contingency table tallied one observation at a time; entry [i, j]
+    counts the pairs (a_lo + i, b_lo + j), from the minima by default."""
+    a_lo, b_lo = (int(a.min()), int(b.min())) if lo is None else lo
+    table = np.zeros((int(a.max()) - a_lo + 1, int(b.max()) - b_lo + 1))
+    np.add.at(table, (a - a_lo, b - b_lo), 1.0)
     return table
 
 
@@ -135,11 +138,13 @@ TALLY_RUNS = [  # (params, path length, paths, seed)
     (InarParams(a=0.5, lam=1.0), 6, 20_000, SeedSpec(41)),
     (InarParams(a=0.3, lam=2.0), 3, 15_000, SeedSpec(42, 3)),
     (InarParams(a=0.8, lam=0.5), 9, 12_000, SeedSpec(43, 1)),
+    (InarParams(a=0.9, lam=20.0), 4, 20_000, SeedSpec(44)),  # no count reaches 0
 ]
+TALLY_IDS = ["seed41", "seed42", "seed43", "seed44-far-from-zero"]
 
 
 class TestTallies:
-    @pytest.mark.parametrize("run", TALLY_RUNS, ids=["seed41", "seed42", "seed43"])
+    @pytest.mark.parametrize("run", TALLY_RUNS, ids=TALLY_IDS)
     def test_tables_equal_the_add_at_reference(self, run, monkeypatch):
         params, length, n_paths, seed = run
         _, dec = simulate_inar_direct(params, length, n_paths, seed)
@@ -157,14 +162,31 @@ class TestTallies:
         assert len(seen) == len(pairs)
         for table, (a, b) in zip(seen, pairs):
             assert np.array_equal(table.astype(np.float64), _add_at_table(a, b))
+            # the empty rows and columns below the minima change no statistic
+            assert ratio(table, 0.01) == ratio(_add_at_table(a, b, lo=(0, 0)), 0.01)
 
-    @pytest.mark.parametrize("run", TALLY_RUNS, ids=["seed41", "seed42", "seed43"])
+    @pytest.mark.parametrize("run", TALLY_RUNS, ids=TALLY_IDS)
     def test_thinning_report_equals_the_per_stratum_reference(self, run):
         params, length, n_paths, seed = run
         _, dec = simulate_inar_direct(params, length, n_paths, seed)
         rep = check_thinning_conditional(dec, params)
         assert rep.params["strata_skipped"] > 0 and rep.params["strata_tested"] > 0
         assert rep.to_dict() == _thinning_reference(dec, params).to_dict()
+
+    def test_tables_grow_with_the_spread_not_the_size_of_the_counts(self):
+        """At a = 0.95, lambda = 150 the counts sit near 3000 with a spread of a few
+        hundred; tables from zero would take about 80 MB for the thinning check."""
+        params = InarParams(a=0.95, lam=150.0)
+        _, dec = simulate_inar_direct(params, 2, 50_000, SeedSpec(45))
+        tracemalloc.start()
+        try:
+            rep = check_thinning_conditional(dec, params)
+            check_innovation_independence(dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.params["strata_tested"] > 0
+        assert peak < 4 * 2**20
 
 
 class TestConstructionEquivalence:
@@ -346,7 +368,7 @@ class TestRunAll:
     def test_job_seconds_name_every_job_and_leave_reports_alone(self, small_config):
         plain = reports_to_json(run_all(small_config), small_config)
         for threads in (1, 2):
-            with job_seconds() as seconds:
+            with _job_seconds() as seconds:
                 timed = reports_to_json(run_all(small_config, threads), small_config)
             assert timed == plain
             assert sorted(seconds) == [
