@@ -64,6 +64,7 @@ __all__ = [
     "write_ensemble_csv",
 ]
 
+DEFAULT_SUPERPOSITION_BUDGET = 1e-9  # neglected mean mass a default depth may leave
 _BLOCK_CELLS = 1 << 16  # cells per row block when checking or writing ensembles
 # Largest stationary mean the simulators accept.  numpy refuses Poisson means
 # above about 9.2e18, and sums of counts near 2**63 would overflow int64.
@@ -193,7 +194,7 @@ class SuperpositionConfig:
     """
 
     depth: int
-    tail_budget: float = 1e-9
+    tail_budget: float = DEFAULT_SUPERPOSITION_BUDGET
 
     def __post_init__(self):
         if self.depth < 1:
@@ -218,7 +219,9 @@ class SuperpositionConfig:
             )
 
     @classmethod
-    def for_budget(cls, params: InarParams, tail_budget: float = 1e-9) -> "SuperpositionConfig":
+    def for_budget(
+        cls, params: InarParams, tail_budget: float = DEFAULT_SUPERPOSITION_BUDGET
+    ) -> "SuperpositionConfig":
         """Smallest depth meeting the neglected-mean budget."""
         if not (0.0 < tail_budget < 1.0):
             raise InvalidConfigError("tail_budget must lie in (0, 1)")
@@ -559,12 +562,6 @@ class TupleLaw:
         mass = self.mass.sum(axis=rest) if rest else self.mass
         return mass.transpose([kept.index(p) for p in positions])
 
-    def marginal(self, index: int) -> Pmf:
-        """Single-coordinate marginal as a Pmf (lost mass goes to the tail)."""
-        probs = self._sum_to([self.indices.index(index)])
-        probs = probs[: np.nonzero(probs > 0.0)[0][-1] + 1]
-        return Pmf(probs, max(0.0, 1.0 - math.fsum(probs.tolist())))
-
     def split(
         self, s_indices: Sequence[int], t_indices: Sequence[int]
     ) -> JointPmf:
@@ -574,7 +571,8 @@ class TupleLaw:
         the kept mass is renormalized to 1 so the result is a valid joint
         (the discarded mass is already reported as truncation_error).
         Rows and columns are the positive-mass tuples of S and T, in
-        lexicographic order; they carry no labels.
+        lexicographic order; they carry no labels.  A law whose cap keeps
+        no mass at all is refused as a resource limit.
         """
         s_pos = [self.indices.index(i) for i in sorted(s_indices)]
         t_pos = [self.indices.index(i) for i in sorted(t_indices)]
@@ -587,6 +585,8 @@ class TupleLaw:
         # compress keeps the C order that the renormalizing sum reads in
         mass = mass.compress(mass.sum(axis=1) > 0.0, axis=0)
         mass = mass.compress(mass.sum(axis=0) > 0.0, axis=1)
+        if not mass.size:
+            raise ResourceLimitError(f"cap {support - 1} keeps none of the mass; raise the cap")
         mass /= mass.sum()
         return JointPmf(mass)
 

@@ -41,7 +41,7 @@ from .errors import (
     ResourceLimitError,
     SamplingBudgetError,
 )
-from .harness import McConfig, _job_seconds, reports_to_json, run_all
+from .harness import DEFAULT_ROOT_SEED, McConfig, _job_seconds, reports_to_json, run_all
 from .mixing import (
     fit_decay_rate,
     gap_for_epsilon,
@@ -49,12 +49,13 @@ from .mixing import (
     rho_star_window,
 )
 from .dependence import maximal_correlation
-from .pmf import SeedSpec
+from .pmf import DEFAULT_TAIL_BUDGET, SeedSpec
 from .serialize import dumps
 
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+DEFAULT_MAX_ESCAPE = 1e-9  # truncated mass an exact command tolerates by default
 
 SIM_CONSTRUCTIONS = (
     "direct",
@@ -192,7 +193,7 @@ def main():
 @click.option("--paths", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--stream", type=int, default=0, show_default=True)
-@click.option("--tail-budget", type=float, default=1e-12, show_default=True)
+@click.option("--tail-budget", type=float, default=DEFAULT_TAIL_BUDGET, show_default=True)
 @click.option(
     "--out",
     envvar="INARLAB_OUT",
@@ -240,8 +241,8 @@ def simulate(construction, opts, length, paths, seed, stream, tail_budget, out):
 @_with_params
 @click.option("--n-max", type=int, default=6, show_default=True)
 @click.option("--cap", type=int, default=100, show_default=True)
-@click.option("--tail-budget", type=float, default=1e-12, show_default=True)
-@click.option("--max-escape", type=float, default=1e-9, show_default=True,
+@click.option("--tail-budget", type=float, default=DEFAULT_TAIL_BUDGET, show_default=True)
+@click.option("--max-escape", type=float, default=DEFAULT_MAX_ESCAPE, show_default=True,
               help="Largest tolerated truncated mass per entry.")
 @click.option("--out", default=None, help="Output file; default stdout.")
 @_exit_on_errors
@@ -274,8 +275,8 @@ def rho(construction, opts, n_max, cap, tail_budget, max_escape, out):
 @click.option("--width", "-W", type=int, required=True, help="Window width (maximum 8).")
 @click.option("--gap", "-n", "gap", type=int, required=True, help="Minimum separation.")
 @click.option("--cap", type=int, default=30, show_default=True)
-@click.option("--tail-budget", type=float, default=1e-12, show_default=True)
-@click.option("--max-escape", type=float, default=1e-9, show_default=True,
+@click.option("--tail-budget", type=float, default=DEFAULT_TAIL_BUDGET, show_default=True)
+@click.option("--max-escape", type=float, default=DEFAULT_MAX_ESCAPE, show_default=True,
               help="Largest tolerated truncated mass of a window law.")
 @click.option("--out", default=None)
 @_exit_on_errors
@@ -314,7 +315,7 @@ def gap(a, epsilon, bound_name, out):
 @click.argument("construction", type=click.Choice(CHAIN_CONSTRUCTIONS))
 @_with_params
 @click.option("--at", type=int, required=True, help="Time index of the marginal.")
-@click.option("--tail-budget", type=float, default=1e-12, show_default=True)
+@click.option("--tail-budget", type=float, default=DEFAULT_TAIL_BUDGET, show_default=True)
 @click.option("--out", default=None)
 @_exit_on_errors
 def marginal(construction, opts, at, tail_budget, out):
@@ -373,7 +374,7 @@ def verify(config_path, seed, paths, significance, negative_controls, threads, o
     if negative_controls is not None:
         fields["negative_controls"] = negative_controls
 
-    root_seed = fields.pop("root_seed", 20170825)
+    root_seed = fields.pop("root_seed", DEFAULT_ROOT_SEED)
     stream_index = fields.pop("stream_index", 0)
     try:
         config = McConfig(seed=SeedSpec(root_seed, stream_index), **fields)

@@ -46,7 +46,14 @@ from .chains import (
 from .dependence import TripletPmf, markov_triplet_residual
 from .errors import InvalidConfigError, InvalidParameterError
 from .mixing import verify_absorbing_split, verify_indicator_bound
-from .pmf import SeedSpec, binomial_pmf, binomial_table, poisson_pmf, total_variation
+from .pmf import (
+    DEFAULT_TAIL_BUDGET,
+    SeedSpec,
+    binomial_pmf,
+    binomial_table,
+    poisson_pmf,
+    total_variation,
+)
 from .serialize import dumps
 
 DEFAULT_A_GRID = (0.3, 0.5, 0.7)
@@ -57,6 +64,9 @@ EXACT_STEPS = 20  # kernel pushes in the exact stationarity check
 MIN_STRATUM = 200  # smallest conditioning stratum the thinning check tests
 MARKOV_CAP = 12  # state cap of the exact Markov-triplet constructions
 INNOVATION_BUDGET = 1e-10  # tail budget of the innovation laws in the triplets
+EXACT_THRESHOLD = 1e-10  # largest statistic an exact check passes with
+DEFAULT_SIGNIFICANCE = 0.01  # level of every Monte Carlo test
+DEFAULT_ROOT_SEED = 20170825
 
 __all__ = [
     "McConfig",
@@ -84,9 +94,9 @@ class McConfig:
 
     n_paths: int = 100_000
     path_length: int = 32
-    seed: SeedSpec = field(default_factory=lambda: SeedSpec(20170825))
-    significance: float = 0.01
-    truncation_budget: float = 1e-12
+    seed: SeedSpec = field(default_factory=lambda: SeedSpec(DEFAULT_ROOT_SEED))
+    significance: float = DEFAULT_SIGNIFICANCE
+    truncation_budget: float = DEFAULT_TAIL_BUDGET
     a_grid: tuple[float, ...] = DEFAULT_A_GRID
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     negative_controls: bool = False
@@ -254,17 +264,17 @@ def _empirical_tv_threshold(probs: np.ndarray, n: int, alpha: float) -> float:
 def check_stationary_marginal(
     ensemble: PathEnsemble | None,
     params: InarParams,
-    significance: float = 0.01,
-    truncation_budget: float = 1e-12,
+    significance: float = DEFAULT_SIGNIFICANCE,
+    truncation_budget: float = DEFAULT_TAIL_BUDGET,
     target_mean: float | None = None,
 ) -> CheckReport:
     """Marginal law at every time index should be the stationary Poisson.
 
     With ``ensemble=None`` the check is exact: the stationary law is pushed
     through the kernel repeatedly and the worst total-variation distance is
-    compared against 1e-10.  Otherwise the empirical laws at three time
-    indices face a pooled chi-square test.  ``target_mean`` overrides the
-    comparison law (used by the wrong-mean negative control).
+    compared against ``EXACT_THRESHOLD``.  Otherwise the empirical laws at
+    three time indices face a pooled chi-square test.  ``target_mean``
+    overrides the comparison law (used by the wrong-mean negative control).
     """
     mean = params.stationary_mean if target_mean is None else target_mean
     if ensemble is None:
@@ -280,7 +290,7 @@ def check_stationary_marginal(
             "inar-kernel",
             {"a": params.a, "lambda": params.lam, "steps": EXACT_STEPS},
             worst,
-            1e-10,
+            EXACT_THRESHOLD,
             "exact",
             budget=law.tail_mass,
         )
@@ -312,7 +322,7 @@ def check_stationary_marginal(
 def check_innovation_independence(
     decomposition: InnovationDecomposition,
     seed_index: int | None = None,
-    significance: float = 0.01,
+    significance: float = DEFAULT_SIGNIFICANCE,
 ) -> CheckReport:
     """The innovation at the last time index must be independent of the
     previous count, the concurrent survivor count, and the previous
@@ -351,7 +361,7 @@ def check_thinning_conditional(
     decomposition: InnovationDecomposition,
     params: InarParams,
     seed_index: int | None = None,
-    significance: float = 0.01,
+    significance: float = DEFAULT_SIGNIFICANCE,
 ) -> CheckReport:
     """Given the previous count x, survivors at the last time index must be
     Binomial(x, a).
@@ -404,8 +414,8 @@ def check_construction_equivalence(
     params: InarParams,
     n_paths: int,
     seed: SeedSpec,
-    significance: float = 0.01,
-    truncation_budget: float = 1e-12,
+    significance: float = DEFAULT_SIGNIFICANCE,
+    truncation_budget: float = DEFAULT_TAIL_BUDGET,
     perturb_a: float = 0.0,
 ) -> CheckReport:
     """The superposition construction must reproduce the exact window law.
@@ -463,18 +473,10 @@ def check_construction_equivalence(
 
 
 def _kernel_triplet(params: InarParams, tail_budget: float) -> TripletPmf:
-    """Joint of ((X0, X1), X1, X2) from kernel products; Markov by structure."""
+    """Window law of (X0, X1, X2), renormalized; Markov by structure."""
     spec = inar_kernel(params, tail_budget)
-    first = transition_matrix(spec, min(MARKOV_CAP, spec.state_cap))
-    second = transition_matrix(spec, first.shape[1] - 1)
-    top, b_size = first.shape
-    path = spec.initial.probs[:top, None, None] * first[:, :, None] * second
-    mass = np.zeros((top, b_size, b_size, second.shape[1]))
-    x1 = np.arange(b_size)
-    mass[:, x1, x1, :] = path  # the middle coordinate repeats X1
-    mass = mass.reshape(top * b_size, b_size, -1)
-    mass /= mass.sum()
-    return TripletPmf(mass)
+    law = window_joint_pmf(spec, (0, 1, 2), min(MARKOV_CAP, spec.state_cap))
+    return TripletPmf(law.mass / law.mass.sum())
 
 
 def _decomposition_triplet(params: InarParams, tail_budget: float) -> TripletPmf:
@@ -524,10 +526,10 @@ def nonmarkov_control_triplet() -> TripletPmf:
 
 
 def check_markov_property(
-    params: InarParams, truncation_budget: float = 1e-12
+    params: InarParams, truncation_budget: float = DEFAULT_TAIL_BUDGET
 ) -> CheckReport:
     """All exact conditional-independence constructions must have residual
-    at or below 1e-10."""
+    at or below ``EXACT_THRESHOLD``."""
     residuals = {
         "kernel-window": markov_triplet_residual(
             _kernel_triplet(params, truncation_budget)
@@ -545,7 +547,7 @@ def check_markov_property(
         {"a": params.a, "lambda": params.lam, "cap": MARKOV_CAP,
          "residuals": residuals},
         max(residuals.values()),
-        1e-10,
+        EXACT_THRESHOLD,
         "exact",
     )
 
@@ -621,7 +623,7 @@ def _nonmarkov_control() -> CheckReport:
         "two-step-memory",
         {},
         markov_triplet_residual(nonmarkov_control_triplet()),
-        1e-10,
+        EXACT_THRESHOLD,
         "exact",
         note="documented non-Markov construction; expected to fail",
     )

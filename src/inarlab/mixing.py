@@ -207,10 +207,10 @@ def rho_star_window(
 def lag_joint(spec: MarkovChainSpec, n: int, cap: int) -> tuple[JointPmf, float]:
     """Exact joint of (state at 0, state at n) under the chain's initial law.
 
-    The window law of the indices (0, n), renormalized; the escaped
-    (truncated) mass is returned alongside.  A cap whose square table would
-    exceed ``DEFAULT_EXPLOSION_LIMIT`` cells is refused before the kernel
-    table is built.  The one-gap case of :func:`lag_joints`.
+    The split of the (0, n) window law; the escaped (truncated) mass is
+    returned alongside.  A cap whose square table would exceed
+    ``DEFAULT_EXPLOSION_LIMIT`` cells is refused before the kernel table is
+    built.  The one-gap case of :func:`lag_joints`.
     """
     return next(lag_joints(spec, [n], cap))
 
@@ -233,14 +233,10 @@ def lag_joints(
             f"lag joint could hold up to {(cap + 1) ** 2} atoms "
             f"(limit {DEFAULT_EXPLOSION_LIMIT}); shrink the cap"
         )
-    return _renormalized(_window_laws(spec, [(0, n) for n in gaps], cap))
-
-
-def _renormalized(laws: Iterator[TupleLaw]) -> Iterator[tuple[JointPmf, float]]:
-    """Each law's mass renormalized to 1, with the mass it lost."""
-    for law in laws:
-        kept = math.fsum(law.mass[law.mass != 0.0].tolist())  # zeros add nothing
-        yield JointPmf(law.mass / kept), law.truncation_error
+    return (
+        (law.split(law.indices[:1], law.indices[1:]), law.truncation_error)
+        for law in _window_laws(spec, [(0, n) for n in gaps], cap)
+    )
 
 
 def rho_markov(spec: MarkovChainSpec, n: int, cap: int) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -451,6 +452,26 @@ class TestHugeMeans:
         res = runner.invoke(main, args)
         assert res.exit_code == 2
         assert res.stderr.startswith("invalid parameters: mean")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["rho", "death-poisson", "--lambda", "3000", "--a", "0.5", "--cap", "5"],
+            ["rho-star", "death-binomial", "--n", "1000", "--p", "0.9999999999999999",
+             "--a", "0.5", "-W", "2", "-n", "1", "--cap", "1"],
+        ],
+        ids=["rho", "rho-star"],
+    )
+    def test_cap_that_keeps_no_mass_exits_3(self, runner, args):
+        # every state up to the cap underflows to probability 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, args)
+        assert caught == []
+        assert res.exit_code == 3
+        assert res.stderr == (
+            f"resource limit: cap {args[-1]} keeps none of the mass; raise the cap\n"
+        )
 
 
 class TestGap:
