@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dependence import DEFAULT_EXPLOSION_LIMIT, JointPmf
+from .dependence import DEFAULT_EXPLOSION_LIMIT, JointPmf, _require_finite_nonnegative
 from .errors import (
     ExplosionLimitError,
     InvalidConfigError,
@@ -204,7 +204,7 @@ class SuperpositionConfig:
 
     @property
     def effective_warmup(self) -> int:
-        """Always ``depth``; ``benchmarks/layers.py`` reads it until ROADMAP item 3."""
+        """Always ``depth``; ``benchmarks/layers.py`` reads it until ROADMAP item 5."""
         return self.depth
 
     def neglected_mean(self, params: InarParams) -> float:
@@ -545,6 +545,12 @@ class TupleLaw:
     mass: np.ndarray
     truncation_error: float
 
+    def __post_init__(self):
+        # the one mass check that every split of this law relies on
+        mass = np.asarray(self.mass, dtype=np.float64)
+        _require_finite_nonnegative(mass)
+        object.__setattr__(self, "mass", mass)
+
     @cached_property
     def atoms(self) -> Mapping[tuple[int, ...], float]:
         """Positive-probability tuples in lexicographic order (read-only)."""
@@ -588,7 +594,7 @@ class TupleLaw:
         if not mass.size:
             raise ResourceLimitError(f"cap {support - 1} keeps none of the mass; raise the cap")
         mass /= mass.sum()
-        return JointPmf(mass)
+        return JointPmf._checked(mass)
 
 
 def require_window_atoms(cap: int, count: int) -> None:

@@ -152,12 +152,21 @@ def _write_output(text: str, out: str | None) -> None:
             Path(out).write_text(text, encoding="utf-8")
 
 
-def _run_metrics(seconds: dict, wall: float) -> dict:
-    """The ``verify --metrics`` sidecar; none of it enters the report."""
+def _run_metrics(wall: float, **extra) -> dict:
+    """A ``--metrics`` sidecar: wall seconds, peak RSS and any ``extra`` keys.
+
+    None of it enters the command's own output.
+    """
     import resource  # loaded only by a run that writes the sidecar
 
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-    return {"job_wall_s": seconds, "wall_s": wall, "peak_rss_mb": peak_kib / 1024.0}
+    return {"wall_s": wall, "peak_rss_mb": peak_kib / 1024.0, **extra}
+
+
+metrics_option = click.option(
+    "--metrics", "metrics_out", default=None,
+    help="Also write timings and peak RSS to this JSON file.",
+)
 
 
 param_options = [
@@ -245,9 +254,13 @@ def simulate(construction, opts, length, paths, seed, stream, tail_budget, out):
 @click.option("--max-escape", type=float, default=DEFAULT_MAX_ESCAPE, show_default=True,
               help="Largest tolerated truncated mass per entry.")
 @click.option("--out", default=None, help="Output file; default stdout.")
+@metrics_option
 @_exit_on_errors
-def rho(construction, opts, n_max, cap, tail_budget, max_escape, out):
+def rho(construction, opts, n_max, cap, tail_budget, max_escape, out, metrics_out):
     """Past/future maximal correlation across gaps 1..n-max, plus a decay fit."""
+    start = time.perf_counter()
+    if n_max < 1:
+        raise InvalidParameterError("--n-max must be a positive integer")
     spec = _chain_spec(construction, opts, tail_budget)
     entries = []
     gaps = range(1, n_max + 1)
@@ -266,7 +279,10 @@ def rho(construction, opts, n_max, cap, tail_budget, max_escape, out):
         "entries": entries,
         "fit": fit_payload,
     }
+    wall = time.perf_counter() - start
     _write_output(dumps(payload), out)
+    if metrics_out is not None:
+        _write_output(dumps(_run_metrics(wall)), metrics_out)
 
 
 @main.command(name="rho-star")
@@ -279,9 +295,11 @@ def rho(construction, opts, n_max, cap, tail_budget, max_escape, out):
 @click.option("--max-escape", type=float, default=DEFAULT_MAX_ESCAPE, show_default=True,
               help="Largest tolerated truncated mass of a window law.")
 @click.option("--out", default=None)
+@metrics_option
 @_exit_on_errors
-def rho_star(construction, opts, width, gap, cap, tail_budget, max_escape, out):
+def rho_star(construction, opts, width, gap, cap, tail_budget, max_escape, out, metrics_out):
     """Exact interlaced coefficient over a finite window, with attaining pair."""
+    start = time.perf_counter()
     spec = _chain_spec(construction, opts, tail_budget)
     scan = rho_star_window(spec, width, gap, cap)
     _require_escape_within(scan.truncation_error, cap, max_escape)
@@ -295,7 +313,10 @@ def rho_star(construction, opts, width, gap, cap, tail_budget, max_escape, out):
         if scan.best is None
         else {"s": list(scan.best.s), "t": list(scan.best.t)},
     }
+    wall = time.perf_counter() - start
     _write_output(dumps(payload), out)
+    if metrics_out is not None:
+        _write_output(dumps(_run_metrics(wall)), metrics_out)
 
 
 @main.command()
@@ -340,8 +361,7 @@ def marginal(construction, opts, at, tail_budget, out):
 @click.option("--negative-controls/--no-negative-controls", default=None)
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--out", default=None, help="Report file; default stdout.")
-@click.option("--metrics", "metrics_out", default=None,
-              help="Also write per-job wall seconds and peak RSS to this JSON file.")
+@metrics_option
 @_exit_on_errors
 def verify(config_path, seed, paths, significance, negative_controls, threads, out,
            metrics_out):
@@ -388,7 +408,7 @@ def verify(config_path, seed, paths, significance, negative_controls, threads, o
         wall = time.perf_counter() - start
     _write_output(reports_to_json(reports, config), out)
     if metrics_out is not None:
-        _write_output(dumps(_run_metrics(seconds, wall)), metrics_out)
+        _write_output(dumps(_run_metrics(wall, job_wall_s=seconds)), metrics_out)
     failures = [r for r in reports if not r.passed]
     if failures:
         for r in failures:

@@ -26,6 +26,9 @@ from .pmf import MASS_TOL, total_off_unit
 
 DEFAULT_ALPHABET_CAP = 12
 DEFAULT_EXPLOSION_LIMIT = 2_000_000
+# float64 cells (1 MiB) of transient work: the joints one batch of SVDs holds,
+# or one lambda event product.  It bounds memory; it refuses nothing.
+_WORK_BUDGET = 2**17
 
 __all__ = [
     "JointPmf",
@@ -38,12 +41,16 @@ __all__ = [
 ]
 
 
+def _require_finite_nonnegative(mass: np.ndarray) -> None:
+    if not np.isfinite(mass).all() or (mass < 0.0).any():
+        raise InvalidParameterError("mass entries must be finite and nonnegative")
+
+
 def _validate_mass(mass: np.ndarray, ndim: int) -> np.ndarray:
     mass = np.ascontiguousarray(mass, dtype=np.float64)
     if mass.ndim != ndim:
         raise InvalidParameterError(f"mass must be {ndim}-dimensional")
-    if not np.isfinite(mass).all() or (mass < 0.0).any():
-        raise InvalidParameterError("mass entries must be finite and nonnegative")
+    _require_finite_nonnegative(mass)
     total = total_off_unit(mass)
     if total is not None:
         raise InvalidParameterError(
@@ -66,6 +73,15 @@ class JointPmf:
 
     def __post_init__(self):
         object.__setattr__(self, "mass", _validate_mass(self.mass, 2))
+
+    @classmethod
+    def _checked(cls, mass: np.ndarray) -> JointPmf:
+        """A joint over a contiguous float64 matrix whose cells the caller
+        has already checked and whose total it has made 1; not validated again."""
+        mass.setflags(write=False)
+        joint = object.__new__(cls)
+        object.__setattr__(joint, "mass", mass)
+        return joint
 
     def row_marginal(self) -> np.ndarray:
         return self.mass.sum(axis=1)
@@ -117,7 +133,8 @@ def maximal_correlations(joints: Iterable[JointPmf]) -> list[float]:
     Joints are read lazily and held until their shape's group is flushed:
     each group is normalized straight into one stack and takes one
     ``np.linalg.svd`` call.  Every group is flushed once the held joints
-    reach ``DEFAULT_EXPLOSION_LIMIT`` cells, and at the end.
+    reach the work budget (2**17 cells, 1 MiB of float64), and at the end,
+    so the memory a batch holds does not grow with the number of joints.
     """
     values: list[float] = []
     pending: dict[tuple[int, int], list] = {}
@@ -129,7 +146,7 @@ def maximal_correlations(joints: Iterable[JointPmf]) -> list[float]:
             continue
         pending.setdefault(mass.shape, []).append((len(values) - 1, mass, rm, cm))
         cells += mass.size
-        if cells >= DEFAULT_EXPLOSION_LIMIT:
+        if cells >= _WORK_BUDGET:
             _flush(pending, values)
             cells = 0
     _flush(pending, values)
@@ -199,7 +216,8 @@ def lambda_coefficient(joint: JointPmf) -> float:
         return 0.0
     # stat[A, B] = (P(A&B) - P(A)P(B)) / sqrt(P(A)P(B)) = left[A] . right[B],
     # with left = [P(A&{c}) / sqrt(P(A)), -sqrt(P(A))] and
-    # right = [1{c in B} / sqrt(P(B)), sqrt(P(B))]: one product per chunk.
+    # right = [1{c in B} / sqrt(P(B)), sqrt(P(B))]: one product per chunk of
+    # columns B, each product within the work budget.
     # Every term is at most 1 in magnitude, so the error is O(n_c * eps).
     row_masks, pa = _half_events(rm)
     col_masks, pb = _half_events(cm)
@@ -208,7 +226,7 @@ def lambda_coefficient(joint: JointPmf) -> float:
     left = np.hstack([(row_masks @ mass) / sqrt_pa[:, None], -sqrt_pa[:, None]])
     right = np.hstack([col_masks / sqrt_pb[:, None], sqrt_pb[:, None]])
     best = 0.0
-    chunk = 1024
+    chunk = max(1, _WORK_BUDGET // left.shape[0])
     for start in range(0, right.shape[0], chunk):
         stat = left @ right[start : start + chunk].T
         best = max(best, float(stat.max()), -float(stat.min()))

@@ -18,6 +18,7 @@ from inarlab import (
     Pmf,
     SeedSpec,
     SuperpositionConfig,
+    TupleLaw,
     binomial_death_chain,
     binomial_pmf,
     check_construction_equivalence,
@@ -515,6 +516,13 @@ class TestWindowJointPmf:
         assert np.array_equal(law._sum_to([1, 0]), law.mass.sum(axis=2).T)
         split = law.split([0, 3], [1])
         assert split.mass.shape == (36, 6) and not np.shares_memory(split.mass, law.mass)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-3])
+    def test_law_with_a_nan_or_negative_cell_is_refused(self, bad):
+        mass = np.full((2, 2), 0.25)
+        mass[1, 0] = bad
+        with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
+            TupleLaw((0, 1), mass, 0.0)
 
     def test_death_chain_atoms_are_nonincreasing(self):
         chain = poisson_death_chain(2.0, 0.5)

@@ -351,6 +351,14 @@ class TestRho:
             "(limit 2000000); shrink the cap\n"
         )
 
+    @pytest.mark.parametrize("n_max", ["0", "-2"])
+    def test_n_max_below_one_exits_2(self, runner, n_max):
+        res = runner.invoke(
+            main, ["rho", "direct", "--a", "0.5", "--lambda", "1", "--n-max", n_max]
+        )
+        assert res.exit_code == 2
+        assert res.stderr == "invalid parameters: --n-max must be a positive integer\n"
+
     def test_subnormal_marginal_products_do_not_break_the_svd(self, runner):
         res = run(
             runner, "rho", "death-binomial", "--n", 60, "--p", 0.999999,
@@ -749,6 +757,27 @@ def test_unwritable_out_exits_2(runner, tmp_path, args):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     _assert_cannot_write(runner.invoke(main, args + ["--out", str(blocker / "out")]))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["rho", "direct", "--a", "0.5", "--lambda", "1", "--n-max", "3", "--cap", "30"],
+        ["rho-star", "indicator", "--p0", "0.5", "--a", "0.5", "-W", "4", "-n", "1"],
+    ],
+    ids=["rho", "rho-star"],
+)
+def test_exact_metrics_sidecar_leaves_the_output_bytes_alone(runner, tmp_path, args):
+    plain, out, metrics = (tmp_path / name for name in ("plain.json", "out.json", "m.json"))
+    stdout = run(runner, *args).stdout
+    assert json.loads(stdout)["config"]
+    assert run(runner, *args, "--metrics", metrics).stdout == stdout
+    run(runner, *args, "--out", plain)
+    run(runner, *args, "--out", out, "--metrics", metrics)
+    assert out.read_bytes() == plain.read_bytes() == stdout.encode()
+    sidecar = json.loads(metrics.read_text())
+    assert sorted(sidecar) == ["peak_rss_mb", "wall_s"]
+    assert sidecar["wall_s"] > 0.0 and sidecar["peak_rss_mb"] > 1.0
 
 
 def test_unwritable_metrics_exits_2(runner, tmp_path):

@@ -16,7 +16,6 @@ from inarlab import (
     maximal_correlations,
     tensor_combine,
 )
-from inarlab.dependence import DEFAULT_EXPLOSION_LIMIT
 from inarlab.errors import (
     AlphabetTooLargeError,
     ExplosionLimitError,
@@ -183,7 +182,7 @@ class TestMaximalCorrelation:
 class TestMaximalCorrelations:
     def test_batch_equals_the_one_joint_path_bitwise(self, monkeypatch):
         # Mixed shapes in one batch, null rows and columns, one-atom sides,
-        # and 2 x 200000 joints that push the held cells past the flush limit.
+        # and 2 x 200000 joints that push the held cells past the work budget.
         rng = np.random.default_rng(17)
         joints = []
         for k in range(120):
@@ -207,12 +206,16 @@ class TestMaximalCorrelations:
 
         flush = dependence._flush
         monkeypatch.setattr(dependence, "_flush", counting_flush)
-        batch = maximal_correlations(iter(joints))
-        assert sum(j.mass.size for j in joints) > DEFAULT_EXPLOSION_LIMIT
-        assert len(flushes) >= 2 and flushes[0] > 0
         one_by_one = [maximal_correlation(j) for j in joints]
-        assert batch == one_by_one == [svd_per_joint(j) for j in joints]
-        assert any(v == 0.0 for v in batch) and all(0.0 <= v <= 1.0 for v in batch)
+        assert one_by_one == [svd_per_joint(j) for j in joints]
+        assert sum(j.mass.size for j in joints) > dependence._WORK_BUDGET
+        # a budget of 3 cells flushes after almost every joint
+        for budget in (dependence._WORK_BUDGET, 3):
+            monkeypatch.setattr(dependence, "_WORK_BUDGET", budget)
+            flushes.clear()
+            assert maximal_correlations(iter(joints)) == one_by_one
+            assert len(flushes) >= 2 and flushes[0] > 0
+        assert any(v == 0.0 for v in one_by_one) and all(0.0 <= v <= 1.0 for v in one_by_one)
 
     def test_inconsistent_joint_in_a_batch_raises(self, monkeypatch):
         real_svd = np.linalg.svd
@@ -259,7 +262,7 @@ class TestLambdaCoefficient:
             assert lambda_coefficient(j) <= maximal_correlation(j) + 1e-10
 
     @pytest.mark.parametrize("shape", [(1, 3), (2, 5), (4, 4), (7, 3), (9, 12), (12, 12)])
-    def test_against_event_pair_enumeration(self, shape):
+    def test_against_event_pair_enumeration(self, monkeypatch, shape):
         # Cell masses spread from 1e-300 to 1, a few cells exactly zero
         # (one whole row for the larger shapes, so a null atom is dropped).
         rng = np.random.default_rng(sum(shape))
@@ -270,7 +273,11 @@ class TestLambdaCoefficient:
                 mass[0] = 0.0
             mass.flat[int(np.argmax(mass))] += 1.0  # never all zero
             j = JointPmf(mass / math.fsum(mass.ravel().tolist()))
-            assert abs(lambda_coefficient(j) - lambda_by_event_pairs(j.mass)) <= 1e-12
+            want = lambda_by_event_pairs(j.mass)
+            # a budget of 3 cells takes one event column per product
+            for budget in (dependence._WORK_BUDGET, 3):
+                monkeypatch.setattr(dependence, "_WORK_BUDGET", budget)
+                assert abs(lambda_coefficient(j) - want) <= 1e-12
 
     def test_one_atom_side_is_exactly_zero(self):
         assert lambda_coefficient(JointPmf(np.array([[0.6, 0.4]]))) == 0.0
@@ -296,8 +303,11 @@ class TestLambdaCoefficient:
         assert abs(lambda_coefficient(j) - lambda_by_event_pairs(j.mass)) <= 1e-12
 
     def test_full_alphabet_peak_memory(self):
-        # One 4095 x 1024 float product per chunk is 33.5 MB; a second
-        # chunk-sized temporary would push the peak past the limit.
+        # One product holds at most the work budget (1 MiB of float64), and
+        # the half-event tables of a 12 x 12 joint (about 2048 events a side)
+        # take under 1 MB beside it.  A second product-sized temporary, or
+        # products sized by the event count (2048 x 1024 cells, 16.8 MB),
+        # would break the bound.
         j = JointPmf(np.random.default_rng(3).dirichlet(np.ones(144)).reshape(12, 12))
         tracemalloc.start()
         try:
@@ -305,7 +315,7 @@ class TestLambdaCoefficient:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48e6
+        assert peak < 8 * dependence._WORK_BUDGET + 1.5e6
 
     def test_alphabet_cap(self):
         j = JointPmf(np.full((13, 2), 1.0 / 26.0))

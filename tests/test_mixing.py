@@ -1,11 +1,12 @@
 """Tests for window enumeration, mixing coefficients, and gap certificates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from inarlab import chains, mixing
+from inarlab import chains, dependence, mixing
 from inarlab import (
     InarParams,
     binomial_death_chain,
@@ -209,6 +210,19 @@ class TestRhoStarWindow:
         with pytest.raises(ExplosionLimitError, match="28629151 atoms"):
             rho_star_window(chain, 5, 1, cap=30)
         assert built == []
+
+    def test_peak_memory_stays_within_the_work_budget(self):
+        # The held splits and their SVD stack stay near twice the work budget
+        # (2 MiB), beside about 0.8 MB of window laws; holding splits up to
+        # the explosion limit took 15 MB here.
+        spec = inar_kernel(InarParams(0.5, 1.0))
+        tracemalloc.start()
+        try:
+            rho_star_window(spec, 5, 1, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * dependence._WORK_BUDGET
 
     def test_dominates_single_pair_value(self):
         chain = binomial_death_chain(3, 0.5, 0.4)
