@@ -66,6 +66,11 @@ __all__ = [
 
 DEFAULT_SUPERPOSITION_BUDGET = 1e-9  # neglected mean mass a default depth may leave
 _BLOCK_CELLS = 1 << 16  # cells per row block when checking or writing ensembles
+# The superposition costs about (depth + length) x (n_paths + C) work units of
+# 55-62 ns each: a generation's fixed cost (11-15 us) is worth about C paths.  A
+# run above the budget (some 6 s of drawing) is refused before it draws.
+_GENERATION_OVERHEAD_PATHS = 200  # C
+_GENERATION_BUDGET = 10**8
 # Largest stationary mean the simulators accept.  numpy refuses Poisson means
 # above about 9.2e18, and sums of counts near 2**63 would overflow int64.
 _MAX_COUNT_MEAN = 2.0**62
@@ -77,8 +82,11 @@ def _physical_memory() -> int:
 
 
 def _require_memory(length: int, n_paths: int, matrices: int) -> None:
-    """Refuse a simulation whose ``matrices`` int64 path-sized arrays (path
-    matrices plus time-major buffers) would exceed physical memory."""
+    """Refuse a simulation with no steps or no paths, or one whose
+    ``matrices`` int64 path-sized arrays (path matrices plus time-major
+    buffers) would exceed physical memory."""
+    if length < 1 or n_paths < 1:
+        raise InvalidParameterError("length and n_paths must be positive")
     need = matrices * length * n_paths * np.dtype(np.int64).itemsize
     have = _physical_memory()
     if need > have:
@@ -222,14 +230,25 @@ class SuperpositionConfig:
     def for_budget(
         cls, params: InarParams, tail_budget: float = DEFAULT_SUPERPOSITION_BUDGET
     ) -> "SuperpositionConfig":
-        """Smallest depth meeting the neglected-mean budget."""
+        """Smallest depth meeting the neglected-mean budget.
+
+        Found by doubling, then bisection, on ``neglected_mean`` itself: no
+        estimate can underflow, and a depth of 10**18 (a near 1) takes about
+        120 steps, also where ``a**depth`` underflows to 0 for a run of depths.
+        """
         if not (0.0 < tail_budget < 1.0):
             raise InvalidConfigError("tail_budget must lie in (0, 1)")
-        target = tail_budget * (1.0 - params.a) / params.lam
-        depth = max(1, math.ceil(math.log(target) / math.log(params.a)))
-        while params.lam * params.a**depth / (1.0 - params.a) > tail_budget:
-            depth += 1
-        return cls(depth=depth, tail_budget=tail_budget)
+
+        def fits(depth: int) -> bool:
+            return cls(depth, tail_budget).neglected_mean(params) <= tail_budget
+
+        lo, hi = 0, 1  # hi fits once doubled; lo is 0 or a depth that does not fit
+        while not fits(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+        return cls(depth=hi, tail_budget=tail_budget)
 
 
 def _require_survival(a: float) -> None:
@@ -320,8 +339,6 @@ def indicator_chain(
     if not (0.0 <= p0 <= 1.0):
         raise InvalidParameterError("p0 must lie in [0, 1]")
     _require_survival(a)
-    if length < 1 or n_paths < 1:
-        raise InvalidParameterError("length and n_paths must be positive")
     _require_memory(length, n_paths, 1)
     rng = seed.generator()
     paths = np.empty((n_paths, length), dtype=np.int64)
@@ -344,8 +361,6 @@ def simulate_chain(
     sample an initial law or innovation whose tail mass exceeds
     ``DEFAULT_TAIL_BUDGET``.
     """
-    if length < 1 or n_paths < 1:
-        raise InvalidParameterError("length and n_paths must be positive")
     _require_memory(length, n_paths, 1)
     rng = seed.generator()
     _require_sampleable(spec.initial)
@@ -393,8 +408,6 @@ def simulate_inar_direct(
     draws survivors Binomial(previous, a) and an independent Poisson(lam)
     innovation, so the decomposition identities hold by construction.
     """
-    if length < 1 or n_paths < 1:
-        raise InvalidParameterError("length and n_paths must be positive")
     _require_countable(params)
     _require_memory(length, n_paths, 5)  # x, u, v plus time-major u and v
     rng = seed.generator()
@@ -443,12 +456,16 @@ def simulate_inar_superposition(
     Binomial(y, a**-start) draw and then steps one index at a time.  Each
     step draws only on the paths where the generation is still alive.
     """
-    if length < 1 or n_paths < 1:
-        raise InvalidParameterError("length and n_paths must be positive")
     _require_countable(params)
     config.validate_for(params)
     _require_memory(length, n_paths, 5)  # x, u, v plus time-major x and v
     depth = config.depth
+    work = (depth + length) * (n_paths + _GENERATION_OVERHEAD_PATHS)
+    if work > _GENERATION_BUDGET:
+        raise ResourceLimitError(
+            f"depth {depth} and length {length} over {n_paths} paths need {work:.3g} "
+            f"work units, above the superposition budget {_GENERATION_BUDGET:.3g}"
+        )
     rng = seed.generator()
     x = np.zeros((length, n_paths), dtype=np.int64)
     v = np.empty_like(x)

@@ -41,7 +41,7 @@ from .errors import (
     ResourceLimitError,
     SamplingBudgetError,
 )
-from .harness import DEFAULT_ROOT_SEED, McConfig, _job_seconds, reports_to_json, run_all
+from .harness import McConfig, _job_seconds, reports_to_json, run_all
 from .mixing import (
     fit_decay_rate,
     gap_for_epsilon,
@@ -143,24 +143,23 @@ def _writing_output():
         sys.exit(EXIT_USAGE)
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(text: str, out: str | None, *, metrics_out=None, start=None, **extra) -> None:
+    """Write ``text`` to ``out`` (stdout for None or ``-``) and, given ``metrics_out``, a
+    ``--metrics`` sidecar there: wall seconds since ``start`` (the command's ``perf_counter``
+    on entry), peak RSS and any ``extra`` keys, none of which enter ``text``."""
     if out is None or out == "-":
         click.echo(text, nl=False)
     else:
         with _writing_output():
             Path(out).parent.mkdir(parents=True, exist_ok=True)
             Path(out).write_text(text, encoding="utf-8")
+    if metrics_out is not None:
+        import resource  # loaded only by a run that writes the sidecar
 
-
-def _run_metrics(wall: float, **extra) -> dict:
-    """A ``--metrics`` sidecar: wall seconds, peak RSS and any ``extra`` keys.
-
-    None of it enters the command's own output.
-    """
-    import resource  # loaded only by a run that writes the sidecar
-
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-    return {"wall_s": wall, "peak_rss_mb": peak_kib / 1024.0, **extra}
+        wall = time.perf_counter() - start
+        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+        sidecar = {"wall_s": wall, "peak_rss_mb": peak_kib / 1024.0, **extra}
+        _write_output(dumps(sidecar), metrics_out)
 
 
 metrics_option = click.option(
@@ -224,7 +223,7 @@ def simulate(construction, opts, length, paths, seed, stream, tail_budget, out):
     elif construction == "superposition":
         av, lv = _require(opts, "a", "lam")
         params = InarParams(a=av, lam=lv)
-        config = SuperpositionConfig.for_budget(params, tail_budget=max(tail_budget, 1e-15))
+        config = SuperpositionConfig.for_budget(params, tail_budget)
         ens, dec = simulate_inar_superposition(params, config, length, paths, seed_spec)
     elif construction == "indicator":
         p0v, av = _require(opts, "p0", "a")
@@ -279,10 +278,7 @@ def rho(construction, opts, n_max, cap, tail_budget, max_escape, out, metrics_ou
         "entries": entries,
         "fit": fit_payload,
     }
-    wall = time.perf_counter() - start
-    _write_output(dumps(payload), out)
-    if metrics_out is not None:
-        _write_output(dumps(_run_metrics(wall)), metrics_out)
+    _write_output(dumps(payload), out, metrics_out=metrics_out, start=start)
 
 
 @main.command(name="rho-star")
@@ -313,10 +309,7 @@ def rho_star(construction, opts, width, gap, cap, tail_budget, max_escape, out, 
         if scan.best is None
         else {"s": list(scan.best.s), "t": list(scan.best.t)},
     }
-    wall = time.perf_counter() - start
-    _write_output(dumps(payload), out)
-    if metrics_out is not None:
-        _write_output(dumps(_run_metrics(wall)), metrics_out)
+    _write_output(dumps(payload), out, metrics_out=metrics_out, start=start)
 
 
 @main.command()
@@ -376,14 +369,6 @@ def verify(config_path, seed, paths, significance, negative_controls, threads, o
         if not isinstance(raw, dict):
             click.echo("malformed config: top level must be a JSON object", err=True)
             sys.exit(EXIT_USAGE)
-        allowed = {f.name for f in dataclasses.fields(McConfig)} - {"seed"} | {
-            "root_seed",
-            "stream_index",
-        }
-        unknown = set(raw) - allowed
-        if unknown:
-            click.echo(f"malformed config: unknown keys {sorted(unknown)}", err=True)
-            sys.exit(EXIT_USAGE)
         fields = dict(raw)
     if seed is not None:
         fields["root_seed"] = seed
@@ -393,22 +378,17 @@ def verify(config_path, seed, paths, significance, negative_controls, threads, o
         fields["significance"] = significance
     if negative_controls is not None:
         fields["negative_controls"] = negative_controls
-
-    root_seed = fields.pop("root_seed", DEFAULT_ROOT_SEED)
-    stream_index = fields.pop("stream_index", 0)
     try:
-        config = McConfig(seed=SeedSpec(root_seed, stream_index), **fields)
+        config = McConfig.from_dict(fields)
     except ValueError as exc:
         click.echo(f"malformed config: {exc}", err=True)
         sys.exit(EXIT_USAGE)
 
+    start = time.perf_counter()
     with _job_seconds() as seconds:
-        start = time.perf_counter()
         reports = run_all(config, threads=max(1, threads))
-        wall = time.perf_counter() - start
-    _write_output(reports_to_json(reports, config), out)
-    if metrics_out is not None:
-        _write_output(dumps(_run_metrics(wall, job_wall_s=seconds)), metrics_out)
+    report = reports_to_json(reports, config)
+    _write_output(report, out, metrics_out=metrics_out, start=start, job_wall_s=seconds)
     failures = [r for r in reports if not r.passed]
     if failures:
         for r in failures:

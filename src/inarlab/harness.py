@@ -21,10 +21,10 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import special
@@ -134,6 +134,18 @@ class McConfig:
         out = asdict(self)
         out.update(out.pop("seed"))
         return out
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "McConfig":
+        """Inverse of :meth:`as_dict`; absent keys take their defaults and any
+        key ``as_dict`` does not write is refused."""
+        data = dict(data)
+        allowed = {f.name for f in fields(cls)} - {"seed"} | {"root_seed", "stream_index"}
+        unknown = set(data) - allowed
+        if unknown:
+            raise InvalidConfigError(f"unknown keys {sorted(unknown)}")
+        seed = SeedSpec(data.pop("root_seed", DEFAULT_ROOT_SEED), data.pop("stream_index", 0))
+        return cls(seed=seed, **data)
 
 
 @dataclass(frozen=True)
@@ -386,10 +398,6 @@ def check_thinning_conditional(
         row = np.trim_zeros(table[x - x_lo], "b")
         counts = np.zeros(max(x + 1, s_lo + row.size), dtype=row.dtype)
         counts[s_lo:s_lo + row.size] = row
-        if x == 0:
-            if counts[1:].any():
-                worst = max(worst, ERROR_STATISTIC)
-            continue
         probs = binomial_pmf(x, params.a).probs
         if counts.size > probs.size:  # impossible survivor counts
             worst = max(worst, ERROR_STATISTIC)

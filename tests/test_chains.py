@@ -341,6 +341,14 @@ def test_simulations_larger_than_memory_are_refused_before_drawing(name, monkeyp
     assert simulate(7, 30, SeedSpec(1))
 
 
+@pytest.mark.parametrize("name", SIMULATORS)
+@pytest.mark.parametrize("length, n_paths", [(0, 30), (7, 0), (-1, -1)])
+def test_empty_simulations_are_refused_before_drawing(name, length, n_paths):
+    simulate, _ = SIMULATORS[name]
+    with pytest.raises(InvalidParameterError, match="^length and n_paths must be positive$"):
+        simulate(length, n_paths, _UndrawableSeed())
+
+
 def test_physical_memory_is_read_from_the_host():
     assert chains._physical_memory() > 2**20
 
@@ -410,6 +418,35 @@ class TestSimulateInarSuperposition:
         cfg = SuperpositionConfig.for_budget(PARAMS, 1e-9)
         assert cfg.neglected_mean(PARAMS) <= 1e-9
         assert PARAMS.lam * PARAMS.a ** (cfg.depth - 1) / (1 - PARAMS.a) > 1e-9
+
+    @pytest.mark.parametrize(
+        "params, budget, depth",
+        [
+            (PARAMS, 1e-15, 51),
+            (PARAMS, 1e-20, 68),
+            (PARAMS, 5e-324, 1075),  # 0.5**1075 underflows to 0
+            (InarParams(0.9, 2.0), 1e-300, 6585),
+            (InarParams(1e-300, 1e-300), 0.5, 1),
+            # a**depth is 0 from depth 6.7e18 on; stepping down to it one
+            # depth at a time would never end
+            (InarParams(0.9999999999999999, 1e18), 5e-324, 6711563375777760768),
+        ],
+    )
+    def test_depth_is_the_smallest_meeting_any_budget(self, params, budget, depth):
+        cfg = SuperpositionConfig.for_budget(params, budget)
+        assert cfg.depth == depth
+        assert cfg.neglected_mean(params) <= budget
+        if depth > 1:
+            assert SuperpositionConfig(depth - 1, budget).neglected_mean(params) > budget
+
+    def test_runs_above_the_generation_budget_are_refused_before_drawing(self, monkeypatch):
+        cfg = SuperpositionConfig.for_budget(PARAMS)
+        work = (cfg.depth + 7) * (30 + chains._GENERATION_OVERHEAD_PATHS)
+        monkeypatch.setattr(chains, "_GENERATION_BUDGET", work - 1)
+        with pytest.raises(ResourceLimitError, match="work units, above the superposition budget"):
+            simulate_inar_superposition(PARAMS, cfg, 7, 30, _UndrawableSeed())
+        monkeypatch.setattr(chains, "_GENERATION_BUDGET", work)
+        assert simulate_inar_superposition(PARAMS, cfg, 7, 30, SeedSpec(1))
 
     def test_agrees_with_exact_window_law(self):
         spec = inar_kernel(PARAMS)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -168,6 +169,32 @@ class TestSimulate:
         assert res.stderr.startswith("invalid parameters: stationary mean")
         assert "too large for int64" in res.stderr
 
+    @pytest.mark.parametrize("budget, depth", [("1e-15", 51), ("1e-20", 68), ("5e-324", 1075)])
+    def test_superposition_honors_any_tail_budget(self, runner, tmp_path, budget, depth):
+        res = run(
+            runner, "simulate", "superposition", "--a", 0.5, "--lambda", 1, "--length", 3,
+            "--paths", 4, "--tail-budget", budget, "--out", tmp_path,
+        )
+        assert res.exit_code == 0
+        for c in "xuv":
+            params = (tmp_path / f"superposition_{c}.csv").read_text().splitlines()[1]
+            assert json.loads(params.removeprefix("# params="))["depth"] == depth
+
+    def test_superposition_over_its_generation_budget_exits_3_at_once(self, runner, tmp_path):
+        """About 4e7 generations at a = 0.999999: minutes of drawing if admitted."""
+        out = tmp_path / "never"
+        start = time.perf_counter()
+        res = runner.invoke(
+            main,
+            ["simulate", "superposition", "--a", "0.999999", "--lambda", "1", "--length", "2",
+             "--paths", "1", "--out", str(out)],
+        )
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 3
+        assert res.stderr.startswith("resource limit: depth 41446511 and length 2 over 1 paths")
+        assert res.stderr.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("construction", ["direct", "superposition"])
     def test_large_means_within_int64_still_simulate(self, runner, tmp_path, construction):
         res = run(
@@ -189,8 +216,11 @@ def _read_csv(path) -> np.ndarray:
 # left out.  Strings that are not integers exercise click's own refusal of
 # the integer options.
 BAD = ["nan", "inf", "-inf", "0", "-1", "1e300"]
-# a stays at or below 0.999: the superposition needs about log(budget) / log(a)
-# generations, and at a = 0.999999 that is some 4.1e7 of them (over 120 s).
+# --a stays at or below 0.999: the superposition draws about
+# log(budget) / log(a) generations and is refused past its budget of 10^8
+# work units (some 6 s).  At a = 0.999 a --tail-budget of 1e-300 (about 7e5
+# generations, 1.4e8 units) is refused at once, and the admitted runs draw
+# for about a second at most.
 A_VALUES = ["1e-300", "0.3", "0.9", "0.999"]
 LAMBDA_VALUES = ["1e-300", "0.5", "3", "1e15", "1e18"]
 PROB_VALUES = ["1e-300", "0.5", "1"]

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from inarlab import (
     run_all,
     simulate_inar_direct,
 )
-from inarlab import harness
+from inarlab import chains, harness
 from inarlab.harness import (
     MIN_STRATUM,
     CheckReport,
@@ -93,6 +94,28 @@ class TestThinningConditional:
         k = dec.x.shape[1] - 1
         zero_rows = dec.x[:, k - 1] == 0
         assert np.all(dec.u[zero_rows, k] == 0)
+
+    def test_survivors_of_a_zero_count_are_impossible(self, direct_run):
+        """A zero stratum is Binomial(0, a), the point mass at 0: survivors there
+        are impossible counts, and a clean zero stratum is neither tested nor
+        counted."""
+        _, dec = direct_run
+        k = dec.x.shape[1] - 1
+        zero_rows = dec.x[:, k - 1] == 0
+        assert zero_rows.sum() >= MIN_STRATUM
+        u = dec.u.copy()
+        u[zero_rows, k] = 1  # InnovationDecomposition would refuse these survivors
+        corrupted = SimpleNamespace(x=dec.x, u=u, v=dec.v)
+        rep = check_thinning_conditional(corrupted, PARAMS)
+        assert rep.statistic == harness.ERROR_STATISTIC and not rep.passed
+        assert rep.to_dict() == _thinning_reference(corrupted, PARAMS).to_dict()
+        clean = check_thinning_conditional(dec, PARAMS)
+        assert clean.to_dict() == _thinning_reference(dec, PARAMS).to_dict()
+        zero_only = SimpleNamespace(x=np.zeros_like(dec.x), u=np.zeros_like(u), v=dec.v)
+        rep = check_thinning_conditional(zero_only, PARAMS)
+        assert (rep.statistic, rep.params["strata_tested"], rep.params["strata_skipped"]) == (
+            0.0, 0, 0
+        )
 
 
 def _add_at_table(a, b, lo=None):
@@ -242,6 +265,28 @@ class TestMcConfig:
         with pytest.raises(InvalidConfigError, match=field):
             McConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            McConfig(),
+            McConfig(
+                n_paths=12_345, path_length=5, seed=SeedSpec(9, 4), significance=0.05,
+                truncation_budget=1e-9, a_grid=(0.2, 0.9), lambda_grid=(3.0,),
+                negative_controls=True,
+            ),
+        ],
+        ids=["default", "custom"],
+    )
+    def test_from_dict_inverts_as_dict(self, config):
+        assert McConfig.from_dict(config.as_dict()) == config
+
+    def test_from_dict_takes_defaults_and_refuses_unknown_keys(self):
+        assert McConfig.from_dict({}) == McConfig()
+        with pytest.raises(InvalidConfigError, match=re.escape("unknown keys ['nope']")):
+            McConfig.from_dict({"nope": 1})
+        with pytest.raises(InvalidConfigError, match=re.escape("unknown keys ['seed']")):
+            McConfig.from_dict({"seed": 3, "n_paths": 10_000})
+
     def test_grid_lists_become_tuples(self):
         config = McConfig(a_grid=[0.5], lambda_grid=[1, 2.0])
         assert config.a_grid == (0.5,) and config.lambda_grid == (1, 2.0)
@@ -363,6 +408,17 @@ class TestRunAll:
             r"check raised: ZeroDivisionError: division by zero "
             r"at inarlab\.harness:run_job:\d+",
             errored["lemma-checks"].note,
+        )
+
+    def test_superposition_over_its_budget_is_an_errored_check(self, small_config, monkeypatch):
+        monkeypatch.setattr(chains, "_GENERATION_BUDGET", 1000)
+        errored = [r for r in run_all(small_config) if r.check == "errored"]
+        assert [r.construction for r in errored] == ["equivalence[0.5,1.0]"]
+        assert re.fullmatch(
+            r"check raised: ResourceLimitError: depth \d+ and length 2 over 10000 paths "
+            r"need .* work units, above the superposition budget 1e\+03 "
+            r"at inarlab\.chains:simulate_inar_superposition:\d+",
+            errored[0].note,
         )
 
     def test_job_seconds_name_every_job_and_leave_reports_alone(self, small_config):
