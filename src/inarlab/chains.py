@@ -67,8 +67,10 @@ __all__ = [
 DEFAULT_SUPERPOSITION_BUDGET = 1e-9  # neglected mean mass a default depth may leave
 _BLOCK_CELLS = 1 << 16  # cells per row block when checking or writing ensembles
 # The superposition costs about (depth + length) x (n_paths + C) work units of
-# 55-62 ns each: a generation's fixed cost (11-15 us) is worth about C paths.  A
-# run above the budget (some 6 s of drawing) is refused before it draws.
+# 55-62 ns each: a generation's fixed cost (11-15 us) is worth about C paths.
+# Each step a live generation takes inside the window costs about C more (see
+# _superposition_work).  A run above the budget (some 6 s of drawing) is
+# refused before it draws.
 _GENERATION_OVERHEAD_PATHS = 200  # C
 _GENERATION_BUDGET = 10**8
 # Largest stationary mean the simulators accept.  numpy refuses Poisson means
@@ -123,6 +125,9 @@ class MarkovChainSpec:
     a: float
     innovation: Pmf
     description: Mapping = field(default_factory=dict)
+    # transition_matrix's read-only table per cap, built on first use (two
+    # threads may both build one; either serves)
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.a <= 1.0):
@@ -436,6 +441,21 @@ def simulate_inar_direct(
     return ensemble, InnovationDecomposition(x, u, v)
 
 
+def _superposition_work(params: InarParams, depth: int, length: int, n_paths: int) -> float:
+    """Work units of a superposition run: every generation's draw over all
+    paths, plus C per step each live generation takes inside the window.
+
+    A generation lives about L = ln(lam n_paths) / -ln(a) + 1 steps, until
+    fewer than one of its members is expected on any path.  The ``length``
+    newborns and the ``min(depth, L)`` youngest older generations are alive
+    at index 0, and each steps ``min(length, L)`` times.
+    """
+    c = _GENERATION_OVERHEAD_PATHS
+    life = 1.0 + max(0.0, math.log(params.lam * n_paths) / -math.log(params.a))
+    steps = (length + min(depth, life)) * min(length, life)
+    return (depth + length) * (n_paths + c) + steps * c
+
+
 def simulate_inar_superposition(
     params: InarParams,
     config: SuperpositionConfig,
@@ -460,7 +480,7 @@ def simulate_inar_superposition(
     config.validate_for(params)
     _require_memory(length, n_paths, 5)  # x, u, v plus time-major x and v
     depth = config.depth
-    work = (depth + length) * (n_paths + _GENERATION_OVERHEAD_PATHS)
+    work = _superposition_work(params, depth, length, n_paths)
     if work > _GENERATION_BUDGET:
         raise ResourceLimitError(
             f"depth {depth} and length {length} over {n_paths} paths need {work:.3g} "
@@ -520,19 +540,24 @@ def transition_matrix(spec: MarkovChainSpec, cap: int) -> np.ndarray:
     is at least ``cap + 1`` columns wide, so ``[:, :cap + 1]`` is the kernel
     truncated to {0..cap}.  Every exact law in this package is built from
     this table.  A cap may exceed the chain's ``state_cap`` to refine a
-    truncation.
+    truncation.  The table is read-only and built once per (spec, cap).
     """
     if cap < 0:
         raise InvalidParameterError("cap must be nonnegative")
+    out = spec._kernels.get(cap)
+    if out is not None:
+        return out
     innovation = spec.innovation.probs
     if spec.a == 0.0:
         out = np.zeros((cap + 1, max(cap + 1, innovation.size)))
         out[:, : innovation.size] = innovation
-        return out
-    table = binomial_table(cap, spec.a)
-    out = np.zeros((cap + 1, cap + innovation.size))
-    for x in range(cap + 1):
-        out[x, : x + innovation.size] = np.convolve(table[x, : x + 1], innovation)
+    else:
+        table = binomial_table(cap, spec.a)
+        out = np.zeros((cap + 1, cap + innovation.size))
+        for x in range(cap + 1):
+            out[x, : x + innovation.size] = np.convolve(table[x, : x + 1], innovation)
+    out.setflags(write=False)
+    spec._kernels[cap] = out
     return out
 
 

@@ -24,10 +24,10 @@ from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from itertools import product
+from statistics import NormalDist
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy import special
 
 from .chains import (
     InarParams,
@@ -49,6 +49,7 @@ from .mixing import verify_absorbing_split, verify_indicator_bound
 from .pmf import (
     DEFAULT_TAIL_BUDGET,
     SeedSpec,
+    _poisson_terms,
     binomial_pmf,
     binomial_table,
     poisson_pmf,
@@ -66,6 +67,7 @@ MARKOV_CAP = 12  # state cap of the exact Markov-triplet constructions
 INNOVATION_BUDGET = 1e-10  # tail budget of the innovation laws in the triplets
 EXACT_THRESHOLD = 1e-10  # largest statistic an exact check passes with
 DEFAULT_SIGNIFICANCE = 0.01  # level of every Monte Carlo test
+_NEWTON_STEPS = 100  # bound on the chi-square quantile's Newton iterations
 DEFAULT_ROOT_SEED = 20170825
 
 __all__ = [
@@ -174,9 +176,58 @@ class CheckReport:
 # chi-square machinery
 
 
+def _chi2_tail(x: float, dof: int, upper: bool) -> tuple[float, float]:
+    """The chi-square upper tail Q(dof/2, x/2) (or, not ``upper``, the lower
+    tail P) at x > 0, and the density at x.
+
+    With y = x/2, both tails are sums of Poisson terms p(k) = exp(-y) y**k /
+    Gamma(k + 1) over the k of dof's parity (integers or half-integers): Q
+    sums 0 <= k < dof/2, plus erfc(sqrt(y)) for odd dof, and P sums the
+    k >= dof/2.  The density is p(dof/2 - 1) / 2.
+    """
+    y = 0.5 * x
+    half = 0.5 * dof
+    if dof == 1:  # no terms: Q = erfc(sqrt(y)), P = erf(sqrt(y)), and p(-1/2)
+        root = math.sqrt(y)  # is exp(-y) / sqrt(pi y)
+        density = 0.5 * math.exp(-y) / (math.sqrt(math.pi) * root)
+        return (math.erfc(root) if upper else math.erf(root)), density
+    if upper:
+        # even dof start at p(0) = exp(-y), odd dof at k = 1/2
+        terms = _poisson_terms(np.arange(1.0 - 0.5 * (dof % 2), half - 0.25), y)
+        first = math.erfc(math.sqrt(y)) if dof % 2 else math.exp(-y)
+        terms = terms.tolist()
+        return math.fsum([first, *terms]), 0.5 * (terms[-1] if dof > 2 else first)
+    terms = _poisson_terms(np.arange(half, max(half, y) + 10.0 * math.sqrt(y) + 40.0), y).tolist()
+    return math.fsum(terms), 0.5 * terms[0] * half / y
+
+
 def _chi2_critical(alpha: float, dof: int) -> float:
-    """Upper-alpha chi-square quantile, as scipy.stats.chi2.isf(alpha, dof)."""
-    return float(special.chdtri(dof, alpha))
+    """Upper-alpha chi-square quantile: the x with Q(dof/2, x/2) = alpha.
+
+    Newton's method on log Q from the Wilson-Hilferty approximation.  Past
+    alpha = 1/2 it solves log P = log(1 - alpha) instead, since 1 - alpha is
+    exact there and Q is too flat near 1 to pin x to full precision.  Below
+    a Wilson-Hilferty start of zero, it starts from P's leading term.
+    """
+    upper = alpha <= 0.5
+    target = alpha if upper else 1.0 - alpha
+    half = 0.5 * dof
+    h = 2.0 / (9.0 * dof)
+    base = 1.0 - h - NormalDist().inv_cdf(alpha) * math.sqrt(h)
+    if base > 0.0:
+        x = dof * base**3
+    else:  # P(dof/2, y) ~ y**(dof/2) / Gamma(dof/2 + 1) for small y
+        x = 2.0 * math.exp((math.log(target) + math.lgamma(half + 1.0)) / half)
+    for _ in range(_NEWTON_STEPS):
+        tail, density = _chi2_tail(x, dof, upper)
+        step = math.log(tail / target) * tail / density  # Q falls, P rises in x
+        step = step if upper else -step
+        if x + step <= 0.0:  # an overshoot past zero: stay on the same side of the root
+            step = -0.875 * x
+        x += step
+        if abs(step) <= 1e-14 * x:
+            break
+    return x
 
 
 def _pooled_gof_ratio(

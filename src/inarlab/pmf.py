@@ -14,8 +14,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.special._ufuncs import _binom_pmf  # the ufunc behind scipy.stats.binom.pmf
 
 from .errors import InvalidParameterError, SamplingBudgetError
 
@@ -148,12 +146,110 @@ def point_mass(k: int = 0) -> Pmf:
     return Pmf(probs, 0.0)
 
 
+# ---------------------------------------------------------------------------
+# Loader's saddle-point terms (C. Loader, "Fast and Accurate Computation of
+# Binomial Probabilities", 2000).  Every Poisson term, binomial cell and
+# chi-square tail in the package comes from these two functions.
+
+# stirlerr(n) = ln n! - ln(sqrt(2 pi n) (n / e)**n) at n = 0, 1/2, 1, ..., 15
+# (tests/test_pmf.py derives each value with stdlib decimal).
+_STIRLERR_HALVES = np.array([
+    0.0, 0.15342640972002736, 0.08106146679532726, 0.05481412105191765,
+    0.0413406959554093, 0.03316287351993629, 0.02767792568499834,
+    0.023746163656297496, 0.020790672103765093, 0.018488450532673187,
+    0.016644691189821193, 0.015134973221917378, 0.013876128823070748,
+    0.012810465242920227, 0.01189670994589177, 0.011104559758206917,
+    0.010411265261972096, 0.009799416126158804, 0.009255462182712733,
+    0.008768700134139386, 0.00833056343336287, 0.00793411456431402,
+    0.007573675487951841, 0.007244554301320383, 0.00694284010720953,
+    0.006665247032707682, 0.006408994188004207, 0.006171712263039458,
+    0.0059513701127588475, 0.0057462165130101155, 0.005554733551962801,
+])
+_STIRLERR_TABLE_MAX = 15.0
+# 1/12, 1/360, 1/1260, 1/1680, 1/1188: Stirling's series for n > 15
+_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
+_BD0_TERMS = 10  # the tenth series term is below 1e-18 of the sum
+_VELTKAMP = 2.0**27 + 1.0
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """Stirling's error ln n! - ln(sqrt(2 pi n) (n / e)**n) at integers and
+    half-integers ``n >= 0``: the table up to 15, the series above."""
+    big = np.maximum(n, _STIRLERR_TABLE_MAX + 0.5)  # the series, never at n <= 15
+    r = 1.0 / (big * big)
+    out = (_S0 - (_S1 - (_S2 - (_S3 - _S4 * r) * r) * r) * r) / big
+    small = np.flatnonzero(n <= _STIRLERR_TABLE_MAX)
+    out[small] = _STIRLERR_HALVES[(2.0 * n[small]).astype(np.intp)]
+    return out
+
+
+def _bd0(x: np.ndarray, m, d: np.ndarray) -> np.ndarray:
+    """Deviance term x ln(x / m) + m - x for ``x, m > 0``, given ``d = x - m``
+    (the caller's d may carry more of the exact difference than x - m does).
+
+    Where |d| < 0.1 (x + m) it is Loader's series in v = d / (x + m), which
+    never cancels; its terms fall by v**2 < 0.01 each.
+    """
+    with np.errstate(over="ignore"):  # d / m = inf gives bd0 = inf: a zero term
+        out = x * np.log1p(d / m) - d  # ln1p(d / m) keeps d's precision in ln(x / m)
+    s = x + m
+    near = np.flatnonzero(np.abs(d) < 0.1 * s)
+    dn = d[near]
+    v = dn / s[near]
+    total = dn * v
+    ej = 2.0 * x[near] * v
+    v2 = v * v
+    for j in range(1, _BD0_TERMS + 1):
+        ej *= v2
+        total += ej / (2 * j + 1)
+    out[near] = total
+    return out
+
+
+def _poisson_terms(k: np.ndarray, mean: float) -> np.ndarray:
+    """``exp(-mean) mean**k / Gamma(k + 1)`` at integers or half-integers k > 0."""
+    return np.exp(-_stirlerr(k) - _bd0(k, mean, k - mean)) / np.sqrt(2.0 * math.pi * k)
+
+
+def _binomial_cells(x: np.ndarray, n: np.ndarray, p: float) -> np.ndarray:
+    """``P(Bin(n, p) = x)`` cell by cell, for 1-D integer arrays with
+    ``0 <= x <= n``.  Each cell depends only on its own (x, n, p), so a table
+    built from any selection of cells matches cell for cell."""
+    if p == 0.0:
+        return (x == 0).astype(np.float64)
+    if p == 1.0:
+        return (x == n).astype(np.float64)
+    q = 1.0 - p
+    out = np.empty(x.size)
+    first, last = x == 0, x == n  # both at n = 0, where either gives 1
+    # 1 - p is exact for p >= 1/2, and p**n needs no logarithm
+    n0 = n[first].astype(np.float64)
+    out[first] = np.power(q, n0) if p >= 0.5 else np.exp(n0 * math.log1p(-p))
+    out[last] = np.power(p, n[last].astype(np.float64))
+    inner = np.flatnonzero(~(first | last))
+    xi, ni = x[inner], n[inner]
+    stirlerr = _stirlerr(np.arange(ni.max(initial=0) + 1.0))  # gathered, not recomputed
+    xf, nf = xi.astype(np.float64), ni.astype(np.float64)
+    # x - n p to within rounding of itself, not of n p: n * p_hi is exact
+    # for n < 2**27, since p_hi keeps 26 bits of p (Veltkamp's split)
+    split = _VELTKAMP * p
+    p_hi = split - (split - p)
+    d = (xf - nf * p_hi) - nf * (p - p_hi)
+    lc = (
+        stirlerr[ni] - stirlerr[xi] - stirlerr[ni - xi]
+        - _bd0(xf, nf * p, d) - _bd0(nf - xf, nf * q, -d)
+    )
+    out[inner] = np.exp(lc) / np.sqrt(2.0 * math.pi * (xf * (nf - xf) / nf))
+    return out
+
+
 def poisson_pmf(mean: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> Pmf:
     """Poisson law truncated at the smallest K whose tail mass is <= tail_budget.
 
     The recorded ``tail_mass`` is exactly ``1 - fsum(probs)``; the truncation
     point is determined with compensated partial sums, so the smallest-K
-    contract holds in double precision.
+    contract holds in double precision.  Terms are Loader's saddle-point
+    form, accurate to a few ulps each at any mean.
     """
     if not (mean > 0.0) or not math.isfinite(mean):
         raise InvalidParameterError("mean must be positive and finite")
@@ -161,14 +257,14 @@ def poisson_pmf(mean: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> Pmf:
         raise InvalidParameterError("tail_budget must lie in (0, 1)")
 
     k_hi = int(mean + 12.0 * math.sqrt(mean) + 40.0)
-    log_mean = math.log(mean)
     while True:
         if k_hi > _MAX_TABLE_STATE:
             raise InvalidParameterError(
                 f"mean {mean:.3e} needs a table beyond state {_MAX_TABLE_STATE}"
             )
-        k = np.arange(k_hi + 1)
-        terms = np.exp(k * log_mean - mean - special.gammaln(k + 1.0))
+        terms = np.empty(k_hi + 1)
+        terms[0] = math.exp(-mean)
+        terms[1:] = _poisson_terms(np.arange(1.0, k_hi + 1.0), mean)
         if 1.0 - math.fsum(terms.tolist()) <= tail_budget:
             break
         if k_hi > 1_000_000:
@@ -198,19 +294,19 @@ def binomial_pmf(n: int, p: float) -> Pmf:
     n = int(n)
     if n > _MAX_TABLE_STATE:
         raise InvalidParameterError(f"n = {n} needs a table beyond state {_MAX_TABLE_STATE}")
-    if n == 0:
-        return point_mass(0)
-    return Pmf(np.clip(_binom_pmf(np.arange(n + 1), n, p), 0.0, 1.0), 0.0)
+    return Pmf(_binomial_cells(np.arange(n + 1), np.full(n + 1, n), p), 0.0)
 
 
 def binomial_table(n: int, a: float) -> np.ndarray:
     """``table[y, z] = P(Bin(y, a) = z)`` for ``0 <= y, z <= n``.
 
-    Row y equals ``binomial_pmf(y, a).probs`` bit for bit, zero-padded; the
-    ufunc gives NaN for z > y, which ``tril`` sets to 0.
+    Row y equals ``binomial_pmf(y, a).probs`` bit for bit, zero-padded: the
+    lower triangle's cells are computed in one call, each as in that row.
     """
-    y = np.arange(n + 1)
-    return np.clip(np.tril(_binom_pmf(y[None, :], y[:, None], a)), 0.0, 1.0)
+    rows, cols = np.tril_indices(n + 1)
+    table = np.zeros((n + 1, n + 1))
+    table[rows, cols] = _binomial_cells(cols, rows, a)
+    return table
 
 
 def convolve(p: Pmf, q: Pmf) -> Pmf:

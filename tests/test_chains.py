@@ -3,13 +3,13 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy import stats
 
 from inarlab import (
     InarParams,
@@ -441,12 +441,33 @@ class TestSimulateInarSuperposition:
 
     def test_runs_above_the_generation_budget_are_refused_before_drawing(self, monkeypatch):
         cfg = SuperpositionConfig.for_budget(PARAMS)
-        work = (cfg.depth + 7) * (30 + chains._GENERATION_OVERHEAD_PATHS)
+        work = chains._superposition_work(PARAMS, cfg.depth, 7, 30)
         monkeypatch.setattr(chains, "_GENERATION_BUDGET", work - 1)
         with pytest.raises(ResourceLimitError, match="work units, above the superposition budget"):
             simulate_inar_superposition(PARAMS, cfg, 7, 30, _UndrawableSeed())
         monkeypatch.setattr(chains, "_GENERATION_BUDGET", work)
         assert simulate_inar_superposition(PARAMS, cfg, 7, 30, SeedSpec(1))
+
+    def test_in_window_steps_count_toward_the_budget(self):
+        """At a near 1 each generation lives through the whole window: some
+        35 000 live generations of 200 steps each, which drew for minutes
+        while the generation count alone (8.5e6 units) was admitted."""
+        params = InarParams(0.999, 1e15)
+        cfg = SuperpositionConfig.for_budget(params, 0.5)
+        c = chains._GENERATION_OVERHEAD_PATHS
+        assert (cfg.depth + 200) * (1 + c) < chains._GENERATION_BUDGET / 10
+        assert chains._superposition_work(params, cfg.depth, 200, 1) > chains._GENERATION_BUDGET
+        with pytest.raises(ResourceLimitError, match="work units, above the superposition budget"):
+            simulate_inar_superposition(params, cfg, 200, 1, _UndrawableSeed())
+
+    def test_work_counts_live_generations_only(self):
+        # a = 0.5, lambda = 1, 10**6 paths: a generation lives about 21 steps
+        cfg = SuperpositionConfig.for_budget(PARAMS)
+        life = 1 + math.log(10**6) / math.log(2)
+        c = chains._GENERATION_OVERHEAD_PATHS
+        steps = (2 + min(cfg.depth, life)) * min(2, life)
+        draws = (cfg.depth + 2) * (10**6 + c)
+        assert chains._superposition_work(PARAMS, cfg.depth, 2, 10**6) == draws + steps * c
 
     def test_agrees_with_exact_window_law(self):
         spec = inar_kernel(PARAMS)
@@ -518,12 +539,14 @@ class TestWindowJointPmf:
         a = 0.7
         chain = binomial_death_chain(6, 0.4, a)
         law = window_joint_pmf(chain, [1, 3, 4], cap=6)
-        y = np.arange(7)
+        def binom(n, z, rate):  # the exact cell of the double rate, rounded once
+            rate = Fraction(rate)
+            return float(math.comb(n, z) * rate**z * (1 - rate) ** (n - z)) if z <= n else 0.0
 
         def thinning(rate):
-            return stats.binom.pmf(y[None, :], y[:, None], rate)
+            return np.array([[binom(n, z, rate) for z in range(7)] for n in range(7)])
 
-        start = stats.binom.pmf(y, 6, 0.4)
+        start = np.array([binom(6, z, 0.4) for z in range(7)])
         steps = (thinning(a), thinning(a * a), thinning(a))
         want = np.einsum("w,wx,xy,yz->xyz", start, *steps)
         assert np.abs(law.mass - want).max() <= 1e-15
@@ -544,6 +567,24 @@ class TestWindowJointPmf:
         got = transition_matrix(spec, cap)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+    def test_transition_matrix_is_read_only_and_built_once(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(
+            chains, "binomial_table", lambda n, a: builds.append(n) or pmf.binomial_table(n, a)
+        )
+        spec = inar_kernel(PARAMS)
+        table = transition_matrix(spec, 6)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        assert transition_matrix(spec, 6) is table
+        assert transition_matrix(spec, 7) is not table
+        assert builds == [6, 7]
+        # a new spec builds its own; the tables are not part of its repr
+        other = inar_kernel(PARAMS)
+        assert np.array_equal(transition_matrix(other, 6), table) and builds == [6, 7, 6]
+        assert "_kernels" not in repr(other)
 
     def test_unsummed_reorder_is_a_view(self):
         law = window_joint_pmf(inar_kernel(PARAMS), [0, 1, 3], cap=5)

@@ -195,6 +195,20 @@ class TestSimulate:
         assert res.stderr.count("\n") == 1
         assert not out.exists()
 
+    def test_superposition_with_long_lived_generations_exits_3_at_once(self, runner, tmp_path):
+        """Some 35 000 generations each live through all 200 steps: it drew
+        for minutes when only generations were counted."""
+        start = time.perf_counter()
+        res = runner.invoke(
+            main,
+            ["simulate", "superposition", "--a", "0.999", "--lambda", "1e15", "--tail-budget",
+             "0.5", "--length", "200", "--paths", "1", "--out", str(tmp_path / "never")],
+        )
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 3
+        assert res.stderr.startswith("resource limit: depth 42119 and length 200 over 1 paths")
+        assert not (tmp_path / "never").exists()
+
     @pytest.mark.parametrize("construction", ["direct", "superposition"])
     def test_large_means_within_int64_still_simulate(self, runner, tmp_path, construction):
         res = run(

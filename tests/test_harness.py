@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +34,8 @@ from inarlab.harness import (
     nonmarkov_control_triplet,
 )
 from inarlab.errors import InvalidConfigError
+
+from . import decimal_oracle as oracle
 
 PARAMS = InarParams(a=0.5, lam=1.0)
 SMALL = dict(n_paths=20_000, path_length=16)
@@ -292,17 +295,38 @@ class TestMcConfig:
         assert config.a_grid == (0.5,) and config.lambda_grid == (1, 2.0)
 
 
-class TestChiSquareMatchesScipyStats:
-    """The chi-square machinery calls scipy.special directly; each number
-    must equal the scipy.stats function it stands for bit for bit."""
+ALPHAS = (1e-12, 1e-6, 0.01 / 59, 0.01, 0.05, 0.5, 0.99)
 
-    def test_critical_value_is_the_upper_quantile(self):
-        from scipy import stats
 
+class TestChiSquareQuantile:
+    def test_critical_value_against_the_decimal_oracle(self):
         for dof in range(1, 120):
-            for alpha in (1e-12, 1e-6, 0.01 / 59, 0.01, 0.05, 0.5, 0.99):
+            for alpha in ALPHAS:
+                got = harness._chi2_critical(alpha, dof)
+                exact = oracle.chi2_upper_quantile(alpha, dof, got)
+                assert abs(Decimal(got) - exact) <= Decimal("1e-15") * exact, (dof, alpha)
+
+    def test_critical_value_matches_scipy_stats(self):
+        """Cross-check: scipy's own quantile is within 2.4e-15 of the oracle
+        on this grid, so the two agree to 5e-15 relative."""
+        stats = pytest.importorskip("scipy.stats")
+        for dof in range(1, 120):
+            for alpha in ALPHAS:
                 ref = float(stats.chi2.isf(alpha, dof))
-                assert harness._chi2_critical(alpha, dof).hex() == ref.hex()
+                assert harness._chi2_critical(alpha, dof) == pytest.approx(ref, rel=5e-15, abs=0)
+
+    def test_tails_are_complementary(self):
+        for dof in (1, 2, 3, 10, 51):
+            for x in (0.01, 1.0, float(dof), 3.0 * dof + 10.0):
+                upper, density = harness._chi2_tail(x, dof, True)
+                lower, same = harness._chi2_tail(x, dof, False)
+                assert upper + lower == pytest.approx(1.0, abs=4e-16)
+                assert density == pytest.approx(same, rel=1e-14)
+
+
+class TestChiSquareMatchesScipyStats:
+    """Cross-checks of the chi-square statistics against scipy.stats, where
+    scipy is installed: each must equal it bit for bit."""
 
     @staticmethod
     def statistic(table, monkeypatch):
@@ -316,8 +340,7 @@ class TestChiSquareMatchesScipyStats:
 
     @staticmethod
     def reference(table):
-        from scipy import stats
-
+        stats = pytest.importorskip("scipy.stats")
         res = stats.chi2_contingency(np.asarray(table, dtype=np.float64), correction=False)
         return float(res.statistic), int(res.dof)
 

@@ -1,5 +1,5 @@
 """Every name a module imports is used in that module (or exported), and the
-package loads no more of scipy than ``scipy.special``."""
+package loads no scipy at all."""
 
 import ast
 import os
@@ -45,13 +45,17 @@ def test_scan_flags_an_unused_import():
     assert unused_imports(source) == ["dumps (line 2)"]
 
 
-def test_package_does_not_import_scipy_stats():
-    """scipy.stats takes most of a cold start to import; nothing needs it."""
+def test_package_does_not_import_scipy():
+    """Importing any of scipy (scipy.special alone takes 0.36 s and 26 MB)
+    would double a cold start; nothing needs it."""
     src = str(Path(inarlab.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, inarlab, inarlab.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, inarlab, inarlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

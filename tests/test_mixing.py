@@ -133,6 +133,18 @@ class TestRhoStarWindow:
             scan = rho_star_window(chain, 3, gap, cap=20)
             assert scan.value <= 1e-9
 
+    def test_one_kernel_table_per_scan(self, monkeypatch):
+        """Every union of a scan reads the one table its spec keeps per cap."""
+        builds = []
+        real = chains.binomial_table
+        monkeypatch.setattr(chains, "binomial_table", lambda n, a: builds.append(n) or real(n, a))
+        spec = indicator_chain_spec(0.5, 0.5)
+        scan = rho_star_window(spec, 6, 1, cap=1)
+        assert scan.pair_count > 1 and builds == [1]
+        rho_star_window(spec, 4, 2, cap=1)
+        rho_star_window(spec, 3, 1, cap=3)
+        assert builds == [1, 3]
+
     def test_single_pair_matches_direct_computation(self):
         chain = poisson_death_chain(1.0, 0.5)
         scan = rho_star_window(chain, 2, 1, cap=30)

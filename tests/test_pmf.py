@@ -20,8 +20,11 @@ from inarlab import (
     thin,
     total_variation,
 )
+from inarlab import pmf
 from inarlab.errors import InvalidParameterError, SamplingBudgetError
 from inarlab.pmf import MASS_TOL, binomial_table, total_off_unit
+
+from . import decimal_oracle as oracle
 
 
 def sup_diff(p: Pmf, q: Pmf) -> float:
@@ -88,10 +91,50 @@ class TestPoisson:
         finally:
             tracemalloc.stop()
 
-    def test_wide_tables_within_the_limit_are_unchanged(self):
-        assert poisson_pmf(1e5).probs.size == 102_045
-        # the widest first table the limit admits: mean 2e6 at a loose budget
-        assert poisson_pmf(2e6, 1e-9).probs.size == 2_008_374
+    @pytest.mark.parametrize("mean", [1e-3, 0.5, 3.0, 30.0, 300.0, 1e4, 1e5])
+    def test_terms_against_the_decimal_oracle(self, mean):
+        p = poisson_pmf(mean)
+        exact = oracle.poisson_terms(mean, p.max_state)
+        assert oracle.l1_error(p.probs, exact) <= 1e-15
+
+    @pytest.mark.parametrize("mean, budget", [(1e5, 1e-12), (2e6, 1e-9)])
+    def test_wide_tables_meet_the_smallest_k_contract(self, mean, budget):
+        """The cut K is the smallest with true tail P(X > K) <= budget, up to
+        the double rounding of 1 - fsum; 2e6 at 1e-9 is the widest first
+        table the limit admits."""
+        k = poisson_pmf(mean, budget).max_state
+        before, at = oracle.poisson_tails(mean, k)
+        assert at <= budget + CUT_SLACK and before > budget - CUT_SLACK
+
+    def test_cut_points_meet_the_contract_at_small_means(self):
+        """Every state cap and comparison law of the benchmark workloads and
+        the exact-scan references has a mean of at most 20."""
+        for mean in [0.05 * i for i in range(1, 401)] + WORKLOAD_MEANS:
+            exact = oracle.poisson_terms(mean, 80)
+            for budget in CUT_BUDGETS:
+                k = poisson_pmf(mean, budget).max_state
+                at = 1 - math.fsum(exact[: k + 1])
+                before = at + float(exact[k])
+                assert at <= budget + CUT_SLACK and before > budget - CUT_SLACK, (mean, budget)
+
+    def test_cut_points_at_the_workload_means_are_the_smallest_k(self):
+        """No slack: each cut is the oracle's.  At mean 20/3 and budget 1e-14
+        the lgamma-based terms this replaced cut at 34, whose true tail is
+        1.04e-14."""
+        for mean in WORKLOAD_MEANS:
+            exact = oracle.poisson_terms(mean, 80)
+            for budget in CUT_BUDGETS:
+                k = next(j for j in range(81) if 1 - sum(exact[: j + 1]) <= budget)
+                assert poisson_pmf(mean, budget).max_state == k, (mean, budget)
+
+
+# The means of every Poisson law the benchmark workloads build: the default
+# (a, lambda) grid's innovations and stationary means, and the death-chain start.
+WORKLOAD_MEANS = [0.25, 0.5, 0.5 / 0.7, 1.0, 1 / 0.7, 0.5 / 0.3, 2.0, 2 / 0.7, 3.0, 1 / 0.3, 4.0, 2 / 0.3]
+CUT_BUDGETS = (1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14)
+# the computed tail 1 - fsum(probs) is the true one within the table's L1
+# error (below 2.5e-16 at these means) plus half an ulp of 1
+CUT_SLACK = 5e-16
 
 
 class TestBinomial:
@@ -123,43 +166,66 @@ class TestBinomial:
             assert not table[y, y + 1 :].any()
 
 
-class TestBinomialMatchesScipyStats:
-    """The tables call the ufunc behind ``scipy.stats.binom.pmf`` directly;
-    every cell must equal the scipy.stats value bit for bit."""
+SIZES = (0, 1, 2, 5, 40, 300, 1413)
+RATES = (0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0)
 
-    SIZES = (0, 1, 2, 5, 40, 300, 1413)
-    RATES = (0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0)
 
-    @staticmethod
-    def reference_table(n, a):
-        from scipy import stats
+def seeded_sizes_and_rates():
+    rng = np.random.default_rng(20170825)
+    return [(int(n), float(a)) for n, a in zip(rng.integers(1, 1414, size=12), rng.random(12))]
 
-        y = np.arange(n + 1)
-        return stats.binom.pmf(y[None, :], y[:, None], a)
 
-    @pytest.mark.parametrize("a", RATES)
-    def test_tables_on_a_grid(self, a):
-        for n in self.SIZES:
-            assert binomial_table(n, a).tobytes() == self.reference_table(n, a).tobytes()
+GRID = [(n, a) for a in RATES for n in SIZES] + seeded_sizes_and_rates()
 
-    def test_seeded_sizes_and_rates(self):
-        from scipy import stats
 
-        rng = np.random.default_rng(20170825)
-        for n, a in zip(rng.integers(1, 1414, size=12), rng.random(12)):
-            n, a = int(n), float(a)
-            ref = stats.binom.pmf(np.arange(n + 1), n, a)
-            assert binomial_pmf(n, a).probs.tobytes() == ref.tobytes()
-            if n <= 300:
-                assert binomial_table(n, a).tobytes() == self.reference_table(n, a).tobytes()
+class TestBinomialAgainstDecimalOracle:
+    """Every cell within an ulp of 1/2 of the exact value, every table within
+    5e-16 in L1, on the size-rate grid and at seeded sizes and rates."""
+
+    @pytest.mark.parametrize("n, a", GRID)
+    def test_pmf_accuracy(self, n, a):
+        probs = binomial_pmf(n, a).probs
+        exact = oracle.binomial_pmf(n, a)
+        assert oracle.max_error(probs, exact) <= 2.0**-53
+        assert oracle.l1_error(probs, exact) <= 5e-16
 
     @pytest.mark.parametrize("a", RATES)
-    def test_pmfs_on_a_grid(self, a):
-        from scipy import stats
+    def test_tables_hold_the_pmfs(self, a):
+        table = binomial_table(SIZES[-1], a)
+        for n in SIZES:
+            assert table[n, : n + 1].tobytes() == binomial_pmf(n, a).probs.tobytes()
+        for n, rate in seeded_sizes_and_rates()[:4]:
+            row = binomial_table(n, rate)[n]
+            assert row.tobytes() == binomial_pmf(n, rate).probs.tobytes()
 
-        for n in self.SIZES[1:]:
-            ref = stats.binom.pmf(np.arange(n + 1), n, a)
-            assert binomial_pmf(n, a).probs.tobytes() == ref.tobytes()
+    @pytest.mark.parametrize("n, a", GRID)
+    def test_no_less_accurate_than_scipy(self, n, a):
+        """Cross-check against the Boost ufunc behind ``scipy.stats.binom``:
+        no larger worst cell error, and no larger L1 error beyond 1e-20 (at
+        a = 1 - 1e-9 both round the top cell alike and differ only in cells
+        near 1e-9)."""
+        stats = pytest.importorskip("scipy.stats")
+        exact = oracle.binomial_pmf(n, a)
+        ours = binomial_pmf(n, a).probs
+        ref = stats.binom.pmf(np.arange(n + 1), n, a)
+        assert oracle.max_error(ours, exact) <= oracle.max_error(ref, exact)
+        assert oracle.l1_error(ours, exact) <= oracle.l1_error(ref, exact) + 1e-20
+
+
+class TestLoaderCore:
+    def test_stirlerr_table_matches_the_decimal_derivation(self):
+        table = pmf._STIRLERR_HALVES
+        assert table[0] == 0.0  # n = 0 is never looked up for a term
+        for twice in range(1, table.size):
+            assert table[twice] == float(oracle.stirlerr(twice)), twice
+
+    def test_stirlerr_series_above_the_table(self):
+        """stirlerr enters each term's exponent, so its absolute error is the
+        term's relative error; the series' truncation peaks at 1.5e-16 at 15.5."""
+        twice = np.arange(31, 400)
+        got = pmf._stirlerr(twice / 2.0)
+        for t, value in zip(twice.tolist(), got.tolist()):
+            assert abs(value - float(oracle.stirlerr(t))) <= 2e-16, t
 
 
 class TestConvolve:
