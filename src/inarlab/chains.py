@@ -35,6 +35,7 @@ from .pmf import (
     SeedSpec,
     _require_sampleable,
     _sample_with_rng,
+    _smallest,
     binomial_pmf,
     binomial_table,
     point_mass,
@@ -116,7 +117,7 @@ class InarParams:
         return self.lam / (1.0 - self.a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovChainSpec:
     """Initial law plus one step: from state x, Binomial(x, a) survivors plus
     an independent ``innovation`` draw (death chains add ``point_mass(0)``)."""
@@ -127,7 +128,7 @@ class MarkovChainSpec:
     description: Mapping = field(default_factory=dict)
     # transition_matrix's read-only table per cap, built on first use (two
     # threads may both build one; either serves)
-    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kernels: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 <= self.a <= 1.0):
@@ -138,7 +139,7 @@ class MarkovChainSpec:
         return self.initial.max_state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Matrix of simulated paths, one row per path, plus its provenance.
 
@@ -166,7 +167,7 @@ class PathEnsemble:
         return self.paths.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnovationDecomposition:
     """Aligned paths of the count, survivor, and innovation components.
 
@@ -235,25 +236,16 @@ class SuperpositionConfig:
     def for_budget(
         cls, params: InarParams, tail_budget: float = DEFAULT_SUPERPOSITION_BUDGET
     ) -> "SuperpositionConfig":
-        """Smallest depth meeting the neglected-mean budget.
-
-        Found by doubling, then bisection, on ``neglected_mean`` itself: no
-        estimate can underflow, and a depth of 10**18 (a near 1) takes about
-        120 steps, also where ``a**depth`` underflows to 0 for a run of depths.
+        """Smallest depth meeting the neglected-mean budget: ``_smallest`` on
+        ``neglected_mean`` itself from depth 1, so no estimate can underflow,
+        and a depth of 10**18 (a near 1) takes about 120 steps.  A budget
+        outside (0, 1) is refused by the first depth tried.
         """
-        if not (0.0 < tail_budget < 1.0):
-            raise InvalidConfigError("tail_budget must lie in (0, 1)")
 
         def fits(depth: int) -> bool:
             return cls(depth, tail_budget).neglected_mean(params) <= tail_budget
 
-        lo, hi = 0, 1  # hi fits once doubled; lo is 0 or a depth that does not fit
-        while not fits(hi):
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if fits(mid) else (mid, hi)
-        return cls(depth=hi, tail_budget=tail_budget)
+        return cls(depth=_smallest(fits, 1, 1), tail_budget=tail_budget)
 
 
 def _require_survival(a: float) -> None:
@@ -709,11 +701,8 @@ def marginal_at(spec: MarkovChainSpec, j: int) -> Pmf:
     if j == 0:
         return spec.initial
     trans = transition_matrix(spec, spec.state_cap)
-    rows = trans.shape[0]
-    init = np.zeros(rows)
-    top = min(spec.initial.probs.size, rows)
-    init[:top] = spec.initial.probs[:top]
-    out = init @ np.linalg.matrix_power(trans[:, :rows], j - 1) @ trans
+    rows = trans.shape[0]  # state_cap + 1, the initial table's size
+    out = spec.initial.probs @ np.linalg.matrix_power(trans[:, :rows], j - 1) @ trans
     return Pmf(out, max(0.0, 1.0 - math.fsum(out.tolist())))
 
 

@@ -60,7 +60,7 @@ def _validate_mass(mass: np.ndarray, ndim: int) -> np.ndarray:
     return mass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointPmf:
     """Joint law of two finite discrete observables.
 
@@ -90,7 +90,7 @@ class JointPmf:
         return self.mass.sum(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripletPmf:
     """Joint law of an ordered triple of finite discrete observables."""
 

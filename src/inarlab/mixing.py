@@ -41,6 +41,7 @@ from .errors import (
     InvalidParameterError,
     WindowTooWideError,
 )
+from .pmf import _smallest
 
 DEFAULT_MAX_WIDTH = 8
 # longest window verify_absorbing_split enumerates, and the slack of its
@@ -263,11 +264,7 @@ def gap_for_epsilon(a: float, epsilon: float) -> GapCertificate:
         raise InvalidParameterError(
             f"epsilon {epsilon!r} is too small: (epsilon / 3)**2 underflows"
         )
-    m = max(1, math.ceil(math.log(gamma) / math.log(a)))
-    while a**m > gamma:
-        m += 1
-    while m > 1 and a ** (m - 1) <= gamma:
-        m -= 1
+    m = _smallest(lambda k: a**k <= gamma, math.ceil(math.log(gamma) / math.log(a)), 1)
     return GapCertificate(a=a, epsilon=epsilon, delta=delta, gamma=gamma, m=m)
 
 

@@ -24,8 +24,8 @@ MASS_TOL = 1e-12
 # relatively (Higham, Accuracy and Stability of Numerical Algorithms, 4.2).
 _MASS_BLOCK = 1024
 # Largest state a Poisson or binomial table may hold, checked before the table
-# is allocated.  poisson_pmf's doubling search stops past 1e6, so for it this
-# only refuses means above about 2.08e6, whose first table is wider.
+# is allocated.  poisson_pmf's one table has mean + 12 sqrt(mean) + 40 states,
+# so for it this refuses means above about 2.08e6.
 _MAX_TABLE_STATE = 1 << 21
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pmf:
     """Probability mass function on ``{0..K}`` plus explicit mass beyond ``K``.
 
@@ -243,13 +243,32 @@ def _binomial_cells(x: np.ndarray, n: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
+def _smallest(pred, start: int, lo: int = 0) -> int:
+    """Smallest integer ``n >= lo`` with ``pred(n)``, for a ``pred`` that stays
+    true once true and holds somewhere: a gallop from the estimate ``start``
+    in doubling steps, then bisection, so about 2 log2 |start - n| calls."""
+    good = bad = max(start, lo)
+    step = 1
+    if pred(good):
+        while (bad := good - step) >= lo and pred(bad):
+            good, step = bad, 2 * step
+        bad = max(bad, lo - 1)  # below lo counts as false
+    else:
+        while not pred(good := bad + step):
+            bad, step = good, 2 * step
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        bad, good = (bad, mid) if pred(mid) else (mid, good)
+    return good
+
+
 def poisson_pmf(mean: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> Pmf:
     """Poisson law truncated at the smallest K whose tail mass is <= tail_budget.
 
-    The recorded ``tail_mass`` is exactly ``1 - fsum(probs)``; the truncation
-    point is determined with compensated partial sums, so the smallest-K
-    contract holds in double precision.  Terms are Loader's saddle-point
-    form, accurate to a few ulps each at any mean.
+    One table of ``mean + 12 sqrt(mean) + 40`` states is built; a budget its
+    whole ``fsum`` misses is refused.  ``tail_mass`` is exactly ``1 - fsum(probs)``,
+    which never rises with K, so ``_smallest`` finds the smallest such K in
+    double precision.  Terms are Loader's saddle-point form, a few ulps each.
     """
     if not (mean > 0.0) or not math.isfinite(mean):
         raise InvalidParameterError("mean must be positive and finite")
@@ -257,31 +276,23 @@ def poisson_pmf(mean: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> Pmf:
         raise InvalidParameterError("tail_budget must lie in (0, 1)")
 
     k_hi = int(mean + 12.0 * math.sqrt(mean) + 40.0)
-    while True:
-        if k_hi > _MAX_TABLE_STATE:
-            raise InvalidParameterError(
-                f"mean {mean:.3e} needs a table beyond state {_MAX_TABLE_STATE}"
-            )
-        terms = np.empty(k_hi + 1)
-        terms[0] = math.exp(-mean)
-        terms[1:] = _poisson_terms(np.arange(1.0, k_hi + 1.0), mean)
-        if 1.0 - math.fsum(terms.tolist()) <= tail_budget:
-            break
-        if k_hi > 1_000_000:
-            raise InvalidParameterError(
-                "tail_budget is unattainable in double precision for this mean"
-            )
-        k_hi *= 2
+    if k_hi > _MAX_TABLE_STATE:
+        raise InvalidParameterError(
+            f"mean {mean:.3e} needs a table beyond state {_MAX_TABLE_STATE}"
+        )
+    terms = np.empty(k_hi + 1)
+    terms[0] = math.exp(-mean)
+    terms[1:] = _poisson_terms(np.arange(1.0, k_hi + 1.0), mean)
 
     def tail_at(j: int) -> float:
         return 1.0 - math.fsum(terms[: j + 1].tolist())
 
-    cut = int(np.searchsorted(np.cumsum(terms), 1.0 - tail_budget))
-    cut = max(cut - 3, 0)
-    while tail_at(cut) > tail_budget:
-        cut += 1
-    while cut > 0 and tail_at(cut - 1) <= tail_budget:
-        cut -= 1
+    if tail_at(k_hi) > tail_budget:
+        raise InvalidParameterError(
+            "tail_budget is unattainable in double precision for this mean"
+        )
+    guess = int(np.searchsorted(np.cumsum(terms), 1.0 - tail_budget))
+    cut = _smallest(lambda j: tail_at(j) <= tail_budget, min(guess, k_hi))
     return Pmf(terms[: cut + 1], max(0.0, tail_at(cut)))
 
 

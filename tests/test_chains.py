@@ -14,10 +14,12 @@ from hypothesis.extra import numpy as hnp
 from inarlab import (
     InarParams,
     InnovationDecomposition,
+    JointPmf,
     MarkovChainSpec,
     Pmf,
     SeedSpec,
     SuperpositionConfig,
+    TripletPmf,
     TupleLaw,
     binomial_death_chain,
     binomial_pmf,
@@ -693,6 +695,28 @@ class TestDecompositionValidation:
         v[-1, -1] = x[-1, -1] - u[-1, -1]
         with pytest.raises(InvalidParameterError, match="survivors exceed"):
             InnovationDecomposition(x, u, v)
+
+
+VALUE_OBJECTS = {  # the frozen dataclasses that hold ndarray fields
+    "Pmf": lambda: poisson_pmf(1.0),
+    "MarkovChainSpec": lambda: inar_kernel(PARAMS),
+    "PathEnsemble": lambda: PathEnsemble(np.ones((2, 3)), SeedSpec(1), {"a": 0.5}),
+    "InnovationDecomposition": lambda: InnovationDecomposition(
+        np.ones((2, 3)), np.zeros((2, 3)), np.ones((2, 3))
+    ),
+    "JointPmf": lambda: JointPmf(np.full((2, 2), 0.25)),
+    "TripletPmf": lambda: TripletPmf(np.full((2, 2, 2), 0.125)),
+}
+
+
+@pytest.mark.parametrize("make", VALUE_OBJECTS.values(), ids=list(VALUE_OBJECTS))
+def test_array_holders_compare_and_hash_by_identity(make):
+    """``==`` answers instead of raising on an array's ambiguous truth value,
+    and ``hash`` works; equal contents do not make two objects equal."""
+    first, second = make(), make()
+    assert first == first and hash(first) == hash(first)
+    assert first != second
+    assert len({first, second}) == 2
 
 
 def _allocated_peak(fn) -> int:

@@ -289,8 +289,6 @@ def test_simulate_flags_fuzz(tmp_path_factory, construction, flags):
 # - -W is 1, 3 or the refused 9: at the default cap 30, width 4 already
 #   builds window laws of 31**4 cells;
 # - --n-max stays small: each gap is one matrix power and one SVD;
-# - --tail-budget leaves out tiny values: poisson_pmf searches tables up to
-#   a million states before refusing a budget it cannot reach;
 # - marginal's --a and --lambda keep the stationary mean at most 30, since
 #   its table is sized by the chain's state cap;
 # - --n stays small or past the 2**21 table limit.
@@ -300,7 +298,7 @@ EXACT_FLAGS = (
     _flag("--p0", PROB_VALUES),
     _flag("--n", N_VALUES),
     _flag("--p", PROB_VALUES),
-    _flag("--tail-budget", ["1e-12", "0.5"]),
+    _flag("--tail-budget", BUDGET_VALUES),
 )
 COMMAND_FLAGS = {
     "rho": (

@@ -1,7 +1,9 @@
-"""Every name a module imports is used in that module (or exported), and the
-package loads no scipy at all."""
+"""Every name a module imports is used in that module (or exported), every
+private module-level name is used somewhere in the package, and the package
+loads no scipy at all."""
 
 import ast
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -43,6 +45,56 @@ def test_module_uses_every_import(path):
 def test_scan_flags_an_unused_import():
     source = "import os\nfrom json import dumps, loads\n__all__ = ['loads']\nos.sep\n"
     assert unused_imports(source) == ["dumps (line 2)"]
+
+
+def _references(node) -> Counter:
+    """Names read (as names or attributes) anywhere under ``node``."""
+    names = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+    return names
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_private`` functions, classes and constants that no code
+    in ``sources`` reads outside their own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = _references(node)
+            dead += [
+                f"{module}:{name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+                and everywhere[name] == own[name]
+            ]
+    return dead
+
+
+def test_package_uses_every_private_name():
+    package = Path(inarlab.__file__).parent
+    sources = {p.name: p.read_text(encoding="utf-8") for p in package.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_scan_flags_an_unreferenced_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_spare = 1\ndef _loop(n):\n    return _loop(n - 1)\n",
+        "b.py": "from a import _LIMIT\nclass _Unused:\n    pass\nprint(_LIMIT)\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py:_spare", "a.py:_loop", "b.py:_Unused"]
 
 
 def test_package_does_not_import_scipy():

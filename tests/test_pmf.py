@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,6 +127,72 @@ class TestPoisson:
             for budget in CUT_BUDGETS:
                 k = next(j for j in range(81) if 1 - sum(exact[: j + 1]) <= budget)
                 assert poisson_pmf(mean, budget).max_state == k, (mean, budget)
+
+
+class TestSmallest:
+    """``_smallest`` is the package's one integer search (truncation points,
+    superposition depths, gap certificates)."""
+
+    @pytest.mark.parametrize(
+        "answer, start, lo",
+        [
+            (37, 1000, 0),  # below the estimate
+            (500, 500, 0),  # at it
+            (10**18, 1, 1),  # far above it
+            (5, 40, 5),  # the answer is lo
+            (0, 123, 0),  # pred holds everywhere
+            (1, 1, 1),
+        ],
+    )
+    def test_finds_the_smallest_in_logarithmic_calls(self, answer, start, lo):
+        calls = []
+
+        def pred(n):
+            calls.append(n)
+            return n >= answer
+
+        assert pmf._smallest(pred, start, lo) == answer
+        assert min(calls) >= lo
+        assert len(calls) <= 2 * math.ceil(math.log2(abs(start - answer) + 1)) + 3
+
+
+class TestPoissonSearchWork:
+    """poisson_pmf builds one table per call and searches its prefix sums."""
+
+    @pytest.mark.parametrize("mean, budget, admitted", [(3.0, 1e-12, True), (1.69, 1e-16, False)])
+    def test_one_table_per_call(self, monkeypatch, mean, budget, admitted):
+        builds = []
+        terms = pmf._poisson_terms
+
+        def counted(k, m):
+            builds.append(k.size)
+            return terms(k, m)
+
+        monkeypatch.setattr(pmf, "_poisson_terms", counted)
+        if admitted:
+            poisson_pmf(mean, budget)
+        else:
+            with pytest.raises(InvalidParameterError, match="unattainable in double precision"):
+                poisson_pmf(mean, budget)
+        assert len(builds) == 1
+
+    def test_tiny_budget_at_a_wide_mean_takes_few_prefix_sums(self, monkeypatch):
+        """The cut K is the smallest with ``1 - fsum(probs[:K + 1]) <= budget``,
+        found in at most 40 sums (the counts include the whole-table check
+        and the Pmf's own mass check)."""
+        sums = []
+
+        def fsum(values):
+            sums.append(len(values))
+            return math.fsum(values)
+
+        monkeypatch.setattr(pmf, "math", SimpleNamespace(**{**vars(math), "fsum": fsum}))
+        p = poisson_pmf(1e5, 1e-16)
+        monkeypatch.undo()
+        assert len(sums) <= 40
+        k = p.max_state
+        assert p.tail_mass == 1.0 - math.fsum(p.probs.tolist()) <= 1e-16
+        assert 1.0 - math.fsum(p.probs[:k].tolist()) > 1e-16
 
 
 # The means of every Poisson law the benchmark workloads build: the default
