@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .pmf import (
     DEFAULT_TAIL_BUDGET,
     Pmf,
     SeedSpec,
+    _integer,
     _require_sampleable,
     _sample_with_rng,
     _smallest,
@@ -99,6 +100,11 @@ def _require_memory(length: int, n_paths: int, matrices: int) -> None:
         )
 
 
+def _require_survival(a: float) -> None:
+    if not (0.0 < a < 1.0):
+        raise InvalidParameterError("a must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class InarParams:
     """Thinning/survival parameter ``a`` and innovation mean ``lam``."""
@@ -107,8 +113,7 @@ class InarParams:
     lam: float
 
     def __post_init__(self):
-        if not (0.0 < self.a < 1.0):
-            raise InvalidParameterError("a must lie in (0, 1)")
+        _require_survival(self.a)
         if not (self.lam > 0.0) or not math.isfinite(self.lam):
             raise InvalidParameterError("lam must be positive and finite")
 
@@ -211,6 +216,7 @@ class SuperpositionConfig:
     tail_budget: float = DEFAULT_SUPERPOSITION_BUDGET
 
     def __post_init__(self):
+        object.__setattr__(self, "depth", _integer(self.depth, "depth", InvalidConfigError))
         if self.depth < 1:
             raise InvalidConfigError("depth must be a positive integer")
         if not (0.0 < self.tail_budget < 1.0):
@@ -246,11 +252,6 @@ class SuperpositionConfig:
             return cls(depth, tail_budget).neglected_mean(params) <= tail_budget
 
         return cls(depth=_smallest(fits, 1, 1), tail_budget=tail_budget)
-
-
-def _require_survival(a: float) -> None:
-    if not (0.0 < a < 1.0):
-        raise InvalidParameterError("a must lie in (0, 1)")
 
 
 def inar_kernel(
@@ -333,18 +334,14 @@ def indicator_chain(
 
     Paths are {0,1}-valued and nonincreasing.
     """
-    if not (0.0 <= p0 <= 1.0):
-        raise InvalidParameterError("p0 must lie in [0, 1]")
-    _require_survival(a)
+    spec = indicator_chain_spec(p0, a)
     _require_memory(length, n_paths, 1)
     rng = seed.generator()
     paths = np.empty((n_paths, length), dtype=np.int64)
     paths[:, 0] = rng.random(n_paths) < p0
     for k in range(1, length):
         paths[:, k] = paths[:, k - 1] & (rng.random(n_paths) < a)
-    return PathEnsemble(
-        paths, seed, {"construction": "indicator", "p0": p0, "a": a}
-    )
+    return PathEnsemble(paths, seed, spec.description)
 
 
 def simulate_chain(
@@ -655,35 +652,26 @@ def window_joint_pmf(
     ``mass[..., None] * P^gap`` per later index, with matrix powers over
     the unobserved gaps.  Impossible tuples (e.g. increases under a death
     kernel) hold zero mass.  The lost mass is reported as
-    ``truncation_error``, not renormalized away.
+    ``truncation_error``, not renormalized away.  Every call at one cap
+    reads the one kernel table the spec keeps for it.
     """
-    idx = [int(i) for i in indices]
+    idx = [_integer(i, "index") for i in indices]
     if not idx or any(b <= a for a, b in zip(idx, idx[1:])) or idx[0] < 0:
         raise InvalidParameterError(
             "indices must be nonempty, nonnegative, strictly increasing"
         )
     require_window_atoms(cap, len(idx))
-    return next(_window_laws(spec, [idx], cap))
-
-
-def _window_laws(
-    spec: MarkovChainSpec, index_sets: Iterable[Sequence[int]], cap: int
-) -> Iterator[TupleLaw]:
-    """The contraction of :func:`window_joint_pmf` at each index set in turn,
-    all from one kernel table built on first use.  The caller validates the
-    index sets and the cap."""
     support = cap + 1
     trans = transition_matrix(spec, cap)[:, :support]
     init = np.zeros(support)
     m = min(spec.initial.probs.size, support)
     init[:m] = spec.initial.probs[:m]
-    for idx in index_sets:
-        mass = init @ np.linalg.matrix_power(trans, idx[0])
-        for prev, cur in zip(idx, idx[1:]):
-            mass = mass[..., None] * np.linalg.matrix_power(trans, cur - prev)
-        mass.setflags(write=False)
-        err = 1.0 - math.fsum(mass[mass != 0.0].tolist())  # zeros add nothing
-        yield TupleLaw(tuple(idx), mass, max(0.0, err))
+    mass = init @ np.linalg.matrix_power(trans, idx[0])
+    for prev, cur in zip(idx, idx[1:]):
+        mass = mass[..., None] * np.linalg.matrix_power(trans, cur - prev)
+    mass.setflags(write=False)
+    err = 1.0 - math.fsum(mass[mass != 0.0].tolist())  # zeros add nothing
+    return TupleLaw(tuple(idx), mass, max(0.0, err))
 
 
 def marginal_at(spec: MarkovChainSpec, j: int) -> Pmf:
@@ -696,6 +684,7 @@ def marginal_at(spec: MarkovChainSpec, j: int) -> Pmf:
     kernel truncated to {0..cap}, so the matrix power takes O(log j)
     products.
     """
+    j = _integer(j, "j")
     if j < 0:
         raise InvalidParameterError("j must be nonnegative")
     if j == 0:

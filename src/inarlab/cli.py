@@ -57,20 +57,18 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 DEFAULT_MAX_ESCAPE = 1e-9  # truncated mass an exact command tolerates by default
 
-SIM_CONSTRUCTIONS = (
-    "direct",
-    "superposition",
-    "death-poisson",
-    "death-binomial",
-    "indicator",
-)
-CHAIN_CONSTRUCTIONS = (
-    "direct",
-    "death-poisson",
-    "death-binomial",
-    "indicator",
-    "iid",
-)
+# each construction's required chain options, in the order its builder takes
+# them and a missing-option refusal lists them
+REQUIRED = {
+    "direct": ("a", "lam"),
+    "superposition": ("a", "lam"),
+    "death-poisson": ("lam", "a"),
+    "death-binomial": ("n", "p", "a"),
+    "indicator": ("p0", "a"),
+    "iid": ("lam",),
+}
+SIM_CONSTRUCTIONS = tuple(c for c in REQUIRED if c != "iid")  # simulate's choices
+CHAIN_CONSTRUCTIONS = tuple(c for c in REQUIRED if c != "superposition")  # exact laws
 
 
 def _exit_on_errors(fn):
@@ -91,32 +89,28 @@ def _exit_on_errors(fn):
     return wrapper
 
 
-def _require(mapping: dict, *names: str) -> list:
-    missing = [n for n in names if mapping.get(n) is None]
+def _params(construction: str, opts: dict) -> list:
+    """The construction's ``REQUIRED`` option values, refusing any missing."""
+    names = REQUIRED[construction]
+    missing = [n for n in names if opts[n] is None]
     if missing:
         raise InvalidParameterError(
             f"missing required option(s): {', '.join('--' + n for n in missing)}"
         )
-    return [mapping[n] for n in names]
+    return [opts[n] for n in names]
 
 
 def _chain_spec(construction: str, opts: dict, tail_budget: float):
+    values = _params(construction, opts)
     if construction == "direct":
-        a, lam = _require(opts, "a", "lam")
-        return inar_kernel(InarParams(a=a, lam=lam), tail_budget)
+        return inar_kernel(InarParams(*values), tail_budget)
     if construction == "death-poisson":
-        lam, a = _require(opts, "lam", "a")
-        return poisson_death_chain(lam, a, tail_budget)
+        return poisson_death_chain(*values, tail_budget)
     if construction == "death-binomial":
-        n, p, a = _require(opts, "n", "p", "a")
-        return binomial_death_chain(n, p, a)
+        return binomial_death_chain(*values)
     if construction == "indicator":
-        p0, a = _require(opts, "p0", "a")
-        return indicator_chain_spec(p0, a)
-    if construction == "iid":
-        (lam,) = _require(opts, "lam")
-        return iid_chain(lam, tail_budget)
-    raise InvalidParameterError(f"unknown construction {construction!r}")
+        return indicator_chain_spec(*values)
+    return iid_chain(*values, tail_budget)
 
 
 def _config(construction: str, opts: dict, **extra) -> dict:
@@ -217,17 +211,15 @@ def simulate(construction, opts, length, paths, seed, stream, tail_budget, out):
     outdir = Path(out)
     prefix = outdir / construction
 
+    values = _params(construction, opts)
     if construction == "direct":
-        av, lv = _require(opts, "a", "lam")
-        ens, dec = simulate_inar_direct(InarParams(a=av, lam=lv), length, paths, seed_spec)
+        ens, dec = simulate_inar_direct(InarParams(*values), length, paths, seed_spec)
     elif construction == "superposition":
-        av, lv = _require(opts, "a", "lam")
-        params = InarParams(a=av, lam=lv)
+        params = InarParams(*values)
         config = SuperpositionConfig.for_budget(params, tail_budget)
         ens, dec = simulate_inar_superposition(params, config, length, paths, seed_spec)
     elif construction == "indicator":
-        p0v, av = _require(opts, "p0", "a")
-        ens, dec = indicator_chain(p0v, av, length, paths, seed_spec), None
+        ens, dec = indicator_chain(*values, length, paths, seed_spec), None
     else:
         spec = _chain_spec(construction, opts, tail_budget)
         ens, dec = simulate_chain(spec, length, paths, seed_spec), None

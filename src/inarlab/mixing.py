@@ -23,7 +23,7 @@ import numpy as np
 from .chains import (
     MarkovChainSpec,
     TupleLaw,
-    _window_laws,
+    _require_survival,
     indicator_chain_spec,
     require_window_atoms,
     window_joint_pmf,
@@ -41,7 +41,7 @@ from .errors import (
     InvalidParameterError,
     WindowTooWideError,
 )
-from .pmf import _smallest
+from .pmf import _integer, _smallest
 
 DEFAULT_MAX_WIDTH = 8
 # longest window verify_absorbing_split enumerates, and the slack of its
@@ -83,8 +83,8 @@ class WindowSpec:
     gap: int
 
     def __post_init__(self):
-        s = tuple(sorted(int(i) for i in self.s))
-        t = tuple(sorted(int(i) for i in self.t))
+        s = tuple(sorted(_integer(i, "index") for i in self.s))
+        t = tuple(sorted(_integer(i, "index") for i in self.t))
         if not s or not t or set(s) & set(t):
             raise InvalidParameterError("S and T must be nonempty and disjoint")
         if min(s + t) < 0 or max(s + t) >= self.width:
@@ -219,12 +219,13 @@ def lag_joint(spec: MarkovChainSpec, n: int, cap: int) -> tuple[JointPmf, float]
 def lag_joints(
     spec: MarkovChainSpec, gaps: Iterable[int], cap: int
 ) -> Iterator[tuple[JointPmf, float]]:
-    """:func:`lag_joint` at each gap in turn, all from one kernel table.
+    """:func:`lag_joint` at each gap in turn: the split of each (0, n) window
+    law, all read from the one kernel table the spec keeps for this cap.
 
-    Gaps and cap are checked, and a too-large cap refused, at the call; the
-    table is built when the first joint is drawn.
+    Gaps and cap are checked, and a too-large cap refused, at the call; no
+    law (and no table) is built before the first joint is drawn.
     """
-    gaps = list(gaps)
+    gaps = [_integer(n, "n") for n in gaps]
     if any(n < 1 for n in gaps):
         raise InvalidParameterError("n must be a positive integer")
     if cap < 1:
@@ -234,10 +235,8 @@ def lag_joints(
             f"lag joint could hold up to {(cap + 1) ** 2} atoms "
             f"(limit {DEFAULT_EXPLOSION_LIMIT}); shrink the cap"
         )
-    return (
-        (law.split(law.indices[:1], law.indices[1:]), law.truncation_error)
-        for law in _window_laws(spec, [(0, n) for n in gaps], cap)
-    )
+    laws = (window_joint_pmf(spec, (0, n), cap) for n in gaps)
+    return ((law.split(law.indices[:1], law.indices[1:]), law.truncation_error) for law in laws)
 
 
 def rho_markov(spec: MarkovChainSpec, n: int, cap: int) -> float:
@@ -254,8 +253,7 @@ def gap_for_epsilon(a: float, epsilon: float) -> GapCertificate:
     """Certified gap: delta = epsilon, gamma = min(1/9, (delta/3)^2), and the
     smallest positive m with a**m <= gamma (ties take the smaller m).
     """
-    if not (0.0 < a < 1.0):
-        raise InvalidParameterError("a must lie in (0, 1)")
+    _require_survival(a)
     if not (0.0 < epsilon <= 1.0):
         raise InvalidParameterError("epsilon must lie in (0, 1]")
     delta = float(epsilon)

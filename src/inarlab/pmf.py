@@ -107,6 +107,14 @@ def total_off_unit(cells: np.ndarray, tail: float = 0.0) -> float | None:
     return None if abs(total - 1.0) <= MASS_TOL else total
 
 
+def _integer(value, name: str, error: type = InvalidParameterError) -> int:
+    """``value`` as an int: numpy integers pass, while bools and numbers that
+    are not integers (1.5, 2.0) are refused rather than truncated."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Root seed plus a stream index; the derived generator is a pure function
@@ -117,10 +125,7 @@ class SeedSpec:
 
     def __post_init__(self):
         for name in ("root_seed", "stream_index"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not (0 <= self.root_seed < 2**64):
             raise InvalidParameterError("root_seed must be a 64-bit unsigned integer")
         if self.stream_index < 0:

@@ -658,6 +658,37 @@ class TestMarginalAt:
                 stepped = push(stepped, trans)
 
 
+class TestIntegerArguments:
+    """Indices, steps and depths are refused unless they are integers, as
+    SeedSpec's are; a float is never truncated to the index below it."""
+
+    CHAIN = poisson_death_chain(2.0, 0.5)
+
+    @pytest.mark.parametrize("indices", [[0, 1.5], [0.0, 1], [0, True], [0, "1"]])
+    def test_window_indices(self, indices):
+        with pytest.raises(InvalidParameterError, match="index must be an integer, got"):
+            window_joint_pmf(self.CHAIN, indices, cap=5)
+
+    @pytest.mark.parametrize("j", [2.0, 0.5, True, np.bool_(True)])
+    def test_marginal_steps(self, j):
+        with pytest.raises(InvalidParameterError, match="j must be an integer, got"):
+            marginal_at(self.CHAIN, j)
+
+    @pytest.mark.parametrize("depth", [2.5, 3.0, True])
+    def test_superposition_depth(self, depth):
+        with pytest.raises(InvalidConfigError, match="depth must be an integer, got"):
+            SuperpositionConfig(depth)
+
+    def test_numpy_integers_are_accepted(self):
+        law = window_joint_pmf(self.CHAIN, np.array([0, 2]), cap=5)
+        assert law.indices == (0, 2) and all(type(i) is int for i in law.indices)
+        assert np.array_equal(law.mass, window_joint_pmf(self.CHAIN, [0, 2], cap=5).mass)
+        assert np.array_equal(marginal_at(self.CHAIN, np.int64(3)).probs,
+                              marginal_at(self.CHAIN, 3).probs)
+        cfg = SuperpositionConfig(np.int32(4))
+        assert cfg.depth == 4 and type(cfg.depth) is int
+
+
 class TestDecompositionValidation:
     def test_identity_violation_rejected(self):
         x = np.ones((2, 3), dtype=np.int64)

@@ -120,6 +120,7 @@ class TestSimulate:
              "--out", str(tmp_path)],
         )
         assert res.exit_code == 2
+        assert res.stderr == "invalid parameters: missing required option(s): --p0\n"
 
     def test_death_chains_and_indicator(self, runner, tmp_path):
         for args in (
@@ -831,6 +832,39 @@ def test_unwritable_metrics_exits_2(runner, tmp_path):
         "verify", "--config", str(config), "--out", str(tmp_path / "r.json"),
         "--metrics", str(blocker / "m.json"),
     ]))
+
+
+# each construction's missing chain options, as the refusal lists them
+MISSING_OPTIONS = {
+    "direct": "--a, --lam",
+    "superposition": "--a, --lam",
+    "death-poisson": "--lam, --a",
+    "death-binomial": "--n, --p, --a",
+    "indicator": "--p0, --a",
+    "iid": "--lam",
+}
+OTHER_REQUIRED = {
+    "simulate": (SIM_CONSTRUCTIONS, ["--length", "5", "--paths", "5"]),
+    "rho": (CHAIN_CONSTRUCTIONS, []),
+    "rho-star": (CHAIN_CONSTRUCTIONS, ["-W", "3", "-n", "1"]),
+    "marginal": (CHAIN_CONSTRUCTIONS, ["--at", "2"]),
+}
+
+
+@pytest.mark.parametrize(
+    "command, construction",
+    [(command, c) for command, (choices, _) in OTHER_REQUIRED.items() for c in choices],
+)
+def test_missing_chain_options_exit_2_naming_them(runner, tmp_path, command, construction):
+    out = tmp_path / "never"
+    args = [command, construction, *OTHER_REQUIRED[command][1], "--out", str(out)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.stderr == (
+        f"invalid parameters: missing required option(s): {MISSING_OPTIONS[construction]}\n"
+    )
+    assert res.stdout == ""
+    assert not out.exists()
 
 
 def _assert_cannot_write(res):

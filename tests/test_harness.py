@@ -424,7 +424,7 @@ class TestRunAll:
         assert sorted(errored) == ["lemma-checks", "markov-triplets[0.5,1.0]"]
         assert re.fullmatch(
             r"check raised: InvalidParameterError: a must lie in \(0, 1\) "
-            r"at inarlab\.chains:__post_init__:\d+",
+            r"at inarlab\.chains:_require_survival:\d+",
             errored["markov-triplets[0.5,1.0]"].note,
         )
         assert re.fullmatch(

@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module (or exported), every
-private module-level name is used somewhere in the package, and the package
-loads no scipy at all."""
+private module-level name is used somewhere in the package, every exported
+name is defined where it is exported and re-exported only from there, and the
+package loads no scipy at all."""
 
 import ast
 from collections import Counter
@@ -18,6 +19,16 @@ MODULES = sorted(
 )
 
 
+def _exports(tree) -> list[str]:
+    """The names in a module's ``__all__`` (empty without one)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = {}
@@ -28,12 +39,7 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_exports(tree))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
@@ -58,6 +64,16 @@ def _references(node) -> Counter:
     return names
 
 
+def _bound_names(node) -> list[str]:
+    """Names a module-level def, class or assignment binds (none for others)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level ``_private`` functions, classes and constants that no code
     in ``sources`` reads outside their own definition."""
@@ -66,13 +82,7 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
+            names = _bound_names(node)
             own = _references(node)
             dead += [
                 f"{module}:{name}"
@@ -95,6 +105,53 @@ def test_scan_flags_an_unreferenced_private_name():
         "b.py": "from a import _LIMIT\nclass _Unused:\n    pass\nprint(_LIMIT)\n",
     }
     assert unreferenced_private_names(sources) == ["a.py:_spare", "a.py:_loop", "b.py:_Unused"]
+
+
+def undefined_exports(source: str) -> list[str]:
+    """Names in ``__all__`` that no module-level def, class or assignment binds."""
+    tree = ast.parse(source)
+    defined = {name for node in tree.body for name in _bound_names(node)}
+    return [name for name in _exports(tree) if name not in defined]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_defines_every_export(path):
+    assert undefined_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_a_stale_export():
+    source = (
+        "from os import sep\n__all__ = ['LIMIT', 'gone', 'sep', 'Law']\n"
+        "LIMIT = 3\nclass Law:\n    pass\n"
+    )
+    assert undefined_exports(source) == ["gone", "sep"]
+
+
+def unexported_package_imports(init_source: str, modules: dict[str, str]) -> list[str]:
+    """Names the package ``__init__`` imports from one of its modules that the
+    module's ``__all__`` does not list."""
+    exports = {name: set(_exports(ast.parse(source))) for name, source in modules.items()}
+    return [
+        f"{node.module}.{alias.name}"
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in exports[node.module]
+    ]
+
+
+def test_package_imports_only_exported_names():
+    package = Path(inarlab.__file__).parent
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    init = (package / "__init__.py").read_text(encoding="utf-8")
+    assert "from ." in init
+    assert unexported_package_imports(init, modules) == []
+
+
+def test_scan_flags_an_unexported_package_import():
+    modules = {"a": "__all__ = ['f']\ndef f(): pass\ndef g(): pass\n", "b": "x = 1\n"}
+    init = "from .a import f, g\nfrom .b import x\nimport os\n"
+    assert unexported_package_imports(init, modules) == ["a.g", "b.x"]
 
 
 def test_package_does_not_import_scipy():

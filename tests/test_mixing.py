@@ -256,17 +256,16 @@ class TestLagJoint:
             lag_joint(spec, 1, 1413)
 
     def test_many_gaps_share_one_table_and_match_one_gap_calls(self, monkeypatch):
-        spec = inar_kernel(InarParams(a=0.5, lam=1.0))
         gaps = [1, 2, 5, 3]
-        one_by_one = [lag_joint(spec, n, 40) for n in gaps]
-        tables = []
-        real = chains.transition_matrix
-        monkeypatch.setattr(chains, "transition_matrix", lambda *a: tables.append(a) or real(*a))
-        joints = lag_joints(spec, gaps, 40)
-        assert tables == []  # built when the first joint is drawn
+        one_by_one = [lag_joint(inar_kernel(InarParams(a=0.5, lam=1.0)), n, 40) for n in gaps]
+        builds = []
+        real = chains.binomial_table
+        monkeypatch.setattr(chains, "binomial_table", lambda n, a: builds.append(n) or real(n, a))
+        joints = lag_joints(inar_kernel(InarParams(a=0.5, lam=1.0)), gaps, 40)
+        assert builds == []  # built when the first joint is drawn
         for (joint, escaped), (want, want_escaped) in zip(joints, one_by_one, strict=True):
             assert np.array_equal(joint.mass, want.mass) and escaped == want_escaped
-        assert len(tables) == 1
+        assert builds == [40]
 
     def test_many_gaps_refuse_at_the_call(self):
         spec = inar_kernel(InarParams(a=0.5, lam=1.0))
@@ -293,6 +292,31 @@ class TestLagJoint:
                 joint, escaped = lag_joint(spec, n, cap)
                 assert np.array_equal(joint.mass, want / want.sum())
                 assert escaped == max(0.0, 1.0 - kept)
+
+
+class TestIntegerIndices:
+    """Window indices and lag gaps are refused unless they are integers; a
+    float is never truncated to the index below it."""
+
+    @pytest.mark.parametrize("s, t", [((0.7,), (2.9,)), ((0,), (2.0,)), ((True,), (3,))])
+    def test_window_spec(self, s, t):
+        with pytest.raises(InvalidParameterError, match="index must be an integer, got"):
+            mixing.WindowSpec(4, s, t, 1)
+
+    @pytest.mark.parametrize("gaps", [[1.5], [1, 2.0], [True]])
+    def test_lag_gaps_are_refused_at_the_call(self, gaps):
+        spec = poisson_death_chain(2.0, 0.5)
+        with pytest.raises(InvalidParameterError, match="n must be an integer, got"):
+            lag_joints(spec, gaps, 20)
+
+    def test_numpy_integers_are_accepted(self):
+        pair = mixing.WindowSpec(np.int64(4), (np.int64(2), 0), (np.int32(3),), 1)
+        assert (pair.s, pair.t) == ((0, 2), (3,))
+        assert all(type(i) is int for i in pair.s + pair.t)
+        spec = poisson_death_chain(2.0, 0.5)
+        (joint, escaped), = lag_joints(spec, np.array([2]), 20)
+        want, want_escaped = lag_joint(spec, 2, 20)
+        assert np.array_equal(joint.mass, want.mass) and escaped == want_escaped
 
 
 class TestRhoMarkov:
