@@ -5,9 +5,10 @@ innovations (built two ways: directly from its transition structure, and
 as a superposition of independent pure-death chains), the pure-death
 chains themselves, binary indicator-product chains, and seeded path
 simulation.  A chain is data: an initial law, a survival rate and an
-innovation law.  Every exact law (window joints, lag joints, marginals)
-comes from one dense engine: the closed-form kernel table of
-:func:`transition_matrix`, contracted with numpy.
+innovation law.  Every exact law (window joints, lag joints, marginals,
+and the verification harness's Markov triplets) comes from one dense
+engine: the closed-form kernel table of :func:`transition_matrix`,
+contracted with numpy.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ __all__ = [
     "simulate_inar_direct",
     "simulate_inar_superposition",
     "transition_matrix",
-    "push",
     "window_joint_pmf",
     "marginal_at",
     "write_ensemble_csv",
@@ -282,17 +282,18 @@ def iid_chain(lam: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> MarkovCha
 
 def binomial_death_chain(n: int, p: float, a: float) -> MarkovChainSpec:
     """Pure-death chain started from Binomial(n, p); trajectories never rise."""
-    if n < 1 or int(n) != n:
+    n = _integer(n, "n")
+    if n < 1:
         raise InvalidParameterError("n must be a positive integer")
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
-    initial = binomial_pmf(int(n), p)
+    initial = binomial_pmf(n, p)
     _require_survival(a)
     return MarkovChainSpec(
         initial=initial,
         a=a,
         innovation=point_mass(0),
-        description={"construction": "death-binomial", "n": int(n), "p": p, "a": a},
+        description={"construction": "death-binomial", "n": n, "p": p, "a": a},
     )
 
 
@@ -531,6 +532,7 @@ def transition_matrix(spec: MarkovChainSpec, cap: int) -> np.ndarray:
     this table.  A cap may exceed the chain's ``state_cap`` to refine a
     truncation.  The table is read-only and built once per (spec, cap).
     """
+    cap = _integer(cap, "cap")
     if cap < 0:
         raise InvalidParameterError("cap must be nonnegative")
     out = spec._kernels.get(cap)
@@ -548,18 +550,6 @@ def transition_matrix(spec: MarkovChainSpec, cap: int) -> np.ndarray:
     out.setflags(write=False)
     spec._kernels[cap] = out
     return out
-
-
-def push(pmf: Pmf, trans: np.ndarray) -> Pmf:
-    """One kernel step applied to a law, through a ``transition_matrix``.
-
-    Support grows to the matrix width; input states above its last row
-    escape into the tail, so the result's tail mass is an honest bound on
-    everything unaccounted for.
-    """
-    top = min(pmf.max_state, trans.shape[0] - 1)
-    out = pmf.probs[: top + 1] @ trans[: top + 1]
-    return Pmf(out, max(0.0, 1.0 - math.fsum(out.tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -629,8 +619,10 @@ class TupleLaw:
 
 
 def require_window_atoms(cap: int, count: int) -> None:
-    """Refuse a negative cap, or a window law over ``count`` indices whose
-    dense table at this cap would exceed ``DEFAULT_EXPLOSION_LIMIT`` cells."""
+    """Refuse a cap that is not a nonnegative integer, or a window law over
+    ``count`` indices whose dense table at this cap would exceed
+    ``DEFAULT_EXPLOSION_LIMIT`` cells."""
+    cap = _integer(cap, "cap")
     if cap < 0:
         raise InvalidParameterError("cap must be nonnegative")
     atoms = (cap + 1) ** count
@@ -677,12 +669,12 @@ def window_joint_pmf(
 def marginal_at(spec: MarkovChainSpec, j: int) -> Pmf:
     """Initial law pushed through the kernel j times.
 
-    Support grows freely up to the output of each kernel row; input states
-    above the chain's cap escape into the tail, so the result's tail mass
-    is an honest bound on everything unaccounted for.  This is ``push``
-    applied j times, computed as ``init @ T^(j-1) @ trans`` with ``T`` the
-    kernel truncated to {0..cap}, so the matrix power takes O(log j)
-    products.
+    One step takes a law on {0..cap} to ``law @ trans``, ``trans`` being the
+    chain's ``transition_matrix`` at its state cap: support grows to the
+    table's width, and mass from states above the cap drops into the tail,
+    so the result's tail mass bounds everything unaccounted for.  The j
+    steps are ``init @ T^(j-1) @ trans`` with ``T`` the kernel truncated to
+    {0..cap}, so the matrix power takes O(log j) products.
     """
     j = _integer(j, "j")
     if j < 0:

@@ -37,7 +37,8 @@ from .chains import (
     _require_memory,
     inar_kernel,
     indicator_chain_spec,
-    push,
+    marginal_at,
+    poisson_death_chain,
     simulate_inar_direct,
     simulate_inar_superposition,
     transition_matrix,
@@ -51,7 +52,6 @@ from .pmf import (
     SeedSpec,
     _poisson_terms,
     binomial_pmf,
-    binomial_table,
     poisson_pmf,
     total_variation,
 )
@@ -61,7 +61,7 @@ DEFAULT_A_GRID = (0.3, 0.5, 0.7)
 DEFAULT_LAMBDA_GRID = (0.5, 1.0, 2.0)
 ERROR_STATISTIC = 9.9e99  # sentinel for checks that raised; always a failure
 MIN_EXPECTED = 5.0  # chi-square cells are pooled until they expect this many
-EXACT_STEPS = 20  # kernel pushes in the exact stationarity check
+EXACT_STEPS = 20  # marginals 1..EXACT_STEPS compared in the exact stationarity check
 MIN_STRATUM = 200  # smallest conditioning stratum the thinning check tests
 MARKOV_CAP = 12  # state cap of the exact Markov-triplet constructions
 INNOVATION_BUDGET = 1e-10  # tail budget of the innovation laws in the triplets
@@ -333,29 +333,25 @@ def check_stationary_marginal(
 ) -> CheckReport:
     """Marginal law at every time index should be the stationary Poisson.
 
-    With ``ensemble=None`` the check is exact: the stationary law is pushed
-    through the kernel repeatedly and the worst total-variation distance is
-    compared against ``EXACT_THRESHOLD``.  Otherwise the empirical laws at
+    With ``ensemble=None`` the check is exact: the worst total-variation
+    distance from the stationary law to the ``marginal_at`` laws at indices
+    1..``EXACT_STEPS`` is compared against ``EXACT_THRESHOLD``, and the
+    last marginal's tail mass is the budget.  Otherwise the empirical laws at
     three time indices face a pooled chi-square test.  ``target_mean``
     overrides the comparison law (used by the wrong-mean negative control).
     """
     mean = params.stationary_mean if target_mean is None else target_mean
     if ensemble is None:
         spec = inar_kernel(params, truncation_budget)
-        trans = transition_matrix(spec, spec.state_cap)
-        worst = 0.0
-        law = spec.initial
-        for _ in range(EXACT_STEPS):
-            law = push(law, trans)
-            worst = max(worst, total_variation(law, spec.initial))
+        laws = [marginal_at(spec, j) for j in range(1, EXACT_STEPS + 1)]
         return CheckReport(
             "stationary-marginal-exact",
             "inar-kernel",
             {"a": params.a, "lambda": params.lam, "steps": EXACT_STEPS},
-            worst,
+            max(total_variation(law, spec.initial) for law in laws),
             EXACT_THRESHOLD,
             "exact",
-            budget=law.tail_mass,
+            budget=laws[-1].tail_mass,
         )
     target = poisson_pmf(mean, 1e-14)
     indices = sorted({0, ensemble.length // 2, ensemble.length - 1})
@@ -540,36 +536,31 @@ def _kernel_triplet(params: InarParams, tail_budget: float) -> TripletPmf:
 
 def _decomposition_triplet(params: InarParams, tail_budget: float) -> TripletPmf:
     """Joint of ((X0, U1, V1), X1, U2): the survivor draw given the current
-    count must screen off the whole decomposed past."""
-    init = poisson_pmf(params.stationary_mean, tail_budget)
-    innov = poisson_pmf(params.lam, INNOVATION_BUDGET)
-    top = min(MARKOV_CAP, init.max_state)
-    b_size = top + innov.max_state + 1
-    table = binomial_table(b_size, params.a)
-    grid = np.meshgrid(
-        np.arange(top + 1), np.arange(top + 1), np.arange(innov.probs.size),
-        indexing="ij",
-    )
-    x0, u1, v1 = (g[grid[1] <= grid[0]] for g in grid)  # survivors u1 <= x0
-    p = init.probs[x0] * table[x0, u1] * innov.probs[v1]
-    mass = np.zeros((p.size, b_size, b_size + 1))
-    mass[np.arange(p.size), u1 + v1] = p[:, None] * table[u1 + v1]
+    count must screen off the whole decomposed past.  (X0, U1) and U2 given
+    X1 are read from the Poisson-started death chain."""
+    deaths = poisson_death_chain(params.stationary_mean, params.a, tail_budget)
+    law = window_joint_pmf(deaths, (0, 1), min(MARKOV_CAP, deaths.state_cap)).mass
+    x0, u1 = np.nonzero(law)  # survivors u1 <= x0
+    innov = poisson_pmf(params.lam, INNOVATION_BUDGET).probs
+    p = np.outer(law[x0, u1], innov).ravel()  # atoms (x0, u1, v1) in lexicographic order
+    x1 = np.add.outer(u1, np.arange(innov.size)).ravel()
+    table = transition_matrix(deaths, int(x1.max()))
+    mass = np.zeros((p.size, *table.shape))
+    mass[np.arange(p.size), x1] = p[:, None] * table[x1]
     mass /= mass.sum()
     return TripletPmf(mass)
 
 
 def _split_triplet(lam1: float, lam2: float, a: float) -> TripletPmf:
     """Joint of ((Y1, Y2), Y1+Y2, Z1+Z2) for independent Poisson components
-    thinned at the same rate: the total must screen off the split."""
-    p1 = poisson_pmf(lam1, INNOVATION_BUDGET)
-    p2 = poisson_pmf(lam2, INNOVATION_BUDGET)
-    table = binomial_table(max(p1.max_state, p2.max_state), a)
-    atoms = tuple(product(range(p1.probs.size), range(p2.probs.size)))
-    b_size = p1.max_state + p2.max_state + 1
-    mass = np.zeros((len(atoms), b_size, b_size))
-    for ai, (y1, y2) in enumerate(atoms):
-        z_law = np.convolve(table[y1, : y1 + 1], table[y2, : y2 + 1])
-        mass[ai, y1 + y2, : z_law.size] = p1.probs[y1] * p2.probs[y2] * z_law
+    thinned at the same rate: the total must screen off the split.  Each
+    (Y, Z) is the (0, 1) window law of a Poisson-started death chain."""
+    specs = [poisson_death_chain(lam, a, INNOVATION_BUDGET) for lam in (lam1, lam2)]
+    m1, m2 = (window_joint_pmf(spec, (0, 1), spec.state_cap).mass for spec in specs)
+    n1, n2 = len(m1), len(m2)
+    y1, y2, z1, z2 = np.ix_(*map(np.arange, (n1, n2, n1, n2)))
+    mass = np.zeros((n1 * n2, n1 + n2 - 1, n1 + n2 - 1))
+    np.add.at(mass, (y1 * n2 + y2, y1 + y2, z1 + z2), m1[y1, z1] * m2[y2, z2])
     mass /= mass.sum()
     return TripletPmf(mass)
 

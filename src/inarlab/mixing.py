@@ -133,6 +133,7 @@ def _window_pairs(
     ascending order over the nonempty submasks of the indices above min(S)
     at distance >= gap from all of S.
     """
+    width, gap = _integer(width, "width"), _integer(gap, "gap")
     if width < 1 or gap < 1:
         raise InvalidParameterError("width and gap must be positive")
     if width > DEFAULT_MAX_WIDTH:
@@ -228,6 +229,7 @@ def lag_joints(
     gaps = [_integer(n, "n") for n in gaps]
     if any(n < 1 for n in gaps):
         raise InvalidParameterError("n must be a positive integer")
+    cap = _integer(cap, "cap")
     if cap < 1:
         raise InvalidParameterError("cap must be positive")
     if (cap + 1) ** 2 > DEFAULT_EXPLOSION_LIMIT:

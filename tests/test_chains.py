@@ -29,10 +29,12 @@ from inarlab import (
     inar_kernel,
     indicator_chain,
     indicator_chain_spec,
+    lag_joint,
     marginal_at,
     point_mass,
     poisson_death_chain,
     poisson_pmf,
+    rho_star_window,
     simulate_chain,
     simulate_inar_direct,
     simulate_inar_superposition,
@@ -50,7 +52,7 @@ from inarlab.errors import (
     ResourceLimitError,
     SamplingBudgetError,
 )
-from inarlab.chains import PathEnsemble, _BLOCK_CELLS, push
+from inarlab.chains import PathEnsemble, _BLOCK_CELLS
 
 from .test_pmf import sup_diff
 
@@ -641,7 +643,9 @@ class TestMarginalAt:
         chain = iid_chain(1.5)
         assert sup_diff(marginal_at(chain, 4), poisson_pmf(1.5)) <= 1e-12
 
-    def test_matches_step_by_step_pushes(self):
+    def test_matches_step_by_step_products(self):
+        """One step at a time: the law on {0..cap} times the kernel table,
+        the mass from states above the cap dropped into the tail."""
         for spec in (
             inar_kernel(PARAMS),
             poisson_death_chain(3.0, 0.5),
@@ -649,13 +653,15 @@ class TestMarginalAt:
             indicator_chain_spec(0.3, 0.5),
         ):
             trans = transition_matrix(spec, spec.state_cap)
-            stepped = spec.initial
+            rows = trans.shape[0]
+            probs, tail = spec.initial.probs, spec.initial.tail_mass
             for j in range(41):
                 law = marginal_at(spec, j)
-                assert law.probs.size == stepped.probs.size
-                assert float(np.abs(law.probs - stepped.probs).max()) <= 1e-14
-                assert abs(law.tail_mass - stepped.tail_mass) <= 1e-14
-                stepped = push(stepped, trans)
+                assert law.probs.size == probs.size
+                assert float(np.abs(law.probs - probs).max()) <= 1e-14
+                assert abs(law.tail_mass - tail) <= 1e-14
+                probs = probs[:rows] @ trans
+                tail = max(0.0, 1.0 - math.fsum(probs.tolist()))
 
 
 class TestIntegerArguments:
@@ -679,6 +685,38 @@ class TestIntegerArguments:
         with pytest.raises(InvalidConfigError, match="depth must be an integer, got"):
             SuperpositionConfig(depth)
 
+    @pytest.mark.parametrize("cap", [2.5, 3.0, True, "3"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda chain, cap: window_joint_pmf(chain, [0, 1], cap),
+            lambda chain, cap: lag_joint(chain, 1, cap),
+            transition_matrix,
+            lambda chain, cap: rho_star_window(chain, 3, 1, cap),
+        ],
+        ids=["window_joint_pmf", "lag_joint", "transition_matrix", "rho_star_window"],
+    )
+    def test_caps(self, call, cap):
+        with pytest.raises(InvalidParameterError, match="cap must be an integer, got"):
+            call(self.CHAIN, cap)
+
+    @pytest.mark.parametrize("value", [4.0, 2.5, True, "4"])
+    @pytest.mark.parametrize("name", ["width", "gap"])
+    def test_window_width_and_gap(self, name, value):
+        width, gap = (value, 1) if name == "width" else (4, value)
+        with pytest.raises(InvalidParameterError, match=f"{name} must be an integer, got"):
+            rho_star_window(self.CHAIN, width, gap, 5)
+
+    @pytest.mark.parametrize("n", [3.0, 2.5, True, "3"])
+    def test_death_chain_size(self, n):
+        with pytest.raises(InvalidParameterError, match="n must be an integer, got"):
+            binomial_death_chain(n, 0.4, 0.5)
+
+    @pytest.mark.parametrize("n", [0, -2, np.int64(0)])
+    def test_death_chain_size_must_be_positive(self, n):
+        with pytest.raises(InvalidParameterError, match="n must be a positive integer"):
+            binomial_death_chain(n, 0.4, 0.5)
+
     def test_numpy_integers_are_accepted(self):
         law = window_joint_pmf(self.CHAIN, np.array([0, 2]), cap=5)
         assert law.indices == (0, 2) and all(type(i) is int for i in law.indices)
@@ -687,6 +725,9 @@ class TestIntegerArguments:
                               marginal_at(self.CHAIN, 3).probs)
         cfg = SuperpositionConfig(np.int32(4))
         assert cfg.depth == 4 and type(cfg.depth) is int
+        assert transition_matrix(self.CHAIN, np.int64(3)) is transition_matrix(self.CHAIN, 3)
+        chain = binomial_death_chain(np.int64(6), 0.4, 0.5)
+        assert chain.description["n"] == 6 and type(chain.description["n"]) is int
 
 
 class TestDecompositionValidation:

@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 from decimal import Decimal
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,18 +20,25 @@ from inarlab import (
     check_stationary_marginal,
     check_thinning_conditional,
     markov_triplet_residual,
+    poisson_pmf,
     reports_to_json,
     run_all,
     simulate_inar_direct,
 )
 from inarlab import chains, harness
 from inarlab.harness import (
+    DEFAULT_A_GRID,
+    DEFAULT_LAMBDA_GRID,
+    INNOVATION_BUDGET,
+    MARKOV_CAP,
     MIN_STRATUM,
     CheckReport,
     McConfig,
     _corrupted_innovation_check,
+    _decomposition_triplet,
     _job_seconds,
     _pooled_gof_ratio,
+    _split_triplet,
     nonmarkov_control_triplet,
 )
 from inarlab.errors import InvalidConfigError
@@ -241,6 +249,57 @@ class TestMarkovProperty:
 
     def test_nonmarkov_control_residual(self):
         assert markov_triplet_residual(nonmarkov_control_triplet()) >= 1e-3
+
+    @pytest.mark.parametrize("a, lam", product(DEFAULT_A_GRID, DEFAULT_LAMBDA_GRID))
+    def test_triplets_match_brute_force(self, a, lam):
+        params = InarParams(a=a, lam=lam)
+        assert _cell_gap(_decomposition_triplet(params, 1e-12).mass,
+                         _decomposition_reference(params, 1e-12)) <= 1e-15
+        assert _cell_gap(_split_triplet(lam, lam / 2.0, a).mass,
+                         _split_reference(lam, lam / 2.0, a)) <= 1e-15
+
+
+def _decomposition_reference(params, tail_budget):
+    """((X0, U1, V1), X1, U2) cell by cell: one first-axis row per atom with
+    u1 <= x0, in lexicographic order."""
+    init = poisson_pmf(params.stationary_mean, tail_budget).probs
+    innov = poisson_pmf(params.lam, INNOVATION_BUDGET).probs
+    top = min(MARKOV_CAP, init.size - 1)
+    size = top + innov.size  # X1 and U2 take 0..top + largest innovation
+    rows = []
+    for x0 in range(top + 1):
+        survive = binomial_pmf(x0, params.a).probs
+        for u1 in range(x0 + 1):
+            for v1 in range(innov.size):
+                x1 = u1 + v1
+                row = np.zeros((size, size))
+                p = init[x0] * survive[u1] * innov[v1]
+                row[x1, : x1 + 1] = p * binomial_pmf(x1, params.a).probs
+                rows.append(row)
+    mass = np.array(rows)
+    return mass / mass.sum()
+
+
+def _split_reference(lam1, lam2, a):
+    """((Y1, Y2), Y1+Y2, Z1+Z2) cell by cell, each Z thinning its own Y."""
+    p1 = poisson_pmf(lam1, INNOVATION_BUDGET).probs
+    p2 = poisson_pmf(lam2, INNOVATION_BUDGET).probs
+    size = p1.size + p2.size - 1
+    mass = np.zeros((p1.size * p2.size, size, size))
+    for y1 in range(p1.size):
+        for y2 in range(p2.size):
+            z = np.convolve(binomial_pmf(y1, a).probs, binomial_pmf(y2, a).probs)
+            mass[y1 * p2.size + y2, y1 + y2, : z.size] = p1[y1] * p2[y2] * z
+    return mass / mass.sum()
+
+
+def _cell_gap(got, want):
+    """Largest cell difference once all-zero first-axis rows are dropped and
+    both tables are zero-padded to a common shape."""
+    got, want = (m[m.reshape(len(m), -1).any(axis=1)] for m in (got, want))
+    shape = np.maximum(got.shape, want.shape)
+    got, want = (np.pad(m, [(0, s - n) for s, n in zip(shape, m.shape)]) for m in (got, want))
+    return float(np.abs(got - want).max())
 
 
 class TestMcConfig:

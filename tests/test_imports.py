@@ -1,7 +1,7 @@
 """Every name a module imports is used in that module (or exported), every
 private module-level name is used somewhere in the package, every exported
-name is defined where it is exported and re-exported only from there, and the
-package loads no scipy at all."""
+name is defined where it is exported and re-exported only from there, kernel
+products are built in one place, and the package loads no scipy at all."""
 
 import ast
 from collections import Counter
@@ -105,6 +105,46 @@ def test_scan_flags_an_unreferenced_private_name():
         "b.py": "from a import _LIMIT\nclass _Unused:\n    pass\nprint(_LIMIT)\n",
     }
     assert unreferenced_private_names(sources) == ["a.py:_spare", "a.py:_loop", "b.py:_Unused"]
+
+
+# The names that build kernel products, and the only places that may read
+# them: every other exact law comes from transition_matrix.
+KERNEL_NAMES = {"binomial_table", "convolve"}
+KERNEL_PLACES = {"pmf", "chains.transition_matrix", "chains._kernel_row"}
+
+
+def stray_kernel_products(sources: dict[str, str]) -> list[str]:
+    """``module.definition:name`` (or ``module:name`` outside any def or
+    class) of each read of a ``KERNEL_NAMES`` name, as a name or an
+    attribute, outside ``KERNEL_PLACES``."""
+    stray = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            place = f"{module}.{node.name}" if named else module
+            if module not in KERNEL_PLACES and place not in KERNEL_PLACES:
+                read = KERNEL_NAMES & set(_references(node))
+                stray += [f"{place}:{name}" for name in sorted(read)]
+    return stray
+
+
+def test_kernel_products_are_built_only_by_the_engine():
+    package = Path(inarlab.__file__).parent
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in package.glob("*.py")}
+    assert stray_kernel_products(sources) == []
+
+
+def test_scan_flags_a_stray_kernel_product():
+    sources = {
+        "pmf": "def convolve(p, q):\n    return np.convolve(p, q)\n",
+        "chains": (
+            "from .pmf import binomial_table\n"
+            "def transition_matrix(spec, cap):\n    return binomial_table(cap, spec.a)\n"
+            "def marginal(spec):\n    return np.convolve(spec, spec)\n"
+        ),
+        "harness": "from . import pmf\nTABLE = pmf.binomial_table(3, 0.5)\n",
+    }
+    assert stray_kernel_products(sources) == ["chains.marginal:convolve", "harness:binomial_table"]
 
 
 def undefined_exports(source: str) -> list[str]:
