@@ -55,7 +55,6 @@ from .mixing import (
     fit_decay_rate,
     gap_for_epsilon,
     lag_joint,
-    lag_joints,
     rho_markov,
     rho_star_window,
     verify_absorbing_split,

@@ -23,7 +23,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dependence import DEFAULT_EXPLOSION_LIMIT, JointPmf, _require_finite_nonnegative
+from .dependence import (
+    DEFAULT_EXPLOSION_LIMIT,
+    JointPmf,
+    _require_finite_nonnegative,
+    _without_null_atoms,
+)
 from .errors import (
     ExplosionLimitError,
     InvalidConfigError,
@@ -609,13 +614,11 @@ class TupleLaw:
         mass = self._sum_to(s_pos + t_pos).reshape(
             support ** len(s_pos), support ** len(t_pos)
         )
-        # compress keeps the C order that the renormalizing sum reads in
-        mass = mass.compress(mass.sum(axis=1) > 0.0, axis=0)
-        mass = mass.compress(mass.sum(axis=0) > 0.0, axis=1)
+        # in C order, the order the renormalizing sum reads in
+        mass = _without_null_atoms(np.ascontiguousarray(mass))
         if not mass.size:
             raise ResourceLimitError(f"cap {support - 1} keeps none of the mass; raise the cap")
-        mass /= mass.sum()
-        return JointPmf._checked(mass)
+        return JointPmf._checked(mass / mass.sum())
 
 
 def require_window_atoms(cap: int, count: int) -> None:

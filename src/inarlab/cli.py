@@ -45,7 +45,7 @@ from .harness import McConfig, _job_seconds, reports_to_json, run_all
 from .mixing import (
     fit_decay_rate,
     gap_for_epsilon,
-    lag_joints,
+    lag_joint,
     rho_star_window,
 )
 from .dependence import maximal_correlation
@@ -254,8 +254,8 @@ def rho(construction, opts, n_max, cap, tail_budget, max_escape, out, metrics_ou
         raise InvalidParameterError("--n-max must be a positive integer")
     spec = _chain_spec(construction, opts, tail_budget)
     entries = []
-    gaps = range(1, n_max + 1)
-    for gap, (joint, escaped) in zip(gaps, lag_joints(spec, gaps, cap)):
+    for gap in range(1, n_max + 1):
+        joint, escaped = lag_joint(spec, gap, cap)
         _require_escape_within(escaped, cap, max_escape)
         entries.append({"n": gap, "rho": maximal_correlation(joint), "escaped": escaped})
     try:

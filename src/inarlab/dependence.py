@@ -60,24 +60,38 @@ def _validate_mass(mass: np.ndarray, ndim: int) -> np.ndarray:
     return mass
 
 
+def _without_null_atoms(mass: np.ndarray) -> np.ndarray:
+    """Mass with its zero rows, then its zero columns, removed; the array
+    itself, uncopied, when it has none."""
+    rows = mass.sum(axis=1) > 0.0
+    mass = mass if rows.all() else mass.compress(rows, axis=0)
+    cols = mass.sum(axis=0) > 0.0
+    return mass if cols.all() else mass.compress(cols, axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class JointPmf:
     """Joint law of two finite discrete observables.
 
     ``mass[r, c]`` is the probability of (row atom r, column atom c).  Atoms
     carry no labels: every coefficient here is a function of the mass matrix
-    alone and does not change when rows or columns are permuted.
+    alone and does not change when rows or columns are permuted.  Null
+    atoms (zero rows and columns) are dropped on construction, so every
+    atom of ``mass`` has positive marginal mass.
     """
 
     mass: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mass", _validate_mass(self.mass, 2))
+        mass = _without_null_atoms(_validate_mass(self.mass, 2))
+        mass.setflags(write=False)
+        object.__setattr__(self, "mass", mass)
 
     @classmethod
     def _checked(cls, mass: np.ndarray) -> JointPmf:
         """A joint over a contiguous float64 matrix whose cells the caller
-        has already checked and whose total it has made 1; not validated again."""
+        has already checked, whose null atoms it has dropped and whose total
+        it has made 1; not validated again."""
         mass.setflags(write=False)
         joint = object.__new__(cls)
         object.__setattr__(joint, "mass", mass)
@@ -100,29 +114,14 @@ class TripletPmf:
         object.__setattr__(self, "mass", _validate_mass(self.mass, 3))
 
 
-def _dropped(joint: JointPmf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mass with zero-marginal atoms removed, plus the surviving marginals.
-
-    The joint's own (read-only) mass comes back uncopied when no atom is null.
-    """
-    rm = joint.row_marginal()
-    cm = joint.col_marginal()
-    if rm.all() and cm.all():  # marginals are nonnegative: nonzero means positive
-        return joint.mass, rm, cm
-    keep_r = rm > 0.0
-    keep_c = cm > 0.0
-    mass = joint.mass[np.ix_(keep_r, keep_c)]
-    return mass, rm[keep_r], cm[keep_c]
-
-
 def maximal_correlation(joint: JointPmf) -> float:
     """Maximal correlation of the two observables, in [0, 1].
 
     For finite alphabets this is the second-largest singular value of
-    ``mass[r, c] / sqrt(rowmass[r] * colmass[c])`` after null atoms are
-    dropped.  A degenerate side (one positive-mass atom) yields 0: constant
-    observables correlate with nothing.  The one-joint case of
-    :func:`maximal_correlations`.
+    ``mass[r, c] / sqrt(rowmass[r] * colmass[c])``, every marginal being
+    positive since the joint holds no null atoms.  A degenerate side (one
+    atom) yields 0: constant observables correlate with nothing.  The
+    one-joint case of :func:`maximal_correlations`.
     """
     return maximal_correlations([joint])[0]
 
@@ -140,12 +139,11 @@ def maximal_correlations(joints: Iterable[JointPmf]) -> list[float]:
     pending: dict[tuple[int, int], list] = {}
     cells = 0
     for joint in joints:
-        mass, rm, cm = _dropped(joint)
         values.append(0.0)
-        if min(mass.shape) < 2:
+        if min(joint.mass.shape) < 2:
             continue
-        pending.setdefault(mass.shape, []).append((len(values) - 1, mass, rm, cm))
-        cells += mass.size
+        pending.setdefault(joint.mass.shape, []).append((len(values) - 1, joint))
+        cells += joint.mass.size
         if cells >= _WORK_BUDGET:
             _flush(pending, values)
             cells = 0
@@ -159,8 +157,9 @@ def _flush(pending: dict[tuple[int, int], list], values: list[float]) -> None:
         stack = np.empty((len(group),) + shape)
         rows = np.empty((len(group), shape[0]))
         cols = np.empty((len(group), shape[1]))
-        for i, (_, mass, rm, cm) in enumerate(group):
-            stack[i], rows[i], cols[i] = mass, rm, cm
+        for i, (_, joint) in enumerate(group):
+            stack[i] = joint.mass
+            rows[i], cols[i] = joint.row_marginal(), joint.col_marginal()
         # Scale by each square root separately: their product can underflow.
         stack /= np.sqrt(rows)[:, :, None]
         stack /= np.sqrt(cols)[:, None, :]
@@ -171,7 +170,7 @@ def _flush(pending: dict[tuple[int, int], list], values: list[float]) -> None:
                 f"leading singular value {sv[off[0], 0]!r} deviates from 1; "
                 "joint is inconsistent"
             )
-        for (pos, *_), second in zip(group, sv[:, 1].tolist()):
+        for (pos, _), second in zip(group, sv[:, 1].tolist()):
             values[pos] = min(1.0, max(0.0, second))
     pending.clear()
 
@@ -199,13 +198,13 @@ def lambda_coefficient(joint: JointPmf) -> float:
     """Exact sup of |P(A&B) - P(A)P(B)| / sqrt(P(A)P(B)) over event pairs.
 
     Events are unions of atoms, enumerated exhaustively up to complement,
-    so both alphabets must stay at or below ``DEFAULT_ALPHABET_CAP`` after
-    null atoms are dropped.  An event and its complement share
+    so both alphabets must stay at or below ``DEFAULT_ALPHABET_CAP``; the
+    joint holds no null atoms to count.  An event and its complement share
     |P(A&B) - P(A)P(B)|, and the smaller of the two has the larger ratio, so
     each side keeps only the events with P(A) <= P(A^c).  A side with one
     atom has no such event and yields 0.
     """
-    mass, rm, cm = _dropped(joint)
+    mass, rm, cm = joint.mass, joint.row_marginal(), joint.col_marginal()
     n_r, n_c = mass.shape
     if n_r > DEFAULT_ALPHABET_CAP or n_c > DEFAULT_ALPHABET_CAP:
         raise AlphabetTooLargeError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,14 +29,12 @@ from .chains import (
     window_joint_pmf,
 )
 from .dependence import (
-    DEFAULT_EXPLOSION_LIMIT,
     JointPmf,
     lambda_coefficient,
     maximal_correlation,
     maximal_correlations,
 )
 from .errors import (
-    ExplosionLimitError,
     InsufficientDataError,
     InvalidParameterError,
     WindowTooWideError,
@@ -64,7 +62,6 @@ __all__ = [
     "enumerate_window_pairs",
     "rho_star_window",
     "lag_joint",
-    "lag_joints",
     "rho_markov",
     "gap_for_epsilon",
     "verify_indicator_bound",
@@ -176,10 +173,11 @@ def rho_star_window(
     maximum; the attaining pair is the first in canonical enumeration order
     within ``TIE_TOLERANCE`` of it, so it does not depend on rounding among
     pairs tied in exact arithmetic.  An empty enumeration (width <= gap)
-    yields value 0 flagged as vacuous.  A window whose widest union exceeds
-    the atom limit is refused up front.
+    yields value 0 flagged as vacuous; its cap is checked all the same.  A
+    window whose widest union exceeds the atom limit is refused up front.
     """
     pairs = _window_pairs(width, gap)
+    require_window_atoms(cap, 0)  # the cap alone
     # refuse the first too-wide union, in enumeration order, before any law
     for size in dict.fromkeys(len(union) for _, _, union in pairs):
         require_window_atoms(cap, size)
@@ -210,35 +208,17 @@ def lag_joint(spec: MarkovChainSpec, n: int, cap: int) -> tuple[JointPmf, float]
     """Exact joint of (state at 0, state at n) under the chain's initial law.
 
     The split of the (0, n) window law; the escaped (truncated) mass is
-    returned alongside.  A cap whose square table would exceed
-    ``DEFAULT_EXPLOSION_LIMIT`` cells is refused before the kernel table is
-    built.  The one-gap case of :func:`lag_joints`.
+    returned alongside.  Every gap at one cap reads the one kernel table the
+    spec keeps for it, and a cap whose table would exceed the atom limit is
+    refused before that table is built.
     """
-    return next(lag_joints(spec, [n], cap))
-
-
-def lag_joints(
-    spec: MarkovChainSpec, gaps: Iterable[int], cap: int
-) -> Iterator[tuple[JointPmf, float]]:
-    """:func:`lag_joint` at each gap in turn: the split of each (0, n) window
-    law, all read from the one kernel table the spec keeps for this cap.
-
-    Gaps and cap are checked, and a too-large cap refused, at the call; no
-    law (and no table) is built before the first joint is drawn.
-    """
-    gaps = [_integer(n, "n") for n in gaps]
-    if any(n < 1 for n in gaps):
+    n, cap = _integer(n, "n"), _integer(cap, "cap")
+    if n < 1:
         raise InvalidParameterError("n must be a positive integer")
-    cap = _integer(cap, "cap")
     if cap < 1:
         raise InvalidParameterError("cap must be positive")
-    if (cap + 1) ** 2 > DEFAULT_EXPLOSION_LIMIT:
-        raise ExplosionLimitError(
-            f"lag joint could hold up to {(cap + 1) ** 2} atoms "
-            f"(limit {DEFAULT_EXPLOSION_LIMIT}); shrink the cap"
-        )
-    laws = (window_joint_pmf(spec, (0, n), cap) for n in gaps)
-    return ((law.split(law.indices[:1], law.indices[1:]), law.truncation_error) for law in laws)
+    law = window_joint_pmf(spec, (0, n), cap)
+    return law.split((0,), (n,)), law.truncation_error
 
 
 def rho_markov(spec: MarkovChainSpec, n: int, cap: int) -> float:

@@ -303,11 +303,11 @@ def poisson_pmf(mean: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> Pmf:
 
 def binomial_pmf(n: int, p: float) -> Pmf:
     """Exact Binomial(n, p) table with zero tail mass; n = 0 is a point mass at 0."""
-    if n < 0 or int(n) != n:
+    n = _integer(n, "n")
+    if n < 0:
         raise InvalidParameterError("n must be a nonnegative integer")
     if not (0.0 <= p <= 1.0):
         raise InvalidParameterError("p must lie in [0, 1]")
-    n = int(n)
     if n > _MAX_TABLE_STATE:
         raise InvalidParameterError(f"n = {n} needs a table beyond state {_MAX_TABLE_STATE}")
     return Pmf(_binomial_cells(np.arange(n + 1), np.full(n + 1, n), p), 0.0)

@@ -693,8 +693,15 @@ class TestIntegerArguments:
             lambda chain, cap: lag_joint(chain, 1, cap),
             transition_matrix,
             lambda chain, cap: rho_star_window(chain, 3, 1, cap),
+            lambda chain, cap: rho_star_window(chain, 2, 2, cap),
         ],
-        ids=["window_joint_pmf", "lag_joint", "transition_matrix", "rho_star_window"],
+        ids=[
+            "window_joint_pmf",
+            "lag_joint",
+            "transition_matrix",
+            "rho_star_window",
+            "rho_star_window_vacuous",
+        ],
     )
     def test_caps(self, call, cap):
         with pytest.raises(InvalidParameterError, match="cap must be an integer, got"):
@@ -707,15 +714,22 @@ class TestIntegerArguments:
         with pytest.raises(InvalidParameterError, match=f"{name} must be an integer, got"):
             rho_star_window(self.CHAIN, width, gap, 5)
 
-    @pytest.mark.parametrize("n", [3.0, 2.5, True, "3"])
+    @pytest.mark.parametrize("n", [3.0, 2.5, True, "3", 2.0])
     def test_death_chain_size(self, n):
         with pytest.raises(InvalidParameterError, match="n must be an integer, got"):
             binomial_death_chain(n, 0.4, 0.5)
+        with pytest.raises(InvalidParameterError, match="n must be an integer, got"):
+            binomial_pmf(n, 0.5)
 
     @pytest.mark.parametrize("n", [0, -2, np.int64(0)])
     def test_death_chain_size_must_be_positive(self, n):
         with pytest.raises(InvalidParameterError, match="n must be a positive integer"):
             binomial_death_chain(n, 0.4, 0.5)
+
+    @pytest.mark.parametrize("n", [-1, np.int64(-2)])
+    def test_binomial_trials_must_be_nonnegative(self, n):
+        with pytest.raises(InvalidParameterError, match="n must be a nonnegative integer"):
+            binomial_pmf(n, 0.5)
 
     def test_numpy_integers_are_accepted(self):
         law = window_joint_pmf(self.CHAIN, np.array([0, 2]), cap=5)

@@ -390,8 +390,8 @@ class TestRho:
         )
         assert res.exit_code == 3
         assert res.stderr == (
-            "resource limit: lag joint could hold up to 10000200001 atoms "
-            "(limit 2000000); shrink the cap\n"
+            "resource limit: window law could hold up to 10000200001 atoms "
+            "(limit 2000000); shrink the window or the cap\n"
         )
 
     @pytest.mark.parametrize("n_max", ["0", "-2"])
@@ -447,6 +447,16 @@ class TestRhoStar:
         payload = json.loads(out.read_text())
         assert payload["vacuous"] is True
         assert payload["value"] == 0 and payload["pair_count"] == 0
+
+    @pytest.mark.parametrize("width, gap", [(2, 2), (3, 1)], ids=["vacuous", "scanned"])
+    def test_negative_cap_exits_2(self, runner, width, gap):
+        res = runner.invoke(
+            main,
+            ["rho-star", "death-poisson", "--lambda", "2", "--a", "0.5",
+             "-W", str(width), "-n", str(gap), "--cap", "-1"],
+        )
+        assert res.exit_code == 2
+        assert res.stderr == "invalid parameters: cap must be nonnegative\n"
 
     def test_pair_count_for_width_two(self, runner, tmp_path):
         out = tmp_path / "rs.json"

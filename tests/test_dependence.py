@@ -398,6 +398,22 @@ class TestValidation:
             JointPmf(mass)
         assert str(info.value) == f"mass sums to {total!r}, not 1 within {MASS_TOL}"
 
+    def test_null_atoms_are_dropped_on_construction(self):
+        joint = JointPmf(np.array([[0.6, 0.0, 0.4], [0.0, 0.0, 0.0]]))
+        assert joint.mass.tolist() == [[0.6, 0.4]] and not joint.mass.flags.writeable
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            mass = rng.random((5, 7)) ** 3
+            mass[rng.integers(5)] = 0.0
+            mass[:, rng.integers(7)] = 0.0
+            mass /= mass.sum()
+            compressed = JointPmf(mass[mass.sum(axis=1) > 0.0][:, mass.sum(axis=0) > 0.0])
+            joint = JointPmf(mass)
+            assert joint.mass.shape == (4, 6)
+            assert np.array_equal(joint.mass, compressed.mass)
+            assert maximal_correlation(joint) == maximal_correlation(compressed)
+            assert lambda_coefficient(joint) == lambda_coefficient(compressed)
+
     def test_wide_joint_validates_in_small_memory(self):
         # the 9**5 cells of a five-index window law split into 729 x 81; an
         # exact sum over a list of them peaked at 2.4 MB

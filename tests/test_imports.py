@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module (or exported), every
 private module-level name is used somewhere in the package, every exported
-name is defined where it is exported and re-exported only from there, kernel
-products are built in one place, and the package loads no scipy at all."""
+name is defined where it is exported and re-exported only from there, each
+rule the scan tracks (kernel products, null atoms, atom limits) is read only
+in its home, and the package loads no scipy at all."""
 
 import ast
 from collections import Counter
@@ -107,44 +108,68 @@ def test_scan_flags_an_unreferenced_private_name():
     assert unreferenced_private_names(sources) == ["a.py:_spare", "a.py:_loop", "b.py:_Unused"]
 
 
-# The names that build kernel products, and the only places that may read
-# them: every other exact law comes from transition_matrix.
-KERNEL_NAMES = {"binomial_table", "convolve"}
+# Each rule's one home: a name that carries the rule, and the only places (a
+# module, or a module-level definition in one) that may read it.  Every exact
+# law comes from transition_matrix, every joint drops its null atoms through
+# one helper, and only the window-law and product-measure limits refuse a
+# table as too large.
 KERNEL_PLACES = {"pmf", "chains.transition_matrix", "chains._kernel_row"}
+RULE_HOMES = {
+    "binomial_table": KERNEL_PLACES,
+    "convolve": KERNEL_PLACES,
+    "compress": {"dependence._without_null_atoms"},
+    "ExplosionLimitError": {"chains.require_window_atoms", "dependence.tensor_combine"},
+}
 
 
-def stray_kernel_products(sources: dict[str, str]) -> list[str]:
+def stray_rule_reads(sources: dict[str, str]) -> list[str]:
     """``module.definition:name`` (or ``module:name`` outside any def or
-    class) of each read of a ``KERNEL_NAMES`` name, as a name or an
-    attribute, outside ``KERNEL_PLACES``."""
+    class) of each read of a ``RULE_HOMES`` name, as a name or an attribute,
+    outside that name's places."""
     stray = []
     for module, source in sources.items():
         for node in ast.parse(source).body:
             named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             place = f"{module}.{node.name}" if named else module
-            if module not in KERNEL_PLACES and place not in KERNEL_PLACES:
-                read = KERNEL_NAMES & set(_references(node))
-                stray += [f"{place}:{name}" for name in sorted(read)]
+            read = _references(node)
+            stray += [
+                f"{place}:{name}"
+                for name, homes in sorted(RULE_HOMES.items())
+                if read[name] and module not in homes and place not in homes
+            ]
     return stray
 
 
-def test_kernel_products_are_built_only_by_the_engine():
+def test_each_rule_is_read_only_in_its_home():
     package = Path(inarlab.__file__).parent
     sources = {p.stem: p.read_text(encoding="utf-8") for p in package.glob("*.py")}
-    assert stray_kernel_products(sources) == []
+    assert stray_rule_reads(sources) == []
 
 
-def test_scan_flags_a_stray_kernel_product():
+def test_scan_flags_a_rule_read_outside_its_home():
     sources = {
         "pmf": "def convolve(p, q):\n    return np.convolve(p, q)\n",
         "chains": (
             "from .pmf import binomial_table\n"
+            "from .errors import ExplosionLimitError\n"
             "def transition_matrix(spec, cap):\n    return binomial_table(cap, spec.a)\n"
             "def marginal(spec):\n    return np.convolve(spec, spec)\n"
+            "def require_window_atoms(cap, count):\n    raise ExplosionLimitError(cap)\n"
+            "class TupleLaw:\n    def split(self):\n        return self.mass.compress([1])\n"
+        ),
+        "dependence": (
+            "def _without_null_atoms(mass):\n    return mass.compress([1], axis=0)\n"
+            "def tensor_combine(blocks):\n    raise errors.ExplosionLimitError(blocks)\n"
         ),
         "harness": "from . import pmf\nTABLE = pmf.binomial_table(3, 0.5)\n",
+        "mixing": "def lag_joints(spec):\n    raise ExplosionLimitError(spec)\n",
     }
-    assert stray_kernel_products(sources) == ["chains.marginal:convolve", "harness:binomial_table"]
+    assert stray_rule_reads(sources) == [
+        "chains.marginal:convolve",
+        "chains.TupleLaw:compress",
+        "harness:binomial_table",
+        "mixing.lag_joints:ExplosionLimitError",
+    ]
 
 
 def undefined_exports(source: str) -> list[str]:

@@ -17,7 +17,6 @@ from inarlab import (
     inar_kernel,
     indicator_chain_spec,
     lag_joint,
-    lag_joints,
     maximal_correlation,
     maximal_correlations,
     poisson_death_chain,
@@ -256,23 +255,26 @@ class TestLagJoint:
             lag_joint(spec, 1, 1413)
 
     def test_many_gaps_share_one_table_and_match_one_gap_calls(self, monkeypatch):
+        # gaps read in turn on one spec match gaps read on fresh specs, and
+        # the one spec builds its kernel table once
         gaps = [1, 2, 5, 3]
         one_by_one = [lag_joint(inar_kernel(InarParams(a=0.5, lam=1.0)), n, 40) for n in gaps]
         builds = []
         real = chains.binomial_table
         monkeypatch.setattr(chains, "binomial_table", lambda n, a: builds.append(n) or real(n, a))
-        joints = lag_joints(inar_kernel(InarParams(a=0.5, lam=1.0)), gaps, 40)
-        assert builds == []  # built when the first joint is drawn
-        for (joint, escaped), (want, want_escaped) in zip(joints, one_by_one, strict=True):
+        spec = inar_kernel(InarParams(a=0.5, lam=1.0))
+        for n, (want, want_escaped) in zip(gaps, one_by_one, strict=True):
+            joint, escaped = lag_joint(spec, n, 40)
             assert np.array_equal(joint.mass, want.mass) and escaped == want_escaped
         assert builds == [40]
 
     def test_many_gaps_refuse_at_the_call(self):
         spec = inar_kernel(InarParams(a=0.5, lam=1.0))
+        lag_joint(spec, 1, 20)
         with pytest.raises(ExplosionLimitError, match="2002225 atoms"):
-            lag_joints(spec, [1, 2], 1414)
+            lag_joint(spec, 2, 1414)
         with pytest.raises(InvalidParameterError, match="positive integer"):
-            lag_joints(spec, [1, 0], 20)
+            lag_joint(spec, 0, 20)
 
     @EVERY_CHAIN
     def test_equals_the_renormalized_n_step_product(self, spec):
@@ -306,15 +308,18 @@ class TestIntegerIndices:
     @pytest.mark.parametrize("gaps", [[1.5], [1, 2.0], [True]])
     def test_lag_gaps_are_refused_at_the_call(self, gaps):
         spec = poisson_death_chain(2.0, 0.5)
+        *accepted, refused = gaps
+        for n in accepted:
+            lag_joint(spec, n, 20)
         with pytest.raises(InvalidParameterError, match="n must be an integer, got"):
-            lag_joints(spec, gaps, 20)
+            lag_joint(spec, refused, 20)
 
     def test_numpy_integers_are_accepted(self):
         pair = mixing.WindowSpec(np.int64(4), (np.int64(2), 0), (np.int32(3),), 1)
         assert (pair.s, pair.t) == ((0, 2), (3,))
         assert all(type(i) is int for i in pair.s + pair.t)
         spec = poisson_death_chain(2.0, 0.5)
-        (joint, escaped), = lag_joints(spec, np.array([2]), 20)
+        joint, escaped = lag_joint(spec, np.int64(2), 20)
         want, want_escaped = lag_joint(spec, 2, 20)
         assert np.array_equal(joint.mass, want.mass) and escaped == want_escaped
 
