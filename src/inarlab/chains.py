@@ -23,12 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dependence import (
-    DEFAULT_EXPLOSION_LIMIT,
-    JointPmf,
-    _require_finite_nonnegative,
-    _without_null_atoms,
-)
+from .dependence import DEFAULT_EXPLOSION_LIMIT, JointPmf, _without_null_atoms
 from .errors import (
     ExplosionLimitError,
     InvalidConfigError,
@@ -40,6 +35,10 @@ from .pmf import (
     Pmf,
     SeedSpec,
     _integer,
+    _lost_mass,
+    _owned,
+    _padded,
+    _require_finite_nonnegative,
     _require_sampleable,
     _sample_with_rng,
     _smallest,
@@ -91,9 +90,10 @@ def _physical_memory() -> int:
 
 
 def _require_memory(length: int, n_paths: int, matrices: int) -> None:
-    """Refuse a simulation with no steps or no paths, or one whose
-    ``matrices`` int64 path-sized arrays (path matrices plus time-major
-    buffers) would exceed physical memory."""
+    """Refuse a simulation whose length or path count is not a positive
+    integer, or whose ``matrices`` int64 path-sized arrays (path matrices
+    plus time-major buffers) would exceed physical memory."""
+    length, n_paths = _integer(length, "length"), _integer(n_paths, "n_paths")
     if length < 1 or n_paths < 1:
         raise InvalidParameterError("length and n_paths must be positive")
     need = matrices * length * n_paths * np.dtype(np.int64).itemsize
@@ -154,7 +154,7 @@ class PathEnsemble:
     """Matrix of simulated paths, one row per path, plus its provenance.
 
     Regenerating with the same seed and parameters reproduces the matrix
-    exactly.
+    exactly.  The ensemble owns its matrix (see ``pmf._owned``).
     """
 
     paths: np.ndarray
@@ -162,10 +162,9 @@ class PathEnsemble:
     params: Mapping
 
     def __post_init__(self):
-        paths = np.ascontiguousarray(self.paths, dtype=np.int64)
+        paths = _owned(self.paths, np.int64)
         if paths.ndim != 2:
             raise InvalidParameterError("paths must be a 2-D matrix")
-        paths.setflags(write=False)
         object.__setattr__(self, "paths", paths)
 
     @property
@@ -183,7 +182,7 @@ class InnovationDecomposition:
 
     Enforces ``x[k] == u[k] + v[k]`` everywhere and ``u[k] <= x[k-1]``
     wherever the previous index exists (survivors cannot exceed their
-    source).
+    source).  It owns its three matrices (see ``pmf._owned``).
     """
 
     x: np.ndarray
@@ -191,7 +190,9 @@ class InnovationDecomposition:
     v: np.ndarray
 
     def __post_init__(self):
-        x, u, v = (np.ascontiguousarray(m, dtype=np.int64) for m in (self.x, self.u, self.v))
+        for name in ("x", "u", "v"):
+            object.__setattr__(self, name, _owned(getattr(self, name), np.int64))
+        x, u, v = self.x, self.u, self.v
         if not (x.shape == u.shape == v.shape) or x.ndim != 2:
             raise InvalidParameterError("x, u, v must share a 2-D shape")
         # checked a row block at a time, so no full-size temporary is built
@@ -200,11 +201,6 @@ class InnovationDecomposition:
             raise InvalidParameterError("decomposition identity x = u + v violated")
         if any(np.any(u[b, 1:] > x[b, :-1]) for b in blocks):
             raise InvalidParameterError("survivors exceed their source count")
-        for m in (x, u, v):
-            m.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
 
 
 @dataclass(frozen=True)
@@ -285,6 +281,12 @@ def iid_chain(lam: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> MarkovCha
     )
 
 
+def _death_chain(initial: Pmf, a: float, description: Mapping) -> MarkovChainSpec:
+    """Pure-death chain from ``initial``: no innovation, survival rate a."""
+    _require_survival(a)
+    return MarkovChainSpec(initial, a, point_mass(0), description)
+
+
 def binomial_death_chain(n: int, p: float, a: float) -> MarkovChainSpec:
     """Pure-death chain started from Binomial(n, p); trajectories never rise."""
     n = _integer(n, "n")
@@ -292,28 +294,16 @@ def binomial_death_chain(n: int, p: float, a: float) -> MarkovChainSpec:
         raise InvalidParameterError("n must be a positive integer")
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
-    initial = binomial_pmf(n, p)
-    _require_survival(a)
-    return MarkovChainSpec(
-        initial=initial,
-        a=a,
-        innovation=point_mass(0),
-        description={"construction": "death-binomial", "n": n, "p": p, "a": a},
-    )
+    description = {"construction": "death-binomial", "n": n, "p": p, "a": a}
+    return _death_chain(binomial_pmf(n, p), a, description)
 
 
 def poisson_death_chain(
     lam: float, a: float, tail_budget: float = DEFAULT_TAIL_BUDGET
 ) -> MarkovChainSpec:
     """Pure-death chain started from Poisson(lam)."""
-    initial = poisson_pmf(lam, tail_budget)
-    _require_survival(a)
-    return MarkovChainSpec(
-        initial=initial,
-        a=a,
-        innovation=point_mass(0),
-        description={"construction": "death-poisson", "lambda": lam, "a": a},
-    )
+    description = {"construction": "death-poisson", "lambda": lam, "a": a}
+    return _death_chain(poisson_pmf(lam, tail_budget), a, description)
 
 
 def indicator_chain_spec(p0: float, a: float) -> MarkovChainSpec:
@@ -324,13 +314,8 @@ def indicator_chain_spec(p0: float, a: float) -> MarkovChainSpec:
     """
     if not (0.0 <= p0 <= 1.0):
         raise InvalidParameterError("p0 must lie in [0, 1]")
-    _require_survival(a)
-    return MarkovChainSpec(
-        initial=Pmf(np.array([1.0 - p0, p0])),
-        a=a,
-        innovation=point_mass(0),
-        description={"construction": "indicator", "p0": p0, "a": a},
-    )
+    description = {"construction": "indicator", "p0": p0, "a": a}
+    return _death_chain(Pmf(np.array([1.0 - p0, p0])), a, description)
 
 
 def indicator_chain(
@@ -409,31 +394,28 @@ def simulate_inar_direct(
     innovation, so the decomposition identities hold by construction.
     """
     _require_countable(params)
-    _require_memory(length, n_paths, 5)  # x, u, v plus time-major u and v
+    _require_memory(length, n_paths, 5)  # x, u, v plus time-major x and v
     rng = seed.generator()
     x_prev = rng.poisson(params.stationary_mean, n_paths)
-    u = np.empty((length, n_paths), dtype=np.int64)
-    v = np.empty_like(u)
+    x = np.empty((length, n_paths), dtype=np.int64)
+    v = np.empty_like(x)
     for k in range(length):
-        u[k] = rng.binomial(x_prev, params.a)
+        x[k] = rng.binomial(x_prev, params.a)
         v[k] = rng.poisson(params.lam, n_paths)
-        x_prev = u[k] + v[k]
+        # a fresh array: a view of x[k] would keep the time-major buffer alive
+        x_prev = x[k] = x[k] + v[k]
     # one path per row; converted one at a time so peak memory stays flat
-    u = np.ascontiguousarray(u.T)
+    x = np.ascontiguousarray(x.T)
     v = np.ascontiguousarray(v.T)
-    x = u + v
-    ensemble = PathEnsemble(
-        x,
-        seed,
-        {
-            "construction": "direct",
-            "a": params.a,
-            "lambda": params.lam,
-            "length": length,
-            "n_paths": n_paths,
-        },
-    )
-    return ensemble, InnovationDecomposition(x, u, v)
+    return _decomposed(x, v, seed, "direct", params)
+
+
+def _decomposed(x, v, seed: SeedSpec, construction: str, params: InarParams, **extra):
+    """Ensemble of the path-major counts ``x``, described with ``extra``, and
+    their decomposition into survivors ``x - v`` and innovations ``v``."""
+    description = {"construction": construction, "a": params.a, "lambda": params.lam, **extra}
+    ensemble = PathEnsemble(x, seed, dict(description, length=x.shape[1], n_paths=x.shape[0]))
+    return ensemble, InnovationDecomposition(x, x - v, v)
 
 
 def _superposition_work(params: InarParams, depth: int, length: int, n_paths: int) -> float:
@@ -504,20 +486,7 @@ def simulate_inar_superposition(
     # one path per row; converted one at a time so peak memory stays flat
     x = np.ascontiguousarray(x.T)
     v = np.ascontiguousarray(v.T)
-    u = x - v
-    ensemble = PathEnsemble(
-        x,
-        seed,
-        {
-            "construction": "superposition",
-            "a": params.a,
-            "lambda": params.lam,
-            "depth": depth,
-            "length": length,
-            "n_paths": n_paths,
-        },
-    )
-    return ensemble, InnovationDecomposition(x, u, v)
+    return _decomposed(x, v, seed, "superposition", params, depth=depth)
 
 
 def _kernel_row(spec: MarkovChainSpec, x: int) -> np.ndarray:
@@ -545,15 +514,13 @@ def transition_matrix(spec: MarkovChainSpec, cap: int) -> np.ndarray:
         return out
     innovation = spec.innovation.probs
     if spec.a == 0.0:
-        out = np.zeros((cap + 1, max(cap + 1, innovation.size)))
-        out[:, : innovation.size] = innovation
+        out = np.tile(_padded(innovation, max(cap + 1, innovation.size)), (cap + 1, 1))
     else:
         table = binomial_table(cap, spec.a)
         out = np.zeros((cap + 1, cap + innovation.size))
         for x in range(cap + 1):
             out[x, : x + innovation.size] = np.convolve(table[x, : x + 1], innovation)
-    out.setflags(write=False)
-    spec._kernels[cap] = out
+    spec._kernels[cap] = out = _owned(out, np.float64)
     return out
 
 
@@ -565,6 +532,8 @@ class TupleLaw:
     order), each axis covering the states 0..cap; ``mass[x0, x1, ...]`` is
     the probability of that observation tuple.  ``truncation_error`` is
     the mass lost to state truncation and kernel tails, ``1 - sum(mass)``.
+    The law owns its tensor (see ``pmf._owned``), so no alias can change it
+    after the one mass check that every split relies on.
     """
 
     indices: tuple[int, ...]
@@ -572,8 +541,7 @@ class TupleLaw:
     truncation_error: float
 
     def __post_init__(self):
-        # the one mass check that every split of this law relies on
-        mass = np.asarray(self.mass, dtype=np.float64)
+        mass = _owned(self.mass, np.float64)
         _require_finite_nonnegative(mass)
         object.__setattr__(self, "mass", mass)
 
@@ -658,15 +626,10 @@ def window_joint_pmf(
     require_window_atoms(cap, len(idx))
     support = cap + 1
     trans = transition_matrix(spec, cap)[:, :support]
-    init = np.zeros(support)
-    m = min(spec.initial.probs.size, support)
-    init[:m] = spec.initial.probs[:m]
-    mass = init @ np.linalg.matrix_power(trans, idx[0])
+    mass = _padded(spec.initial.probs, support) @ np.linalg.matrix_power(trans, idx[0])
     for prev, cur in zip(idx, idx[1:]):
         mass = mass[..., None] * np.linalg.matrix_power(trans, cur - prev)
-    mass.setflags(write=False)
-    err = 1.0 - math.fsum(mass[mass != 0.0].tolist())  # zeros add nothing
-    return TupleLaw(tuple(idx), mass, max(0.0, err))
+    return TupleLaw(tuple(idx), mass, _lost_mass(mass))
 
 
 def marginal_at(spec: MarkovChainSpec, j: int) -> Pmf:
@@ -687,7 +650,7 @@ def marginal_at(spec: MarkovChainSpec, j: int) -> Pmf:
     trans = transition_matrix(spec, spec.state_cap)
     rows = trans.shape[0]  # state_cap + 1, the initial table's size
     out = spec.initial.probs @ np.linalg.matrix_power(trans[:, :rows], j - 1) @ trans
-    return Pmf(out, max(0.0, 1.0 - math.fsum(out.tolist())))
+    return Pmf(out, _lost_mass(out))
 
 
 def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:

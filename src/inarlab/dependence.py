@@ -22,7 +22,7 @@ from .errors import (
     InvalidParameterError,
     NumericalError,
 )
-from .pmf import MASS_TOL, total_off_unit
+from .pmf import MASS_TOL, _owned, _require_finite_nonnegative, total_off_unit
 
 DEFAULT_ALPHABET_CAP = 12
 DEFAULT_EXPLOSION_LIMIT = 2_000_000
@@ -41,13 +41,8 @@ __all__ = [
 ]
 
 
-def _require_finite_nonnegative(mass: np.ndarray) -> None:
-    if not np.isfinite(mass).all() or (mass < 0.0).any():
-        raise InvalidParameterError("mass entries must be finite and nonnegative")
-
-
 def _validate_mass(mass: np.ndarray, ndim: int) -> np.ndarray:
-    mass = np.ascontiguousarray(mass, dtype=np.float64)
+    mass = _owned(mass, np.float64)
     if mass.ndim != ndim:
         raise InvalidParameterError(f"mass must be {ndim}-dimensional")
     _require_finite_nonnegative(mass)
@@ -56,7 +51,6 @@ def _validate_mass(mass: np.ndarray, ndim: int) -> np.ndarray:
         raise InvalidParameterError(
             f"mass sums to {total!r}, not 1 within {MASS_TOL}"
         )
-    mass.setflags(write=False)
     return mass
 
 
@@ -77,24 +71,24 @@ class JointPmf:
     carry no labels: every coefficient here is a function of the mass matrix
     alone and does not change when rows or columns are permuted.  Null
     atoms (zero rows and columns) are dropped on construction, so every
-    atom of ``mass`` has positive marginal mass.
+    atom of ``mass`` has positive marginal mass.  The joint owns the array
+    it is handed (see ``pmf._owned``): a float64 C-ordered matrix is held
+    uncopied, and the caller's reference to it turns read-only.
     """
 
     mass: np.ndarray
 
     def __post_init__(self):
         mass = _without_null_atoms(_validate_mass(self.mass, 2))
-        mass.setflags(write=False)
-        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "mass", _owned(mass, np.float64))
 
     @classmethod
     def _checked(cls, mass: np.ndarray) -> JointPmf:
         """A joint over a contiguous float64 matrix whose cells the caller
         has already checked, whose null atoms it has dropped and whose total
-        it has made 1; not validated again."""
-        mass.setflags(write=False)
+        it has made 1; not validated again, only owned."""
         joint = object.__new__(cls)
-        object.__setattr__(joint, "mass", mass)
+        object.__setattr__(joint, "mass", _owned(mass, np.float64))
         return joint
 
     def row_marginal(self) -> np.ndarray:

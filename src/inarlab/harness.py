@@ -50,6 +50,8 @@ from .mixing import verify_absorbing_split, verify_indicator_bound
 from .pmf import (
     DEFAULT_TAIL_BUDGET,
     SeedSpec,
+    _lost_mass,
+    _padded,
     _poisson_terms,
     binomial_pmf,
     poisson_pmf,
@@ -240,9 +242,8 @@ def _pooled_gof_ratio(
     pooling leaves fewer than two groups (no testable structure).
     """
     n = int(counts.sum())
-    residual = max(0.0, 1.0 - math.fsum(probs.tolist()))
     obs = np.append(counts, 0.0)
-    exp = np.append(probs, residual) * n
+    exp = np.append(probs, _lost_mass(probs)) * n
     groups_o: list[float] = []
     groups_e: list[float] = []
     acc_o = acc_e = 0.0
@@ -360,10 +361,7 @@ def check_stationary_marginal(
     for k in indices:
         column = ensemble.paths[:, k]
         counts = np.bincount(column)
-        probs = np.zeros(counts.size)
-        m = min(counts.size, target.probs.size)
-        probs[:m] = target.probs[:m]
-        ratio = _pooled_gof_ratio(counts, probs, alpha)
+        ratio = _pooled_gof_ratio(counts, _padded(target.probs, counts.size), alpha)
         if ratio is not None:
             worst_ratio = max(worst_ratio, ratio)
     return CheckReport(

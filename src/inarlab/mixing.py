@@ -80,6 +80,8 @@ class WindowSpec:
     gap: int
 
     def __post_init__(self):
+        for name in ("width", "gap"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         s = tuple(sorted(_integer(i, "index") for i in self.s))
         t = tuple(sorted(_integer(i, "index") for i in self.t))
         if not s or not t or set(s) & set(t):

@@ -46,22 +46,20 @@ __all__ = [
 class Pmf:
     """Probability mass function on ``{0..K}`` plus explicit mass beyond ``K``.
 
-    Invariants enforced at construction: entries in ``[0, 1]``,
+    Invariants enforced at construction: entries finite and nonnegative,
     ``sum(probs) + tail_mass == 1`` within ``1e-12``, ``tail_mass >= 0``.
-    Instances are immutable (the array is made read-only) and safe to share.
+    Instances are immutable and safe to share: the law owns its array (see
+    :func:`_owned`), so the caller's reference to it turns read-only too.
     """
 
     probs: np.ndarray
     tail_mass: float = 0.0
 
     def __post_init__(self):
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
+        probs = _owned(self.probs, np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise InvalidParameterError("probs must be a nonempty 1-D array")
-        if not np.all(np.isfinite(probs)):
-            raise InvalidParameterError("probs must be finite")
-        if np.any(probs < 0.0) or np.any(probs > 1.0 + 1e-12):
-            raise InvalidParameterError("probs entries must lie in [0, 1]")
+        _require_finite_nonnegative(probs)
         tail = float(self.tail_mass)
         if not math.isfinite(tail) or tail < -1e-15:
             raise InvalidParameterError("tail_mass must be nonnegative")
@@ -71,7 +69,6 @@ class Pmf:
             raise InvalidParameterError(
                 f"total mass {total!r} differs from 1 by more than {MASS_TOL}"
             )
-        probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "tail_mass", tail)
 
@@ -105,6 +102,39 @@ def total_off_unit(cells: np.ndarray, tail: float = 0.0) -> float | None:
             return None
     total = math.fsum(flat[flat != 0.0].tolist()) + tail  # zeros add nothing
     return None if abs(total - 1.0) <= MASS_TOL else total
+
+
+def _lost_mass(cells: np.ndarray) -> float:
+    """``max(0, 1 - fsum(cells))``: the mass a table of nonnegative cells misses."""
+    return max(0.0, 1.0 - math.fsum(cells[cells != 0.0].tolist()))
+
+
+def _padded(probs: np.ndarray, size: int) -> np.ndarray:
+    """The first ``size`` entries of ``probs``, zero-padded to ``size``."""
+    return np.pad(probs[:size], (0, max(0, size - probs.size)))
+
+
+def _require_finite_nonnegative(mass: np.ndarray) -> None:
+    if not np.isfinite(mass).all() or (mass < 0.0).any():
+        raise InvalidParameterError("mass entries must be finite and nonnegative")
+
+
+def _owned(array, dtype) -> np.ndarray:
+    """``array`` as a read-only C-contiguous ``dtype`` array, for a holder.
+
+    A holder owns what it is handed: an array of this dtype and layout is
+    held uncopied and made read-only, the caller's reference included, so no
+    alias changes it after its one check and the widest laws are not doubled.
+    A numeric conversion that does not cast back to the same values (NaN or
+    1.7 to int64, 2**53 + 1 to float64) is refused instead of held."""
+    source = np.asarray(array)
+    with np.errstate(invalid="ignore"):  # NaN to int64 is refused below
+        out = np.ascontiguousarray(source, dtype=dtype)
+    copied = out is not source and source.dtype.kind in "biuf"
+    if copied and not np.array_equal(out.astype(source.dtype), source, equal_nan=True):
+        raise InvalidParameterError(f"converting to {np.dtype(dtype)} would change values")
+    out.setflags(write=False)
+    return out
 
 
 def _integer(value, name: str, error: type = InvalidParameterError) -> int:
@@ -144,6 +174,7 @@ class SeedSpec:
 
 def point_mass(k: int = 0) -> Pmf:
     """Degenerate distribution at state ``k``."""
+    k = _integer(k, "state")
     if k < 0:
         raise InvalidParameterError("state must be nonnegative")
     probs = np.zeros(k + 1)
@@ -290,7 +321,7 @@ def poisson_pmf(mean: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> Pmf:
     terms[1:] = _poisson_terms(np.arange(1.0, k_hi + 1.0), mean)
 
     def tail_at(j: int) -> float:
-        return 1.0 - math.fsum(terms[: j + 1].tolist())
+        return _lost_mass(terms[: j + 1])
 
     if tail_at(k_hi) > tail_budget:
         raise InvalidParameterError(
@@ -298,7 +329,7 @@ def poisson_pmf(mean: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> Pmf:
         )
     guess = int(np.searchsorted(np.cumsum(terms), 1.0 - tail_budget))
     cut = _smallest(lambda j: tail_at(j) <= tail_budget, min(guess, k_hi))
-    return Pmf(terms[: cut + 1], max(0.0, tail_at(cut)))
+    return Pmf(terms[: cut + 1], tail_at(cut))
 
 
 def binomial_pmf(n: int, p: float) -> Pmf:
@@ -333,8 +364,7 @@ def convolve(p: Pmf, q: Pmf) -> Pmf:
     equals ``p.tail + q.tail - p.tail * q.tail`` up to rounding.
     """
     out = np.convolve(p.probs, q.probs)
-    tail = max(0.0, 1.0 - math.fsum(out.tolist()))
-    return Pmf(out, tail)
+    return Pmf(out, _lost_mass(out))
 
 
 def thin(p: Pmf, a: float) -> Pmf:
@@ -347,8 +377,7 @@ def thin(p: Pmf, a: float) -> Pmf:
     if not (0.0 < a < 1.0):
         raise InvalidParameterError("thinning parameter must lie in (0, 1)")
     out = p.probs @ binomial_table(p.max_state, a)
-    tail = max(0.0, 1.0 - math.fsum(out.tolist()))
-    return Pmf(np.clip(out, 0.0, None), tail)
+    return Pmf(np.clip(out, 0.0, None), _lost_mass(out))
 
 
 def total_variation(p: Pmf, q: Pmf) -> float:
@@ -358,11 +387,7 @@ def total_variation(p: Pmf, q: Pmf) -> float:
     tail masses (the tails could be disjoint).  Symmetric by construction.
     """
     n = max(p.probs.size, q.probs.size)
-    pp = np.zeros(n)
-    qq = np.zeros(n)
-    pp[: p.probs.size] = p.probs
-    qq[: q.probs.size] = q.probs
-    core = math.fsum(np.abs(pp - qq).tolist())
+    core = math.fsum(np.abs(_padded(p.probs, n) - _padded(q.probs, n)).tolist())
     return 0.5 * (core + p.tail_mass + q.tail_mass)
 
 

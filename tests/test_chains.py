@@ -21,6 +21,7 @@ from inarlab import (
     SuperpositionConfig,
     TripletPmf,
     TupleLaw,
+    WindowSpec,
     binomial_death_chain,
     binomial_pmf,
     check_construction_equivalence,
@@ -599,6 +600,16 @@ class TestWindowJointPmf:
         split = law.split([0, 3], [1])
         assert split.mass.shape == (36, 6) and not np.shares_memory(split.mass, law.mass)
 
+    def test_law_refuses_writes_through_itself_and_the_callers_array(self):
+        """The one mass check holds for every later split: no alias of the
+        tensor can turn a cell negative after it."""
+        mass = np.full((2, 2), 0.25)
+        law = TupleLaw((0, 1), mass, 0.0)
+        for alias in (law.mass, mass):
+            with pytest.raises(ValueError, match="read-only"):
+                alias[0, 0] = -0.25
+        assert law.split([0], [1]).mass.tolist() == [[0.25, 0.25], [0.25, 0.25]]
+
     @pytest.mark.parametrize("bad", [np.nan, -1e-3])
     def test_law_with_a_nan_or_negative_cell_is_refused(self, bad):
         mass = np.full((2, 2), 0.25)
@@ -714,6 +725,28 @@ class TestIntegerArguments:
         with pytest.raises(InvalidParameterError, match=f"{name} must be an integer, got"):
             rho_star_window(self.CHAIN, width, gap, 5)
 
+    @pytest.mark.parametrize("state", [1.5, 2.0, "2", True])
+    def test_point_mass_state(self, state):
+        with pytest.raises(InvalidParameterError, match="state must be an integer, got"):
+            point_mass(state)
+
+    @pytest.mark.parametrize("name", SIMULATORS)
+    @pytest.mark.parametrize(
+        "length, n_paths, bad",
+        [(2.0, 3, "length"), (2.5, 3, "length"), (True, 3, "length"), (3, 3.0, "n_paths")],
+    )
+    def test_simulation_sizes(self, name, length, n_paths, bad):
+        simulate, _ = SIMULATORS[name]
+        with pytest.raises(InvalidParameterError, match=f"{bad} must be an integer, got"):
+            simulate(length, n_paths, _UndrawableSeed())
+
+    @pytest.mark.parametrize(
+        "width, gap, bad", [(4.5, 1, "width"), (True, 1, "width"), (4, 1.0, "gap"), (4, "1", "gap")]
+    )
+    def test_window_spec_width_and_gap(self, width, gap, bad):
+        with pytest.raises(InvalidParameterError, match=f"{bad} must be an integer, got"):
+            WindowSpec(width, (0,), (2,), gap)
+
     @pytest.mark.parametrize("n", [3.0, 2.5, True, "3", 2.0])
     def test_death_chain_size(self, n):
         with pytest.raises(InvalidParameterError, match="n must be an integer, got"):
@@ -742,6 +775,11 @@ class TestIntegerArguments:
         assert transition_matrix(self.CHAIN, np.int64(3)) is transition_matrix(self.CHAIN, 3)
         chain = binomial_death_chain(np.int64(6), 0.4, 0.5)
         assert chain.description["n"] == 6 and type(chain.description["n"]) is int
+        assert point_mass(np.int64(2)).probs.tolist() == [0.0, 0.0, 1.0]
+        pair = WindowSpec(np.int64(4), (0,), (2,), np.int32(1))
+        assert (pair.width, pair.gap) == (4, 1) and type(pair.width) is type(pair.gap) is int
+        ens, _ = simulate_inar_direct(PARAMS, np.int64(3), np.int32(2), SeedSpec(1))
+        assert ens.paths.shape == (2, 3)
 
 
 class TestDecompositionValidation:
@@ -805,6 +843,38 @@ def test_array_holders_compare_and_hash_by_identity(make):
     assert len({first, second}) == 2
 
 
+HOLDERS = {  # name -> (hold(array), the attribute holding it, a fresh array it takes as is)
+    "Pmf": (Pmf, "probs", lambda: np.full(4, 0.25)),
+    "TupleLaw": (lambda m: TupleLaw((0, 1), m, 0.0), "mass", lambda: np.full((2, 2), 0.25)),
+    "JointPmf": (JointPmf, "mass", lambda: np.full((2, 2), 0.25)),
+    "TripletPmf": (TripletPmf, "mass", lambda: np.full((2, 2, 2), 0.125)),
+    "PathEnsemble": (
+        lambda m: PathEnsemble(m, SeedSpec(1), {}), "paths", lambda: np.ones((2, 3), np.int64)
+    ),
+    "InnovationDecomposition": (
+        lambda m: InnovationDecomposition(m, m, np.zeros(m.shape, np.int64)),
+        "x",
+        lambda: np.ones((2, 3), np.int64),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HOLDERS)
+def test_holders_own_their_arrays_and_refuse_changed_values(name):
+    """An array already of the holder's dtype and layout is held uncopied and
+    turns read-only for the caller too; a conversion that would change a
+    value (2**53 + 1 to float64; 1.5 or NaN to int64) is refused."""
+    hold, attribute, make = HOLDERS[name]
+    array = make()
+    held = getattr(hold(array), attribute)
+    assert np.shares_memory(held, array)
+    assert not held.flags.writeable and not array.flags.writeable
+    changes = [2**53 + 1] if array.dtype == np.float64 else [1.5, np.nan]
+    for value in changes:
+        with pytest.raises(InvalidParameterError, match="would change values"):
+            hold(np.full(array.shape, value))
+
+
 def _allocated_peak(fn) -> int:
     """Peak bytes traced by tracemalloc while ``fn`` runs."""
     tracemalloc.start()
@@ -827,6 +897,20 @@ def test_writer_and_decomposition_allocate_under_a_quarter_matrix(tmp_path):
     assert _allocated_peak(lambda: InnovationDecomposition(x, u, v)) < quarter
     ens = PathEnsemble(x, SeedSpec(1), {"construction": "test"})
     assert _allocated_peak(lambda: write_ensemble_csv(ens, tmp_path / "x.csv")) < quarter
+
+
+@pytest.mark.parametrize(
+    "simulate",
+    [partial(simulate_inar_direct, PARAMS), _superposition],
+    ids=["direct", "superposition"],
+)
+def test_decomposed_simulators_peak_under_four_path_matrices(simulate):
+    """At most three path-sized matrices live at once (two time-major buffers
+    and one path-major copy, or the three path-major results), plus per-step
+    vectors: about 3.4 matrices.  A time-major buffer kept alive past its
+    transpose would make it about 4.4."""
+    matrix = 2_000 * 200 * np.dtype(np.int64).itemsize
+    assert _allocated_peak(lambda: simulate(200, 2_000, SeedSpec(5))) < 4 * matrix
 
 
 def _reference_csv(ensemble, path) -> None:

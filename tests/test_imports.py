@@ -1,8 +1,9 @@
 """Every name a module imports is used in that module (or exported), every
 private module-level name is used somewhere in the package, every exported
 name is defined where it is exported and re-exported only from there, each
-rule the scan tracks (kernel products, null atoms, atom limits) is read only
-in its home, and the package loads no scipy at all."""
+rule the scan tracks (kernel products, null atoms, atom limits, array
+ownership, lost mass) is read only in its home, and the package loads no
+scipy at all."""
 
 import ast
 from collections import Counter
@@ -111,14 +112,18 @@ def test_scan_flags_an_unreferenced_private_name():
 # Each rule's one home: a name that carries the rule, and the only places (a
 # module, or a module-level definition in one) that may read it.  Every exact
 # law comes from transition_matrix, every joint drops its null atoms through
-# one helper, and only the window-law and product-measure limits refuse a
-# table as too large.
+# one helper, only the window-law and product-measure limits refuse a table
+# as too large, every holder freezes its array through pmf._owned, and every
+# exact sum (lost mass, totals, distances) is taken in pmf, besides the
+# chi-square tail's own terms.
 KERNEL_PLACES = {"pmf", "chains.transition_matrix", "chains._kernel_row"}
 RULE_HOMES = {
     "binomial_table": KERNEL_PLACES,
     "convolve": KERNEL_PLACES,
     "compress": {"dependence._without_null_atoms"},
     "ExplosionLimitError": {"chains.require_window_atoms", "dependence.tensor_combine"},
+    "setflags": {"pmf._owned"},
+    "fsum": {"pmf", "harness._chi2_tail"},
 }
 
 
@@ -148,7 +153,11 @@ def test_each_rule_is_read_only_in_its_home():
 
 def test_scan_flags_a_rule_read_outside_its_home():
     sources = {
-        "pmf": "def convolve(p, q):\n    return np.convolve(p, q)\n",
+        "pmf": (
+            "def convolve(p, q):\n    return np.convolve(p, q)\n"
+            "def _owned(a):\n    a.setflags(write=False)\n    return math.fsum(a)\n"
+            "class Pmf:\n    def freeze(self):\n        self.probs.setflags(write=False)\n"
+        ),
         "chains": (
             "from .pmf import binomial_table\n"
             "from .errors import ExplosionLimitError\n"
@@ -161,13 +170,19 @@ def test_scan_flags_a_rule_read_outside_its_home():
             "def _without_null_atoms(mass):\n    return mass.compress([1], axis=0)\n"
             "def tensor_combine(blocks):\n    raise errors.ExplosionLimitError(blocks)\n"
         ),
-        "harness": "from . import pmf\nTABLE = pmf.binomial_table(3, 0.5)\n",
+        "harness": (
+            "from . import pmf\nTABLE = pmf.binomial_table(3, 0.5)\n"
+            "def _chi2_tail(terms):\n    return math.fsum(terms)\n"
+            "def _pooled_gof_ratio(probs):\n    return 1.0 - math.fsum(probs)\n"
+        ),
         "mixing": "def lag_joints(spec):\n    raise ExplosionLimitError(spec)\n",
     }
     assert stray_rule_reads(sources) == [
+        "pmf.Pmf:setflags",
         "chains.marginal:convolve",
         "chains.TupleLaw:compress",
         "harness:binomial_table",
+        "harness._pooled_gof_ratio:fsum",
         "mixing.lag_joints:ExplosionLimitError",
     ]
 

@@ -443,6 +443,15 @@ class TestPmfInvariants:
         with pytest.raises(InvalidParameterError):
             Pmf(np.array([-0.1, 1.1]))
 
+    @pytest.mark.parametrize("probs", [[np.nan, 1.0], [np.inf, 0.0], [-0.5, 1.5]])
+    def test_entries_must_be_finite_and_nonnegative(self, probs):
+        with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
+            Pmf(np.array(probs))
+
+    def test_total_above_one_is_refused(self):
+        with pytest.raises(InvalidParameterError, match=r"total mass 1\.000000001 differs from 1"):
+            Pmf(np.array([1 + 1e-9]))
+
     def test_probs_are_immutable(self):
         p = poisson_pmf(1.0)
         with pytest.raises(ValueError):
