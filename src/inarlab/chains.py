@@ -93,9 +93,7 @@ def _require_memory(length: int, n_paths: int, matrices: int) -> None:
     """Refuse a simulation whose length or path count is not a positive
     integer, or whose ``matrices`` int64 path-sized arrays (path matrices
     plus time-major buffers) would exceed physical memory."""
-    length, n_paths = _integer(length, "length"), _integer(n_paths, "n_paths")
-    if length < 1 or n_paths < 1:
-        raise InvalidParameterError("length and n_paths must be positive")
+    length, n_paths = _integer(length, "length", 1), _integer(n_paths, "n_paths", 1)
     need = matrices * length * n_paths * np.dtype(np.int64).itemsize
     have = _physical_memory()
     if need > have:
@@ -217,9 +215,7 @@ class SuperpositionConfig:
     tail_budget: float = DEFAULT_SUPERPOSITION_BUDGET
 
     def __post_init__(self):
-        object.__setattr__(self, "depth", _integer(self.depth, "depth", InvalidConfigError))
-        if self.depth < 1:
-            raise InvalidConfigError("depth must be a positive integer")
+        object.__setattr__(self, "depth", _integer(self.depth, "depth", 1, InvalidConfigError))
         if not (0.0 < self.tail_budget < 1.0):
             raise InvalidConfigError("tail_budget must lie in (0, 1)")
 
@@ -289,9 +285,7 @@ def _death_chain(initial: Pmf, a: float, description: Mapping) -> MarkovChainSpe
 
 def binomial_death_chain(n: int, p: float, a: float) -> MarkovChainSpec:
     """Pure-death chain started from Binomial(n, p); trajectories never rise."""
-    n = _integer(n, "n")
-    if n < 1:
-        raise InvalidParameterError("n must be a positive integer")
+    n = _integer(n, "n", 1)
     if not (0.0 < p < 1.0):
         raise InvalidParameterError("p must lie in (0, 1)")
     description = {"construction": "death-binomial", "n": n, "p": p, "a": a}
@@ -506,9 +500,7 @@ def transition_matrix(spec: MarkovChainSpec, cap: int) -> np.ndarray:
     this table.  A cap may exceed the chain's ``state_cap`` to refine a
     truncation.  The table is read-only and built once per (spec, cap).
     """
-    cap = _integer(cap, "cap")
-    if cap < 0:
-        raise InvalidParameterError("cap must be nonnegative")
+    cap = _integer(cap, "cap", 0)
     out = spec._kernels.get(cap)
     if out is not None:
         return out
@@ -524,6 +516,15 @@ def transition_matrix(spec: MarkovChainSpec, cap: int) -> np.ndarray:
     return out
 
 
+def _window_indices(indices: Sequence[int]) -> tuple[int, ...]:
+    """``indices`` as a tuple of ints, refused unless nonempty, nonnegative
+    and strictly increasing."""
+    idx = tuple(_integer(i, "index", 0) for i in indices)
+    if not idx or any(b <= a for a, b in zip(idx, idx[1:])):
+        raise InvalidParameterError("indices must be nonempty, nonnegative, strictly increasing")
+    return idx
+
+
 @dataclass(frozen=True, eq=False)
 class TupleLaw:
     """Exact joint law of a chain observed at a finite set of indices.
@@ -532,6 +533,8 @@ class TupleLaw:
     order), each axis covering the states 0..cap; ``mass[x0, x1, ...]`` is
     the probability of that observation tuple.  ``truncation_error`` is
     the mass lost to state truncation and kernel tails, ``1 - sum(mass)``.
+    Indices that are not nonempty, nonnegative and strictly increasing, and
+    a tensor without one axis per index, all of one length, are refused.
     The law owns its tensor (see ``pmf._owned``), so no alias can change it
     after the one mass check that every split relies on.
     """
@@ -541,7 +544,10 @@ class TupleLaw:
     truncation_error: float
 
     def __post_init__(self):
+        object.__setattr__(self, "indices", _window_indices(self.indices))
         mass = _owned(self.mass, np.float64)
+        if mass.ndim != len(self.indices) or len(set(mass.shape)) > 1:
+            raise InvalidParameterError("mass must have one axis per index, all of one length")
         _require_finite_nonnegative(mass)
         object.__setattr__(self, "mass", mass)
 
@@ -593,9 +599,7 @@ def require_window_atoms(cap: int, count: int) -> None:
     """Refuse a cap that is not a nonnegative integer, or a window law over
     ``count`` indices whose dense table at this cap would exceed
     ``DEFAULT_EXPLOSION_LIMIT`` cells."""
-    cap = _integer(cap, "cap")
-    if cap < 0:
-        raise InvalidParameterError("cap must be nonnegative")
+    cap = _integer(cap, "cap", 0)
     atoms = (cap + 1) ** count
     if atoms > DEFAULT_EXPLOSION_LIMIT:
         raise ExplosionLimitError(
@@ -618,18 +622,14 @@ def window_joint_pmf(
     ``truncation_error``, not renormalized away.  Every call at one cap
     reads the one kernel table the spec keeps for it.
     """
-    idx = [_integer(i, "index") for i in indices]
-    if not idx or any(b <= a for a, b in zip(idx, idx[1:])) or idx[0] < 0:
-        raise InvalidParameterError(
-            "indices must be nonempty, nonnegative, strictly increasing"
-        )
+    idx = _window_indices(indices)
     require_window_atoms(cap, len(idx))
     support = cap + 1
     trans = transition_matrix(spec, cap)[:, :support]
     mass = _padded(spec.initial.probs, support) @ np.linalg.matrix_power(trans, idx[0])
     for prev, cur in zip(idx, idx[1:]):
         mass = mass[..., None] * np.linalg.matrix_power(trans, cur - prev)
-    return TupleLaw(tuple(idx), mass, _lost_mass(mass))
+    return TupleLaw(idx, mass, _lost_mass(mass))
 
 
 def marginal_at(spec: MarkovChainSpec, j: int) -> Pmf:
@@ -642,9 +642,7 @@ def marginal_at(spec: MarkovChainSpec, j: int) -> Pmf:
     steps are ``init @ T^(j-1) @ trans`` with ``T`` the kernel truncated to
     {0..cap}, so the matrix power takes O(log j) products.
     """
-    j = _integer(j, "j")
-    if j < 0:
-        raise InvalidParameterError("j must be nonnegative")
+    j = _integer(j, "j", 0)
     if j == 0:
         return spec.initial
     trans = transition_matrix(spec, spec.state_cap)

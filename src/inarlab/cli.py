@@ -49,7 +49,7 @@ from .mixing import (
     rho_star_window,
 )
 from .dependence import maximal_correlation
-from .pmf import DEFAULT_TAIL_BUDGET, SeedSpec
+from .pmf import DEFAULT_TAIL_BUDGET, SeedSpec, _integer
 from .serialize import dumps
 
 EXIT_VERIFICATION_FAILURE = 1
@@ -250,8 +250,7 @@ def simulate(construction, opts, length, paths, seed, stream, tail_budget, out):
 def rho(construction, opts, n_max, cap, tail_budget, max_escape, out, metrics_out):
     """Past/future maximal correlation across gaps 1..n-max, plus a decay fit."""
     start = time.perf_counter()
-    if n_max < 1:
-        raise InvalidParameterError("--n-max must be a positive integer")
+    n_max = _integer(n_max, "--n-max", 1)
     spec = _chain_spec(construction, opts, tail_budget)
     entries = []
     for gap in range(1, n_max + 1):
@@ -351,28 +350,14 @@ def marginal(construction, opts, at, tail_budget, out):
 def verify(config_path, seed, paths, significance, negative_controls, threads, out,
            metrics_out):
     """Run the full verification campaign; exit 0 iff every check passes."""
-    fields = {}
-    if config_path is not None:
-        try:
-            raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # bad JSON, UTF-8 or integer literal
-            click.echo(f"malformed config: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
+    flags = {"root_seed": seed, "n_paths": paths, "significance": significance,
+             "negative_controls": negative_controls}
+    try:  # bad JSON, UTF-8 or integer literal, or a value the config refuses
+        raw = json.loads(Path(config_path).read_text("utf-8")) if config_path is not None else {}
         if not isinstance(raw, dict):
-            click.echo("malformed config: top level must be a JSON object", err=True)
-            sys.exit(EXIT_USAGE)
-        fields = dict(raw)
-    if seed is not None:
-        fields["root_seed"] = seed
-    if paths is not None:
-        fields["n_paths"] = paths
-    if significance is not None:
-        fields["significance"] = significance
-    if negative_controls is not None:
-        fields["negative_controls"] = negative_controls
-    try:
-        config = McConfig.from_dict(fields)
-    except ValueError as exc:
+            raise ValueError("top level must be a JSON object")
+        config = McConfig.from_dict(raw | {k: v for k, v in flags.items() if v is not None})
+    except (OSError, ValueError) as exc:
         click.echo(f"malformed config: {exc}", err=True)
         sys.exit(EXIT_USAGE)
 

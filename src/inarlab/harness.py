@@ -50,6 +50,7 @@ from .mixing import verify_absorbing_split, verify_indicator_bound
 from .pmf import (
     DEFAULT_TAIL_BUDGET,
     SeedSpec,
+    _integer,
     _lost_mass,
     _padded,
     _poisson_terms,
@@ -106,16 +107,11 @@ class McConfig:
     negative_controls: bool = False
 
     def __post_init__(self):
-        for name in ("n_paths", "path_length"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+        for name, least in (("n_paths", 10_000), ("path_length", 2)):
+            value = _integer(getattr(self, name), name, least, InvalidConfigError)
+            object.__setattr__(self, name, value)
         if not isinstance(self.negative_controls, bool):
             raise InvalidConfigError("negative_controls must be true or false")
-        if self.n_paths < 10_000:
-            raise InvalidConfigError("n_paths must be at least 10^4")
-        if self.path_length < 2:
-            raise InvalidConfigError("path_length must be at least 2")
         for name in ("significance", "truncation_budget"):
             value = getattr(self, name)
             if not (_is_real(value) and 0.0 < value < 1.0):
@@ -439,15 +435,13 @@ def check_thinning_conditional(
     tested = 0
     alpha = significance / max(1, len(strata))
     for x in strata:
-        # survivor counts 0..max(x, largest observed), as bincount would size them
         row = np.trim_zeros(table[x - x_lo], "b")
-        counts = np.zeros(max(x + 1, s_lo + row.size), dtype=row.dtype)
-        counts[s_lo:s_lo + row.size] = row
-        probs = binomial_pmf(x, params.a).probs
-        if counts.size > probs.size:  # impossible survivor counts
+        if s_lo + row.size > x + 1:  # survivor counts above x are impossible
             worst = max(worst, ERROR_STATISTIC)
             continue
-        ratio = _pooled_gof_ratio(counts, probs[: counts.size], alpha)
+        counts = np.zeros(x + 1, dtype=row.dtype)  # survivor counts 0..x
+        counts[s_lo:s_lo + row.size] = row
+        ratio = _pooled_gof_ratio(counts, binomial_pmf(x, params.a).probs, alpha)
         if ratio is not None:
             worst = max(worst, ratio)
             tested += 1

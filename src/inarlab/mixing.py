@@ -81,12 +81,12 @@ class WindowSpec:
 
     def __post_init__(self):
         for name in ("width", "gap"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        s = tuple(sorted(_integer(i, "index") for i in self.s))
-        t = tuple(sorted(_integer(i, "index") for i in self.t))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
+        s = tuple(sorted(_integer(i, "index", 0) for i in self.s))
+        t = tuple(sorted(_integer(i, "index", 0) for i in self.t))
         if not s or not t or set(s) & set(t):
             raise InvalidParameterError("S and T must be nonempty and disjoint")
-        if min(s + t) < 0 or max(s + t) >= self.width:
+        if max(s + t) >= self.width:
             raise InvalidParameterError("indices must lie inside the window")
         if min(abs(a - b) for a in s for b in t) < self.gap:
             raise InvalidParameterError("S and T are closer than the required gap")
@@ -132,9 +132,7 @@ def _window_pairs(
     ascending order over the nonempty submasks of the indices above min(S)
     at distance >= gap from all of S.
     """
-    width, gap = _integer(width, "width"), _integer(gap, "gap")
-    if width < 1 or gap < 1:
-        raise InvalidParameterError("width and gap must be positive")
+    width, gap = _integer(width, "width", 1), _integer(gap, "gap", 1)
     if width > DEFAULT_MAX_WIDTH:
         raise WindowTooWideError(
             f"window width {width} exceeds the enumeration maximum {DEFAULT_MAX_WIDTH}"
@@ -214,11 +212,7 @@ def lag_joint(spec: MarkovChainSpec, n: int, cap: int) -> tuple[JointPmf, float]
     spec keeps for it, and a cap whose table would exceed the atom limit is
     refused before that table is built.
     """
-    n, cap = _integer(n, "n"), _integer(cap, "cap")
-    if n < 1:
-        raise InvalidParameterError("n must be a positive integer")
-    if cap < 1:
-        raise InvalidParameterError("cap must be positive")
+    n, cap = _integer(n, "n", 1), _integer(cap, "cap", 1)
     law = window_joint_pmf(spec, (0, n), cap)
     return law.split((0,), (n,)), law.truncation_error
 

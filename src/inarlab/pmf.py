@@ -137,12 +137,17 @@ def _owned(array, dtype) -> np.ndarray:
     return out
 
 
-def _integer(value, name: str, error: type = InvalidParameterError) -> int:
-    """``value`` as an int: numpy integers pass, while bools and numbers that
-    are not integers (1.5, 2.0) are refused rather than truncated."""
+def _integer(value, name: str, least: int | None = None, error=InvalidParameterError) -> int:
+    """``value`` as an int of at least ``least``: numpy integers pass, while
+    bools and non-integers (1.5, 2.0) are refused rather than truncated, and
+    so is an integer below ``least`` (past 1024 bits, named by its size)."""
     if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
         raise error(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    value = operator.index(value)
+    if least is not None and value < least:
+        got = repr(value) if value.bit_length() <= 1024 else f"a {value.bit_length()}-bit integer"
+        raise error(f"{name} must be at least {least}, got {got}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -155,11 +160,9 @@ class SeedSpec:
 
     def __post_init__(self):
         for name in ("root_seed", "stream_index"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if not (0 <= self.root_seed < 2**64):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 0))
+        if self.root_seed >= 2**64:
             raise InvalidParameterError("root_seed must be a 64-bit unsigned integer")
-        if self.stream_index < 0:
-            raise InvalidParameterError("stream_index must be nonnegative")
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(
@@ -174,9 +177,7 @@ class SeedSpec:
 
 def point_mass(k: int = 0) -> Pmf:
     """Degenerate distribution at state ``k``."""
-    k = _integer(k, "state")
-    if k < 0:
-        raise InvalidParameterError("state must be nonnegative")
+    k = _integer(k, "state", 0)
     probs = np.zeros(k + 1)
     probs[k] = 1.0
     return Pmf(probs, 0.0)
@@ -334,9 +335,7 @@ def poisson_pmf(mean: float, tail_budget: float = DEFAULT_TAIL_BUDGET) -> Pmf:
 
 def binomial_pmf(n: int, p: float) -> Pmf:
     """Exact Binomial(n, p) table with zero tail mass; n = 0 is a point mass at 0."""
-    n = _integer(n, "n")
-    if n < 0:
-        raise InvalidParameterError("n must be a nonnegative integer")
+    n = _integer(n, "n", 0)
     if not (0.0 <= p <= 1.0):
         raise InvalidParameterError("p must lie in [0, 1]")
     if n > _MAX_TABLE_STATE:

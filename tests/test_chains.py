@@ -8,6 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -54,6 +55,8 @@ from inarlab.errors import (
     SamplingBudgetError,
 )
 from inarlab.chains import PathEnsemble, _BLOCK_CELLS
+from inarlab.cli import main
+from inarlab.harness import McConfig
 
 from .test_pmf import sup_diff
 
@@ -350,7 +353,8 @@ def test_simulations_larger_than_memory_are_refused_before_drawing(name, monkeyp
 @pytest.mark.parametrize("length, n_paths", [(0, 30), (7, 0), (-1, -1)])
 def test_empty_simulations_are_refused_before_drawing(name, length, n_paths):
     simulate, _ = SIMULATORS[name]
-    with pytest.raises(InvalidParameterError, match="^length and n_paths must be positive$"):
+    bad, value = ("length", length) if length < 1 else ("n_paths", n_paths)
+    with pytest.raises(InvalidParameterError, match=f"^{bad} must be at least 1, got {value}$"):
         simulate(length, n_paths, _UndrawableSeed())
 
 
@@ -617,6 +621,32 @@ class TestWindowJointPmf:
         with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
             TupleLaw((0, 1), mass, 0.0)
 
+    @pytest.mark.parametrize(
+        "indices, shape, message",
+        [
+            ((0, 1), (2, 3), "mass must have one axis per index, all of one length"),
+            ((0, 1, 2), (2, 2), "mass must have one axis per index, all of one length"),
+            ((0,), (2, 2), "mass must have one axis per index, all of one length"),
+            ((1, 0), (2, 2), "indices must be nonempty, nonnegative, strictly increasing"),
+            ((0, 0), (2, 2), "indices must be nonempty, nonnegative, strictly increasing"),
+            ((), (), "indices must be nonempty, nonnegative, strictly increasing"),
+            ((-1, 0), (2, 2), "index must be at least 0, got -1"),
+            ((0, 1.0), (2, 2), "index must be an integer, got 1.0"),
+        ],
+    )
+    def test_law_refuses_indices_and_axes_that_do_not_match(self, indices, shape, message):
+        """A tensor that is not one equal axis per increasing index never
+        reaches ``split`` (numpy's reshape error) or ``verify_absorbing_split``
+        (a bare IndexError), and is never split as a law over fewer indices."""
+        mass = np.full(shape, 1.0 / math.prod(shape))
+        with pytest.raises(InvalidParameterError) as refused:
+            TupleLaw(indices, mass, 0.0)
+        assert str(refused.value) == message
+
+    def test_law_reads_its_indices_as_a_tuple_of_ints(self):
+        law = TupleLaw([0, np.int64(2)], np.full((2, 2), 0.25), 0.0)
+        assert law.indices == (0, 2) and all(type(i) is int for i in law.indices)
+
     def test_death_chain_atoms_are_nonincreasing(self):
         chain = poisson_death_chain(2.0, 0.5)
         law = window_joint_pmf(chain, [0, 1, 2], cap=10)
@@ -675,9 +705,74 @@ class TestMarginalAt:
                 tail = max(0.0, 1.0 - math.fsum(probs.tolist()))
 
 
+def _rho_n_max(chain, n_max):
+    """``inarlab rho --n-max``, its exit-2 refusal raised as the library's."""
+    res = CliRunner().invoke(
+        main, ["rho", "indicator", "--p0", "0.5", "--a", "0.5", "--cap", "1",
+               "--n-max", str(n_max)]
+    )
+    if res.exit_code == 2:
+        raise InvalidParameterError(res.stderr.removeprefix("invalid parameters: ").rstrip())
+    assert res.exit_code == 0, res.output
+
+
+# Every integer argument with a floor: the call given a chain and the value,
+# the argument's name, its floor and the class that refuses what is below it.
+FLOORS = {
+    "SeedSpec.root_seed": (lambda c, v: SeedSpec(v), "root_seed", 0, InvalidParameterError),
+    "SeedSpec.stream_index": (
+        lambda c, v: SeedSpec(1, v), "stream_index", 0, InvalidParameterError
+    ),
+    "point_mass": (lambda c, v: point_mass(v), "state", 0, InvalidParameterError),
+    "binomial_pmf": (lambda c, v: binomial_pmf(v, 0.5), "n", 0, InvalidParameterError),
+    "simulate.length": (
+        lambda c, v: simulate_chain(c, v, 3, SeedSpec(1)), "length", 1, InvalidParameterError
+    ),
+    "simulate.n_paths": (
+        lambda c, v: simulate_chain(c, 3, v, SeedSpec(1)), "n_paths", 1, InvalidParameterError
+    ),
+    "SuperpositionConfig.depth": (
+        lambda c, v: SuperpositionConfig(v), "depth", 1, InvalidConfigError
+    ),
+    "binomial_death_chain": (
+        lambda c, v: binomial_death_chain(v, 0.4, 0.5), "n", 1, InvalidParameterError
+    ),
+    "transition_matrix": (transition_matrix, "cap", 0, InvalidParameterError),
+    "require_window_atoms": (
+        lambda c, v: chains.require_window_atoms(v, 2), "cap", 0, InvalidParameterError
+    ),
+    "window_joint_pmf": (
+        lambda c, v: window_joint_pmf(c, [v, 2], 3), "index", 0, InvalidParameterError
+    ),
+    "marginal_at": (marginal_at, "j", 0, InvalidParameterError),
+    "WindowSpec.gap": (
+        lambda c, v: WindowSpec(4, (0,), (2,), v), "gap", 1, InvalidParameterError
+    ),
+    "WindowSpec.index": (
+        lambda c, v: WindowSpec(4, (v,), (2,), 1), "index", 0, InvalidParameterError
+    ),
+    "rho_star_window.width": (
+        lambda c, v: rho_star_window(c, v, 1, 3), "width", 1, InvalidParameterError
+    ),
+    "rho_star_window.gap": (
+        lambda c, v: rho_star_window(c, 3, v, 3), "gap", 1, InvalidParameterError
+    ),
+    "lag_joint.n": (lambda c, v: lag_joint(c, v, 3), "n", 1, InvalidParameterError),
+    "lag_joint.cap": (lambda c, v: lag_joint(c, 1, v), "cap", 1, InvalidParameterError),
+    "McConfig.n_paths": (
+        lambda c, v: McConfig(n_paths=v), "n_paths", 10_000, InvalidConfigError
+    ),
+    "McConfig.path_length": (
+        lambda c, v: McConfig(path_length=v), "path_length", 2, InvalidConfigError
+    ),
+    "rho --n-max": (_rho_n_max, "--n-max", 1, InvalidParameterError),
+}
+
+
 class TestIntegerArguments:
     """Indices, steps and depths are refused unless they are integers, as
-    SeedSpec's are; a float is never truncated to the index below it."""
+    SeedSpec's are; a float is never truncated to the index below it, and an
+    integer below its floor is refused with one message."""
 
     CHAIN = poisson_death_chain(2.0, 0.5)
 
@@ -754,15 +849,22 @@ class TestIntegerArguments:
         with pytest.raises(InvalidParameterError, match="n must be an integer, got"):
             binomial_pmf(n, 0.5)
 
-    @pytest.mark.parametrize("n", [0, -2, np.int64(0)])
-    def test_death_chain_size_must_be_positive(self, n):
-        with pytest.raises(InvalidParameterError, match="n must be a positive integer"):
-            binomial_death_chain(n, 0.4, 0.5)
+    @pytest.mark.parametrize("kind", [int, np.int64])
+    @pytest.mark.parametrize("call, name, least, error", FLOORS.values(), ids=list(FLOORS))
+    def test_floors(self, call, name, least, error, kind):
+        """Each integer argument refuses ``least - 1`` and below with the one
+        floor message and its own class, and accepts ``least``."""
+        for below in (least - 1, least - 3):
+            with pytest.raises(InvalidParameterError) as refused:
+                call(self.CHAIN, kind(below))
+            assert refused.type is error
+            assert str(refused.value) == f"{name} must be at least {least}, got {below}"
+        call(self.CHAIN, kind(least))
 
-    @pytest.mark.parametrize("n", [-1, np.int64(-2)])
-    def test_binomial_trials_must_be_nonnegative(self, n):
-        with pytest.raises(InvalidParameterError, match="n must be a nonnegative integer"):
-            binomial_pmf(n, 0.5)
+    def test_floor_names_an_integer_too_long_to_print_by_its_size(self):
+        with pytest.raises(InvalidParameterError) as refused:
+            binomial_pmf(-(10**5000), 0.5)
+        assert str(refused.value) == "n must be at least 0, got a 16610-bit integer"
 
     def test_numpy_integers_are_accepted(self):
         law = window_joint_pmf(self.CHAIN, np.array([0, 2]), cap=5)

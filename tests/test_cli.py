@@ -400,7 +400,7 @@ class TestRho:
             main, ["rho", "direct", "--a", "0.5", "--lambda", "1", "--n-max", n_max]
         )
         assert res.exit_code == 2
-        assert res.stderr == "invalid parameters: --n-max must be a positive integer\n"
+        assert res.stderr == f"invalid parameters: --n-max must be at least 1, got {n_max}\n"
 
     def test_subnormal_marginal_products_do_not_break_the_svd(self, runner):
         res = run(
@@ -456,7 +456,7 @@ class TestRhoStar:
              "-W", str(width), "-n", str(gap), "--cap", "-1"],
         )
         assert res.exit_code == 2
-        assert res.stderr == "invalid parameters: cap must be nonnegative\n"
+        assert res.stderr == "invalid parameters: cap must be at least 0, got -1\n"
 
     def test_pair_count_for_width_two(self, runner, tmp_path):
         out = tmp_path / "rs.json"

@@ -307,6 +307,12 @@ class TestMcConfig:
         with pytest.raises(InvalidConfigError):
             McConfig(n_paths=5000)
 
+    def test_numpy_integers_are_stored_as_ints(self):
+        config = McConfig(n_paths=np.int64(20_000), path_length=np.int32(5))
+        assert (config.n_paths, config.path_length) == (20_000, 5)
+        assert type(config.n_paths) is type(config.path_length) is int
+        assert config == McConfig(n_paths=20_000, path_length=5)
+
     def test_significance_domain(self):
         with pytest.raises(InvalidConfigError):
             McConfig(significance=0.0)

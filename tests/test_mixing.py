@@ -273,7 +273,7 @@ class TestLagJoint:
         lag_joint(spec, 1, 20)
         with pytest.raises(ExplosionLimitError, match="2002225 atoms"):
             lag_joint(spec, 2, 1414)
-        with pytest.raises(InvalidParameterError, match="positive integer"):
+        with pytest.raises(InvalidParameterError, match="^n must be at least 1, got 0$"):
             lag_joint(spec, 0, 20)
 
     @EVERY_CHAIN
