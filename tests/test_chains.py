@@ -849,6 +849,16 @@ class TestIntegerArguments:
         with pytest.raises(InvalidParameterError, match="n must be an integer, got"):
             binomial_pmf(n, 0.5)
 
+    @pytest.mark.parametrize("n", [0, -2, np.int64(0)])
+    def test_death_chain_size_must_be_positive(self, n):
+        with pytest.raises(InvalidParameterError, match=f"^n must be at least 1, got {n}$"):
+            binomial_death_chain(n, 0.4, 0.5)
+
+    @pytest.mark.parametrize("n", [-1, np.int64(-2)])
+    def test_binomial_trials_must_be_nonnegative(self, n):
+        with pytest.raises(InvalidParameterError, match=f"^n must be at least 0, got {n}$"):
+            binomial_pmf(n, 0.5)
+
     @pytest.mark.parametrize("kind", [int, np.int64])
     @pytest.mark.parametrize("call, name, least, error", FLOORS.values(), ids=list(FLOORS))
     def test_floors(self, call, name, least, error, kind):
