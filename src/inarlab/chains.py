@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dependence import DEFAULT_EXPLOSION_LIMIT, JointPmf, _without_null_atoms
+from .dependence import DEFAULT_EXPLOSION_LIMIT, JointPmf, _serial_blas, _without_null_atoms
 from .errors import (
     ExplosionLimitError,
     InvalidConfigError,
@@ -580,6 +580,11 @@ class TupleLaw:
         lexicographic order; they carry no labels.  A law whose cap keeps
         no mass at all is refused as a resource limit.
         """
+        missing = [i for i in (*s_indices, *t_indices) if i not in self.indices]
+        if missing:
+            raise InvalidParameterError(
+                f"index {missing[0]!r} is not one of the law's indices {self.indices}"
+            )
         s_pos = [self.indices.index(i) for i in sorted(s_indices)]
         t_pos = [self.indices.index(i) for i in sorted(t_indices)]
         if not s_pos or not t_pos or set(s_pos) & set(t_pos):
@@ -626,9 +631,10 @@ def window_joint_pmf(
     require_window_atoms(cap, len(idx))
     support = cap + 1
     trans = transition_matrix(spec, cap)[:, :support]
-    mass = _padded(spec.initial.probs, support) @ np.linalg.matrix_power(trans, idx[0])
-    for prev, cur in zip(idx, idx[1:]):
-        mass = mass[..., None] * np.linalg.matrix_power(trans, cur - prev)
+    with _serial_blas(trans.size):
+        mass = _padded(spec.initial.probs, support) @ np.linalg.matrix_power(trans, idx[0])
+        for prev, cur in zip(idx, idx[1:]):
+            mass = mass[..., None] * np.linalg.matrix_power(trans, cur - prev)
     return TupleLaw(idx, mass, _lost_mass(mass))
 
 
@@ -647,7 +653,8 @@ def marginal_at(spec: MarkovChainSpec, j: int) -> Pmf:
         return spec.initial
     trans = transition_matrix(spec, spec.state_cap)
     rows = trans.shape[0]  # state_cap + 1, the initial table's size
-    out = spec.initial.probs @ np.linalg.matrix_power(trans[:, :rows], j - 1) @ trans
+    with _serial_blas(trans.size):
+        out = spec.initial.probs @ np.linalg.matrix_power(trans[:, :rows], j - 1) @ trans
     return Pmf(out, _lost_mass(out))
 
 

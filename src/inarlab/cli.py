@@ -137,10 +137,15 @@ def _writing_output():
         sys.exit(EXIT_USAGE)
 
 
+def _clocks() -> tuple[float, float]:
+    """Wall and CPU seconds (``perf_counter``, ``process_time``), read together."""
+    return time.perf_counter(), time.process_time()
+
+
 def _write_output(text: str, out: str | None, *, metrics_out=None, start=None, **extra) -> None:
     """Write ``text`` to ``out`` (stdout for None or ``-``) and, given ``metrics_out``, a
-    ``--metrics`` sidecar there: wall seconds since ``start`` (the command's ``perf_counter``
-    on entry), peak RSS and any ``extra`` keys, none of which enter ``text``."""
+    ``--metrics`` sidecar there: wall and CPU seconds since ``start`` (the command's
+    ``_clocks()`` on entry), peak RSS and any ``extra`` keys, none of which enter ``text``."""
     if out is None or out == "-":
         click.echo(text, nl=False)
     else:
@@ -150,9 +155,9 @@ def _write_output(text: str, out: str | None, *, metrics_out=None, start=None, *
     if metrics_out is not None:
         import resource  # loaded only by a run that writes the sidecar
 
-        wall = time.perf_counter() - start
+        wall, cpu = (now - then for now, then in zip(_clocks(), start))
         peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
-        sidecar = {"wall_s": wall, "peak_rss_mb": peak_kib / 1024.0, **extra}
+        sidecar = {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": peak_kib / 1024.0, **extra}
         _write_output(dumps(sidecar), metrics_out)
 
 
@@ -249,7 +254,7 @@ def simulate(construction, opts, length, paths, seed, stream, tail_budget, out):
 @_exit_on_errors
 def rho(construction, opts, n_max, cap, tail_budget, max_escape, out, metrics_out):
     """Past/future maximal correlation across gaps 1..n-max, plus a decay fit."""
-    start = time.perf_counter()
+    start = _clocks()
     n_max = _integer(n_max, "--n-max", 1)
     spec = _chain_spec(construction, opts, tail_budget)
     entries = []
@@ -286,7 +291,7 @@ def rho(construction, opts, n_max, cap, tail_budget, max_escape, out, metrics_ou
 @_exit_on_errors
 def rho_star(construction, opts, width, gap, cap, tail_budget, max_escape, out, metrics_out):
     """Exact interlaced coefficient over a finite window, with attaining pair."""
-    start = time.perf_counter()
+    start = _clocks()
     spec = _chain_spec(construction, opts, tail_budget)
     scan = rho_star_window(spec, width, gap, cap)
     _require_escape_within(scan.truncation_error, cap, max_escape)
@@ -361,7 +366,7 @@ def verify(config_path, seed, paths, significance, negative_controls, threads, o
         click.echo(f"malformed config: {exc}", err=True)
         sys.exit(EXIT_USAGE)
 
-    start = time.perf_counter()
+    start = _clocks()
     with _job_seconds() as seconds:
         reports = run_all(config, threads=max(1, threads))
     report = reports_to_json(reports, config)

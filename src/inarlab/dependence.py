@@ -9,9 +9,12 @@ maximum.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,8 +30,13 @@ from .pmf import MASS_TOL, _owned, _require_finite_nonnegative, total_off_unit
 DEFAULT_ALPHABET_CAP = 12
 DEFAULT_EXPLOSION_LIMIT = 2_000_000
 # float64 cells (1 MiB) of transient work: the joints one batch of SVDs holds,
-# or one lambda event product.  It bounds memory; it refuses nothing.
+# or one lambda event product.  It bounds memory; it refuses nothing.  It is
+# also the largest operand that a dense kernel runs on one BLAS thread.
 _WORK_BUDGET = 2**17
+# OpenBLAS's thread count is one per process, and so is the count of open
+# serial scopes that share it.
+_BLAS_LOCK = threading.Lock()
+_blas_scopes = {"open": 0, "saved": 0}  # guarded by _BLAS_LOCK
 
 __all__ = [
     "JointPmf",
@@ -39,6 +47,60 @@ __all__ = [
     "markov_triplet_residual",
     "tensor_combine",
 ]
+
+
+@cache
+def _openblas_threads():
+    """(getter, setter) of the thread count of the OpenBLAS that numpy's
+    linear algebra calls, found once through the symbols its extension
+    module sees; None where there is none (MKL, Accelerate)."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _serial(*cells: int) -> bool:
+    """Whether a kernel whose operands hold these cell counts runs on one
+    BLAS thread: at this size threads cost more CPU and wall time than
+    they save, while above it (a cap of 1413, say) the library's threads win."""
+    return max(cells) <= _WORK_BUDGET
+
+
+@contextmanager
+def _serial_blas(*cells: int):
+    """Run the block on one OpenBLAS thread when :func:`_serial` holds.
+
+    The outermost of any concurrent scopes saves the library's count and
+    sets 1, and the last to leave restores it, so the count after every
+    call equals the count before.  Without OpenBLAS, or for larger
+    operands, the block runs as it is; the tests check that the exact
+    values come out bitwise the same either way."""
+    api = _openblas_threads() if _serial(*cells) else None
+    if api is None:
+        yield
+        return
+    get, put = api
+    with _BLAS_LOCK:
+        if not _blas_scopes["open"]:
+            _blas_scopes["saved"] = get()
+            put(1)
+        _blas_scopes["open"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_scopes["open"] -= 1
+            if not _blas_scopes["open"]:
+                put(_blas_scopes["saved"])
 
 
 def _validate_mass(mass: np.ndarray, ndim: int) -> np.ndarray:
@@ -157,7 +219,8 @@ def _flush(pending: dict[tuple[int, int], list], values: list[float]) -> None:
         # Scale by each square root separately: their product can underflow.
         stack /= np.sqrt(rows)[:, :, None]
         stack /= np.sqrt(cols)[:, None, :]
-        sv = np.linalg.svd(stack, compute_uv=False).reshape(len(group), -1)
+        with _serial_blas(math.prod(shape)):
+            sv = np.linalg.svd(stack, compute_uv=False).reshape(len(group), -1)
         off = np.flatnonzero(np.abs(sv[:, 0] - 1.0) > 1e-10)
         if off.size:
             raise NumericalError(
@@ -220,10 +283,11 @@ def lambda_coefficient(joint: JointPmf) -> float:
     right = np.hstack([col_masks / sqrt_pb[:, None], sqrt_pb[:, None]])
     best = 0.0
     chunk = max(1, _WORK_BUDGET // left.shape[0])
-    for start in range(0, right.shape[0], chunk):
-        stat = left @ right[start : start + chunk].T
-        best = max(best, float(stat.max()), -float(stat.min()))
-        del stat  # freed before the next chunk's product is allocated
+    with _serial_blas(left.size, right.size):
+        for start in range(0, right.shape[0], chunk):
+            stat = left @ right[start : start + chunk].T
+            best = max(best, float(stat.max()), -float(stat.min()))
+            del stat  # freed before the next chunk's product is allocated
     return best
 
 

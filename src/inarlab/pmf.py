@@ -129,7 +129,7 @@ def _owned(array, dtype) -> np.ndarray:
     1.7 to int64, 2**53 + 1 to float64) is refused instead of held."""
     source = np.asarray(array)
     with np.errstate(invalid="ignore"):  # NaN to int64 is refused below
-        out = np.ascontiguousarray(source, dtype=dtype)
+        out = np.asarray(source, dtype=dtype, order="C")  # 0-d stays 0-d, for its holder
     copied = out is not source and source.dtype.kind in "biuf"
     if copied and not np.array_equal(out.astype(source.dtype), source, equal_nan=True):
         raise InvalidParameterError(f"converting to {np.dtype(dtype)} would change values")

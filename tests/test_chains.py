@@ -647,6 +647,16 @@ class TestWindowJointPmf:
         law = TupleLaw([0, np.int64(2)], np.full((2, 2), 0.25), 0.0)
         assert law.indices == (0, 2) and all(type(i) is int for i in law.indices)
 
+    @pytest.mark.parametrize(
+        "s, t, missing",
+        [([0], [5], 5), ([7], [1], 7), ([0, 2], [1], 2), ([0], [np.int64(3)], np.int64(3))],
+    )
+    def test_split_refuses_an_index_the_law_does_not_observe(self, s, t, missing):
+        law = window_joint_pmf(poisson_death_chain(2.0, 0.5), [0, 1], 3)
+        with pytest.raises(InvalidParameterError) as refused:
+            law.split(s, t)
+        assert str(refused.value) == f"index {missing!r} is not one of the law's indices (0, 1)"
+
     def test_death_chain_atoms_are_nonincreasing(self):
         chain = poisson_death_chain(2.0, 0.5)
         law = window_joint_pmf(chain, [0, 1, 2], cap=10)
@@ -985,6 +995,24 @@ def test_holders_own_their_arrays_and_refuse_changed_values(name):
     for value in changes:
         with pytest.raises(InvalidParameterError, match="would change values"):
             hold(np.full(array.shape, value))
+
+
+@pytest.mark.parametrize(
+    "hold, message",
+    [
+        (lambda: Pmf(1.0), "probs must be a nonempty 1-D array"),
+        (lambda: Pmf(np.float64(1.0)), "probs must be a nonempty 1-D array"),
+        (lambda: JointPmf(np.float64(1.0)), "mass must be 2-dimensional"),
+        (lambda: PathEnsemble(np.int64(1), SeedSpec(1), {}), "paths must be a 2-D matrix"),
+    ],
+    ids=["Pmf-float", "Pmf-float64", "JointPmf-float64", "PathEnsemble-int64"],
+)
+def test_holders_refuse_a_scalar_by_their_own_shape_rule(hold, message):
+    """A 0-d input keeps its shape through ``pmf._owned``, so the holder's
+    shape rule refuses it, not a conversion check that read it as 1-D."""
+    with pytest.raises(InvalidParameterError) as refused:
+        hold()
+    assert str(refused.value) == message
 
 
 def _allocated_peak(fn) -> int:

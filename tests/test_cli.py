@@ -618,13 +618,13 @@ class TestVerify:
             assert res.exit_code == 0
             assert out.read_bytes() == plain.read_bytes()
             sidecar = json.loads(metrics.read_text())
-            assert sorted(sidecar) == ["job_wall_s", "peak_rss_mb", "wall_s"]
+            assert sorted(sidecar) == ["cpu_s", "job_wall_s", "peak_rss_mb", "wall_s"]
             assert sorted(sidecar["job_wall_s"]) == [
                 "direct-mc[0.5,1.0]", "equivalence[0.5,1.0]", "lemma-checks",
                 "markov-triplets[0.5,1.0]", "stationary-exact[0.5,1.0]",
             ]
             assert 0.0 < max(sidecar["job_wall_s"].values()) <= sidecar["wall_s"]
-            assert sidecar["peak_rss_mb"] > 1.0
+            assert sidecar["peak_rss_mb"] > 1.0 and sidecar["cpu_s"] > 0.0
 
     def test_seed_override_is_reflected(self, runner, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -829,8 +829,8 @@ def test_exact_metrics_sidecar_leaves_the_output_bytes_alone(runner, tmp_path, a
     run(runner, *args, "--out", out, "--metrics", metrics)
     assert out.read_bytes() == plain.read_bytes() == stdout.encode()
     sidecar = json.loads(metrics.read_text())
-    assert sorted(sidecar) == ["peak_rss_mb", "wall_s"]
-    assert sidecar["wall_s"] > 0.0 and sidecar["peak_rss_mb"] > 1.0
+    assert sorted(sidecar) == ["cpu_s", "peak_rss_mb", "wall_s"]
+    assert sidecar["wall_s"] > 0.0 and sidecar["cpu_s"] > 0.0 and sidecar["peak_rss_mb"] > 1.0
 
 
 def test_unwritable_metrics_exits_2(runner, tmp_path):

@@ -2,8 +2,8 @@
 private module-level name is used somewhere in the package, every exported
 name is defined where it is exported and re-exported only from there, each
 rule the scan tracks (kernel products, null atoms, atom limits, array
-ownership, lost mass) is read only in its home, and the package loads no
-scipy at all."""
+ownership, lost mass, dense BLAS kernels) is read only in its home, and the
+package loads no scipy at all."""
 
 import ast
 from collections import Counter
@@ -115,7 +115,9 @@ def test_scan_flags_an_unreferenced_private_name():
 # one helper, only the window-law and product-measure limits refuse a table
 # as too large, every holder freezes its array through pmf._owned, and every
 # exact sum (lost mass, totals, distances) is taken in pmf, besides the
-# chi-square tail's own terms.
+# chi-square tail's own terms.  The dense SVDs and matrix powers run only at
+# the call sites that enter dependence._serial_blas, and only the OpenBLAS
+# lookup behind that scope loads a C library.
 KERNEL_PLACES = {"pmf", "chains.transition_matrix", "chains._kernel_row"}
 RULE_HOMES = {
     "binomial_table": KERNEL_PLACES,
@@ -124,6 +126,9 @@ RULE_HOMES = {
     "ExplosionLimitError": {"chains.require_window_atoms", "dependence.tensor_combine"},
     "setflags": {"pmf._owned"},
     "fsum": {"pmf", "harness._chi2_tail"},
+    "svd": {"dependence._flush"},
+    "matrix_power": {"chains.window_joint_pmf", "chains.marginal_at"},
+    "ctypes": {"dependence._openblas_threads"},
 }
 
 
@@ -169,6 +174,8 @@ def test_scan_flags_a_rule_read_outside_its_home():
         "dependence": (
             "def _without_null_atoms(mass):\n    return mass.compress([1], axis=0)\n"
             "def tensor_combine(blocks):\n    raise errors.ExplosionLimitError(blocks)\n"
+            "def _flush(stack):\n    return np.linalg.svd(stack)\n"
+            "def maximal_correlation(joint):\n    return np.linalg.svd(joint.mass)[1]\n"
         ),
         "harness": (
             "from . import pmf\nTABLE = pmf.binomial_table(3, 0.5)\n"
@@ -181,6 +188,7 @@ def test_scan_flags_a_rule_read_outside_its_home():
         "pmf.Pmf:setflags",
         "chains.marginal:convolve",
         "chains.TupleLaw:compress",
+        "dependence.maximal_correlation:svd",
         "harness:binomial_table",
         "harness._pooled_gof_ratio:fsum",
         "mixing.lag_joints:ExplosionLimitError",
