@@ -35,7 +35,6 @@ from .dependence import (
     markov_triplet_residual,
     maximal_correlation,
     maximal_correlations,
-    tensor_combine,
 )
 from .harness import (
     CheckReport,

@@ -91,8 +91,8 @@ def _physical_memory() -> int:
 
 def _require_memory(length: int, n_paths: int, matrices: int) -> None:
     """Refuse a simulation whose length or path count is not a positive
-    integer, or whose ``matrices`` int64 path-sized arrays (path matrices
-    plus time-major buffers) would exceed physical memory."""
+    integer, or whose ``matrices`` int64 path matrices would exceed
+    physical memory."""
     length, n_paths = _integer(length, "length", 1), _integer(n_paths, "n_paths", 1)
     need = matrices * length * n_paths * np.dtype(np.int64).itemsize
     have = _physical_memory()
@@ -152,7 +152,9 @@ class PathEnsemble:
     """Matrix of simulated paths, one row per path, plus its provenance.
 
     Regenerating with the same seed and parameters reproduces the matrix
-    exactly.  The ensemble owns its matrix (see ``pmf._owned``).
+    exactly.  The ensemble owns its matrix (see ``pmf._owned``); the
+    simulators fill one step at a time, so theirs is the transpose of a
+    step-major buffer, in Fortran layout.
     """
 
     paths: np.ndarray
@@ -221,7 +223,7 @@ class SuperpositionConfig:
 
     @property
     def effective_warmup(self) -> int:
-        """Always ``depth``; ``benchmarks/layers.py`` reads it until ROADMAP item 5."""
+        """Always ``depth``; ``benchmarks/layers.py`` reads it until ROADMAP item 9."""
         return self.depth
 
     def neglected_mean(self, params: InarParams) -> float:
@@ -321,12 +323,12 @@ def indicator_chain(
     """
     spec = indicator_chain_spec(p0, a)
     _require_memory(length, n_paths, 1)
+    paths = np.empty((length, n_paths), dtype=np.int64)  # first, as in simulate_inar_direct
     rng = seed.generator()
-    paths = np.empty((n_paths, length), dtype=np.int64)
-    paths[:, 0] = rng.random(n_paths) < p0
+    paths[0] = rng.random(n_paths) < p0
     for k in range(1, length):
-        paths[:, k] = paths[:, k - 1] & (rng.random(n_paths) < a)
-    return PathEnsemble(paths, seed, spec.description)
+        paths[k] = paths[k - 1] & (rng.random(n_paths) < a)
+    return PathEnsemble(paths.T, seed, spec.description)
 
 
 def simulate_chain(
@@ -341,15 +343,15 @@ def simulate_chain(
     ``DEFAULT_TAIL_BUDGET``.
     """
     _require_memory(length, n_paths, 1)
+    paths = np.empty((length, n_paths), dtype=np.int64)  # first, as in simulate_inar_direct
     rng = seed.generator()
     _require_sampleable(spec.initial)
     if length > 1:
         _require_sampleable(spec.innovation)
-    paths = np.empty((n_paths, length), dtype=np.int64)
-    paths[:, 0] = _sample_with_rng(spec.initial, rng, n_paths)
+    paths[0] = _sample_with_rng(spec.initial, rng, n_paths)
     cdfs: dict[int, np.ndarray] = {}
     for k in range(1, length):
-        prev, cur = paths[:, k - 1], paths[:, k]
+        prev, cur = paths[k - 1], paths[k]
         counts = np.bincount(prev)
         # paths grouped by state, ascending, in path order within a state; a
         # key of the narrowest unsigned type lets the stable sort run as radix
@@ -366,7 +368,7 @@ def simulate_chain(
             cur[order[lo:hi]] = np.minimum(draws, cdf.size - 1)  # clamp at the row's support end
             lo = hi
     return PathEnsemble(
-        paths, seed, dict(spec.description, length=length, n_paths=n_paths)
+        paths.T, seed, dict(spec.description, length=length, n_paths=n_paths)
     )
 
 
@@ -388,25 +390,25 @@ def simulate_inar_direct(
     innovation, so the decomposition identities hold by construction.
     """
     _require_countable(params)
-    _require_memory(length, n_paths, 5)  # x, u, v plus time-major x and v
-    rng = seed.generator()
-    x_prev = rng.poisson(params.stationary_mean, n_paths)
+    _require_memory(length, n_paths, 3)  # x, u, v
+    # the step-major buffers come before the generator and every per-step
+    # vector, so they can take the slots that freed path matrices left whole
     x = np.empty((length, n_paths), dtype=np.int64)
     v = np.empty_like(x)
+    rng = seed.generator()
+    x_prev = rng.poisson(params.stationary_mean, n_paths)
     for k in range(length):
         x[k] = rng.binomial(x_prev, params.a)
         v[k] = rng.poisson(params.lam, n_paths)
-        # a fresh array: a view of x[k] would keep the time-major buffer alive
-        x_prev = x[k] = x[k] + v[k]
-    # one path per row; converted one at a time so peak memory stays flat
-    x = np.ascontiguousarray(x.T)
-    v = np.ascontiguousarray(v.T)
-    return _decomposed(x, v, seed, "direct", params)
+        x[k] += v[k]
+        x_prev = x[k]
+    return _decomposed(x.T, v.T, seed, "direct", params)
 
 
 def _decomposed(x, v, seed: SeedSpec, construction: str, params: InarParams, **extra):
-    """Ensemble of the path-major counts ``x``, described with ``extra``, and
-    their decomposition into survivors ``x - v`` and innovations ``v``."""
+    """Ensemble of the counts ``x`` (one path per row), described with
+    ``extra``, and their decomposition into survivors ``x - v`` and
+    innovations ``v``."""
     description = {"construction": construction, "a": params.a, "lambda": params.lam, **extra}
     ensemble = PathEnsemble(x, seed, dict(description, length=x.shape[1], n_paths=x.shape[0]))
     return ensemble, InnovationDecomposition(x, x - v, v)
@@ -449,7 +451,7 @@ def simulate_inar_superposition(
     """
     _require_countable(params)
     config.validate_for(params)
-    _require_memory(length, n_paths, 5)  # x, u, v plus time-major x and v
+    _require_memory(length, n_paths, 3)  # x, u, v
     depth = config.depth
     work = _superposition_work(params, depth, length, n_paths)
     if work > _GENERATION_BUDGET:
@@ -457,9 +459,9 @@ def simulate_inar_superposition(
             f"depth {depth} and length {length} over {n_paths} paths need {work:.3g} "
             f"work units, above the superposition budget {_GENERATION_BUDGET:.3g}"
         )
-    rng = seed.generator()
-    x = np.zeros((length, n_paths), dtype=np.int64)
+    x = np.zeros((length, n_paths), dtype=np.int64)  # first, as in simulate_inar_direct
     v = np.empty_like(x)
+    rng = seed.generator()
     for start in range(-depth, length):
         y = rng.poisson(params.lam, n_paths)
         if start < 0:
@@ -477,10 +479,7 @@ def simulate_inar_superposition(
             y = rng.binomial(y, params.a)
             alive = y > 0
             nz, y = nz[alive], y[alive]
-    # one path per row; converted one at a time so peak memory stays flat
-    x = np.ascontiguousarray(x.T)
-    v = np.ascontiguousarray(v.T)
-    return _decomposed(x, v, seed, "superposition", params, depth=depth)
+    return _decomposed(x.T, v.T, seed, "superposition", params, depth=depth)
 
 
 def _kernel_row(spec: MarkovChainSpec, x: int) -> np.ndarray:

@@ -1,10 +1,8 @@
 """Exact dependence coefficients between finite discrete observables.
 
 Maximal correlation (spectral form, batched by shape), the event-pair lambda
-coefficient (subset enumeration up to complement), conditional-independence
-residuals for ordered triplets, and the product-measure combination used to
-check that maximal correlation of independent blocks equals the blockwise
-maximum.
+coefficient (subset enumeration up to complement) and conditional-independence
+residuals for ordered triplets.
 """
 
 from __future__ import annotations
@@ -14,14 +12,13 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, reduce
-from typing import Iterable, Sequence
+from functools import cache
+from typing import Iterable
 
 import numpy as np
 
 from .errors import (
     AlphabetTooLargeError,
-    ExplosionLimitError,
     InvalidParameterError,
     NumericalError,
 )
@@ -45,7 +42,6 @@ __all__ = [
     "maximal_correlations",
     "lambda_coefficient",
     "markov_triplet_residual",
-    "tensor_combine",
 ]
 
 
@@ -310,20 +306,3 @@ def markov_triplet_residual(triplet: TripletPmf) -> float:
         worst = max(worst, float(np.abs(pac - np.outer(pa, pc)).max()))
     return worst
 
-
-def tensor_combine(blocks: Sequence[JointPmf]) -> JointPmf:
-    """Joint law of (all row parts, all column parts) under block independence.
-
-    The result is the product measure on tuple alphabets; with independent
-    blocks the maximal correlation of the combination equals the blockwise
-    maximum, which the test suite exercises on randomized blocks.
-    """
-    if not blocks:
-        raise InvalidParameterError("need at least one block")
-    cells = math.prod(b.mass.size for b in blocks)
-    if cells > DEFAULT_EXPLOSION_LIMIT:
-        raise ExplosionLimitError(
-            f"combined joint would hold {cells} atoms "
-            f"(limit {DEFAULT_EXPLOSION_LIMIT})"
-        )
-    return JointPmf(reduce(np.kron, (b.mass for b in blocks)))

@@ -711,9 +711,9 @@ def run_all(config: McConfig, threads: int = 1) -> list[CheckReport]:
     as ``module:function:line``.  A path count whose simulations cannot fit
     in physical memory is refused before any check runs.
     """
-    # the largest simulation holds five int64 path matrices of path_length
-    # (the equivalence check's are shorter)
-    _require_memory(config.path_length, config.n_paths, 5)
+    # the largest simulation holds three int64 path matrices of path_length,
+    # x, u, v (the equivalence check's are shorter)
+    _require_memory(config.path_length, config.n_paths, 3)
     jobs: list[tuple[str, Callable[[], CheckReport | list[CheckReport]]]] = []
     budget = config.truncation_budget
     for gi, (a, lam) in enumerate(product(config.a_grid, config.lambda_grid)):

@@ -120,16 +120,17 @@ def _require_finite_nonnegative(mass: np.ndarray) -> None:
 
 
 def _owned(array, dtype) -> np.ndarray:
-    """``array`` as a read-only C-contiguous ``dtype`` array, for a holder.
+    """``array`` as a read-only ``dtype`` array, for a holder.
 
-    A holder owns what it is handed: an array of this dtype and layout is
-    held uncopied and made read-only, the caller's reference included, so no
-    alias changes it after its one check and the widest laws are not doubled.
+    A holder owns what it is handed: an array of this dtype is held uncopied
+    in its own layout (C, or Fortran for a transposed step-major path buffer)
+    and made read-only, the caller's reference included, so no alias changes
+    it after its one check and the widest laws are not doubled.
     A numeric conversion that does not cast back to the same values (NaN or
     1.7 to int64, 2**53 + 1 to float64) is refused instead of held."""
     source = np.asarray(array)
     with np.errstate(invalid="ignore"):  # NaN to int64 is refused below
-        out = np.asarray(source, dtype=dtype, order="C")  # 0-d stays 0-d, for its holder
+        out = np.asarray(source, dtype=dtype, order="A")  # 0-d stays 0-d, for its holder
     copied = out is not source and source.dtype.kind in "biuf"
     if copied and not np.array_equal(out.astype(source.dtype), source, equal_nan=True):
         raise InvalidParameterError(f"converting to {np.dtype(dtype)} would change values")

