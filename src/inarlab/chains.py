@@ -71,7 +71,7 @@ __all__ = [
 ]
 
 DEFAULT_SUPERPOSITION_BUDGET = 1e-9  # neglected mean mass a default depth may leave
-_BLOCK_CELLS = 1 << 16  # cells per row block when checking or writing ensembles
+_BLOCK_CELLS = 1 << 16  # cells per row block when writing ensembles
 # The superposition costs about (depth + length) x (n_paths + C) work units of
 # 55-62 ns each: a generation's fixed cost (11-15 us) is worth about C paths.
 # Each step a live generation takes inside the window costs about C more (see
@@ -175,32 +175,42 @@ class PathEnsemble:
     def length(self) -> int:
         return self.paths.shape[1]
 
+    def _row_source(self):
+        """The shape, a row-slice reader and the value bounds that
+        ``write_ensemble_csv`` encodes."""
+        paths = self.paths
+        return paths.shape, lambda b: paths[b], _extent(paths)
+
 
 @dataclass(frozen=True, eq=False)
 class InnovationDecomposition:
-    """Aligned paths of the count, survivor, and innovation components.
+    """Aligned paths of the count and innovation components; the survivors
+    are the rest, ``u = x - v``.
 
-    Enforces ``x[k] == u[k] + v[k]`` everywhere and ``u[k] <= x[k-1]``
-    wherever the previous index exists (survivors cannot exceed their
-    source).  It owns its three matrices (see ``pmf._owned``).
+    Refuses survivors above their source, ``x[k] - v[k] > x[k-1]``, wherever
+    the previous index exists.  It owns its two matrices (see
+    ``pmf._owned``) and computes ``u`` on each read, so ``x = u + v`` holds
+    by construction.
     """
 
     x: np.ndarray
-    u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        for name in ("x", "u", "v"):
+        for name in ("x", "v"):
             object.__setattr__(self, name, _owned(getattr(self, name), np.int64))
-        x, u, v = self.x, self.u, self.v
-        if not (x.shape == u.shape == v.shape) or x.ndim != 2:
-            raise InvalidParameterError("x, u, v must share a 2-D shape")
-        # checked a row block at a time, so no full-size temporary is built
-        blocks = _row_blocks(*x.shape)
-        if any(not np.array_equal(x[b], u[b] + v[b]) for b in blocks):
-            raise InvalidParameterError("decomposition identity x = u + v violated")
-        if any(np.any(u[b, 1:] > x[b, :-1]) for b in blocks):
+        x, v = self.x, self.v
+        if x.shape != v.shape or x.ndim != 2:
+            raise InvalidParameterError("x and v must share a 2-D shape")
+        # one step at a time: a contiguous row of a simulator's step-major
+        # buffer, so no full-size temporary is built
+        if any(np.any(x[:, k] - v[:, k] > x[:, k - 1]) for k in range(1, x.shape[1])):
             raise InvalidParameterError("survivors exceed their source count")
+
+    @property
+    def u(self) -> np.ndarray:
+        """The survivors ``x - v``, a new array on each read."""
+        return self.x - self.v
 
 
 @dataclass(frozen=True)
@@ -390,7 +400,7 @@ def simulate_inar_direct(
     innovation, so the decomposition identities hold by construction.
     """
     _require_countable(params)
-    _require_memory(length, n_paths, 3)  # x, u, v
+    _require_memory(length, n_paths, 2)  # x, v
     # the step-major buffers come before the generator and every per-step
     # vector, so they can take the slots that freed path matrices left whole
     x = np.empty((length, n_paths), dtype=np.int64)
@@ -407,11 +417,11 @@ def simulate_inar_direct(
 
 def _decomposed(x, v, seed: SeedSpec, construction: str, params: InarParams, **extra):
     """Ensemble of the counts ``x`` (one path per row), described with
-    ``extra``, and their decomposition into survivors ``x - v`` and
-    innovations ``v``."""
+    ``extra``, and their decomposition into survivors and innovations
+    ``v``."""
     description = {"construction": construction, "a": params.a, "lambda": params.lam, **extra}
     ensemble = PathEnsemble(x, seed, dict(description, length=x.shape[1], n_paths=x.shape[0]))
-    return ensemble, InnovationDecomposition(x, x - v, v)
+    return ensemble, InnovationDecomposition(x, v)
 
 
 def _superposition_work(params: InarParams, depth: int, length: int, n_paths: int) -> float:
@@ -451,7 +461,7 @@ def simulate_inar_superposition(
     """
     _require_countable(params)
     config.validate_for(params)
-    _require_memory(length, n_paths, 3)  # x, u, v
+    _require_memory(length, n_paths, 2)  # x, v
     depth = config.depth
     work = _superposition_work(params, depth, length, n_paths)
     if work > _GENERATION_BUDGET:
@@ -663,6 +673,30 @@ def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
+@dataclass(frozen=True, eq=False)
+class _Survivors:
+    """The survivors ``x - v`` of a decomposition as ``write_ensemble_csv``
+    reads an ensemble, one row block ``x[b] - v[b]`` at a time, so the
+    survivors matrix is never built.  Its values lie between ``min x - max v``
+    and ``max x - min v``.  Bounds wider than the values give the same bytes:
+    the extra leading-zero digits, and the signs of nonnegative values, are
+    zero bytes and are deleted with the others."""
+
+    dec: InnovationDecomposition
+    seed: SeedSpec
+    params: Mapping
+
+    def _row_source(self):
+        x, v = self.dec.x, self.dec.v
+        (x_lo, x_hi), (v_lo, v_hi) = _extent(x), _extent(v)
+        return x.shape, lambda b: x[b] - v[b], (x_lo - v_hi, x_hi - v_lo)
+
+
+def _extent(paths: np.ndarray) -> tuple[int, int]:
+    """Smallest and largest value of a matrix, (0, 0) when it is empty."""
+    return (int(paths.min()), int(paths.max())) if paths.size else (0, 0)
+
+
 def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:
     """One row per path with `#`-prefixed metadata lines, then a header row.
 
@@ -671,41 +705,40 @@ def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:
     a separator byte (``,`` or a newline) behind; the grid is written with
     its zero bytes deleted.  Digits are computed in the narrowest unsigned
     type that holds the largest magnitude, and the sign bytes are filled
-    only when some value is negative.
+    only when some value is negative.  ``simulate`` passes its survivors as
+    a ``_Survivors``, which gives its rows and bounds the same way.
     """
-    meta = {k: v for k, v in ensemble.params.items()}
+    (n_rows, n_cols), block, (lo, hi) = ensemble._row_source()
+    meta = dict(ensemble.params)
     lines = [
         f"# construction={meta.pop('construction', 'unknown')}",
         f"# params={json.dumps(meta, sort_keys=True)}",
         f"# root_seed={ensemble.seed.root_seed} stream_index={ensemble.seed.stream_index}",
-        f"# n_paths={ensemble.n_paths} length={ensemble.length}",
-        ",".join(f"t{k}" for k in range(ensemble.length)),
+        f"# n_paths={n_rows} length={n_cols}",
+        ",".join(f"t{k}" for k in range(n_cols)),
         "",
     ]
-    paths = ensemble.paths
-    n_rows, n_cols = paths.shape
     with open(path, "wb") as fh:
         fh.write("\n".join(lines).encode("utf-8"))
-        if paths.size == 0:
+        if n_rows * n_cols == 0:
             fh.write(b"\n" * n_rows)
             return
-        lo = int(paths.min())
-        top = max(int(paths.max()), -lo)  # the largest magnitude
+        top = max(hi, -lo)  # the largest magnitude
         width = len(str(top))
         blocks = _row_blocks(n_rows, n_cols)
-        shape = (min(n_rows, blocks[0].stop), n_cols)
-        mag, quot, digit = (np.empty(shape, dtype=np.min_scalar_type(top)) for _ in range(3))
-        live = np.empty(shape, dtype=bool)
-        grid = np.zeros(shape + (width + 2,), dtype=np.uint8)
+        cells = (min(n_rows, blocks[0].stop), n_cols)
+        mag, quot, digit = (np.empty(cells, dtype=np.min_scalar_type(top)) for _ in range(3))
+        live = np.empty(cells, dtype=bool)
+        grid = np.zeros(cells + (width + 2,), dtype=np.uint8)
         grid[:, :, -1] = ord(",")
         grid[:, -1, -1] = ord("\n")
         for b in blocks:
-            block = paths[b]
-            r = block.shape[0]
+            values = block(b)
+            r = values.shape[0]
             g, m, q, d, nz = grid[:r], mag[:r], quot[:r], digit[:r], live[:r]
-            np.abs(block, out=m, casting="unsafe")  # |int64 min| reads as 2**63 in uint64
+            np.abs(values, out=m, casting="unsafe")  # |int64 min| reads as 2**63 in uint64
             if lo < 0:  # otherwise the sign bytes stay zero and are deleted with the others
-                np.less(block, 0, out=g[:, :, 0])
+                np.less(values, 0, out=g[:, :, 0])
                 g[:, :, 0] *= ord("-")
             for col in range(width, 0, -1):
                 np.floor_divide(m, 10, out=q)

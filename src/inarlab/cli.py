@@ -22,6 +22,7 @@ from .chains import (
     InarParams,
     PathEnsemble,
     SuperpositionConfig,
+    _Survivors,
     binomial_death_chain,
     iid_chain,
     inar_kernel,
@@ -234,8 +235,9 @@ def simulate(construction, opts, length, paths, seed, stream, tail_budget, out):
         outdir.mkdir(parents=True, exist_ok=True)
         write_ensemble_csv(ens, written[0])
         if dec is not None:
-            for name, mat in (("u", dec.u), ("v", dec.v)):
-                part = PathEnsemble(mat, seed_spec, dict(ens.params, component=name))
+            # the survivors are encoded from x and v a row block at a time
+            for name, held, holder in (("u", dec, _Survivors), ("v", dec.v, PathEnsemble)):
+                part = holder(held, seed_spec, dict(ens.params, component=name))
                 write_ensemble_csv(part, f"{prefix}_{name}.csv")
                 written.append(f"{prefix}_{name}.csv")
     click.echo("\n".join(str(w) for w in written))

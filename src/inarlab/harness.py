@@ -390,7 +390,7 @@ def check_innovation_independence(
     v = decomposition.v[:, k]
     partners = {
         "prev-count": decomposition.x[:, k - 1],
-        "survivors": decomposition.u[:, k],
+        "survivors": decomposition.x[:, k] - decomposition.v[:, k],
         "prev-innovation": decomposition.v[:, k - 1],
     }
     alpha = significance / len(partners)
@@ -425,7 +425,7 @@ def check_thinning_conditional(
     k = decomposition.x.shape[1] - 1
     if k < 1:
         raise InvalidConfigError("need at least two time indices")
-    prev, surv = decomposition.x[:, k - 1], decomposition.u[:, k]
+    prev, surv = decomposition.x[:, k - 1], decomposition.x[:, k] - decomposition.v[:, k]
     x_lo, s_lo = int(prev.min()), int(surv.min())
     table = _pair_counts(prev, surv)
     sizes = table.sum(axis=1)  # observations per previous count
@@ -711,9 +711,9 @@ def run_all(config: McConfig, threads: int = 1) -> list[CheckReport]:
     as ``module:function:line``.  A path count whose simulations cannot fit
     in physical memory is refused before any check runs.
     """
-    # the largest simulation holds three int64 path matrices of path_length,
-    # x, u, v (the equivalence check's are shorter)
-    _require_memory(config.path_length, config.n_paths, 3)
+    # the largest simulation holds two int64 path matrices of path_length,
+    # x and v (the equivalence check's are shorter)
+    _require_memory(config.path_length, config.n_paths, 2)
     jobs: list[tuple[str, Callable[[], CheckReport | list[CheckReport]]]] = []
     budget = config.truncation_budget
     for gi, (a, lam) in enumerate(product(config.a_grid, config.lambda_grid)):

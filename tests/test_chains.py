@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -317,9 +318,9 @@ class _UndrawableSeed:
 
 
 SIMULATORS = {  # name -> (simulate(length, n_paths, seed), int64 arrays held)
-    "direct": (partial(simulate_inar_direct, PARAMS), 3),
+    "direct": (partial(simulate_inar_direct, PARAMS), 2),
     "superposition": (
-        partial(simulate_inar_superposition, PARAMS, SuperpositionConfig.for_budget(PARAMS)), 3
+        partial(simulate_inar_superposition, PARAMS, SuperpositionConfig.for_budget(PARAMS)), 2
     ),
     "chain": (partial(simulate_chain, poisson_death_chain(1.0, 0.5)), 1),
     "indicator": (partial(indicator_chain, 0.5, 0.5), 1),
@@ -330,7 +331,8 @@ SIMULATORS = {  # name -> (simulate(length, n_paths, seed), int64 arrays held)
 def test_simulators_hand_over_their_step_major_buffers(name, monkeypatch):
     """Every simulator fills a (length, n_paths) buffer one row per step and
     its holder keeps the transpose as it is: one path per row, each step a
-    contiguous column, no array copied on the way in."""
+    contiguous column, no array copied on the way in.  The survivors are
+    computed on read, in the same layout."""
     uncopied = []
 
     def owned(array, dtype):
@@ -342,12 +344,13 @@ def test_simulators_hand_over_their_step_major_buffers(name, monkeypatch):
     simulate, _ = SIMULATORS[name]
     out = simulate(7, 500, SeedSpec(11))
     ens, dec = out if isinstance(out, tuple) else (out, None)
-    held = [ens.paths] if dec is None else [ens.paths, dec.x, dec.u, dec.v]
-    for m in held:
-        assert m.shape == (500, 7) and m.T.flags.c_contiguous
+    held = [ens.paths] if dec is None else [ens.paths, dec.x, dec.v]
     assert uncopied == [True] * len(held)
     if dec is not None:
         assert np.shares_memory(ens.paths, dec.x)
+        held.append(dec.u)
+    for m in held:
+        assert m.shape == (500, 7) and m.T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("name", SIMULATORS)
@@ -917,17 +920,26 @@ class TestIntegerArguments:
 
 
 class TestDecompositionValidation:
-    def test_identity_violation_rejected(self):
-        x = np.ones((2, 3), dtype=np.int64)
-        with pytest.raises(InvalidParameterError):
-            InnovationDecomposition(x, x, x)
-
     def test_survivor_bound_rejected(self):
         x = np.array([[1, 1]], dtype=np.int64)
         u = np.array([[0, 2]], dtype=np.int64)
         v = np.array([[1, -1]], dtype=np.int64)
-        with pytest.raises(InvalidParameterError):
-            InnovationDecomposition(x, u, v)
+        assert np.array_equal(v, x - u)
+        with pytest.raises(InvalidParameterError, match="survivors exceed"):
+            InnovationDecomposition(x, v)
+
+    @pytest.mark.parametrize("name", ["direct", "superposition"])
+    def test_survivors_are_a_new_difference_on_each_read(self, name):
+        """x = u + v cannot fail: ``u`` is ``x - v``, bit for bit, built anew
+        on each read and never an alias of the held matrices."""
+        simulate, _ = SIMULATORS[name]
+        _, dec = simulate(9, 1_000, SeedSpec(23))
+        first, second = dec.u, dec.u
+        assert first.dtype == np.int64
+        assert np.array_equal(first, dec.x - dec.v) and np.array_equal(second, first)
+        assert first is not second and not np.shares_memory(first, second)
+        assert not any(np.shares_memory(first, m) for m in (dec.x, dec.v))
+        assert np.array_equal(dec.x, first + dec.v)
 
     @pytest.fixture
     def blocks(self):
@@ -938,30 +950,36 @@ class TestDecompositionValidation:
         x = rng.poisson(2.0, (rows, length))
         u = np.zeros_like(x)
         u[:, 1:] = rng.binomial(x[:, :-1], 0.5)
-        InnovationDecomposition(x.copy(), u.copy(), x - u)  # valid as built
+        InnovationDecomposition(x.copy(), x - u)  # valid as built
         return x, u, x - u
 
-    def test_identity_violation_in_last_block_rejected(self, blocks):
+    def test_survivor_violation_in_first_step_rejected(self, blocks):
         x, u, v = blocks
-        v[-1, -1] += 1
-        with pytest.raises(InvalidParameterError, match="x = u"):
-            InnovationDecomposition(x, u, v)
+        row = x.shape[0] // 2
+        u[row, 1] = x[row, 0] + 1
+        v[row, 1] = x[row, 1] - u[row, 1]
+        with pytest.raises(InvalidParameterError, match="survivors exceed"):
+            InnovationDecomposition(x, v)
 
     def test_survivor_violation_in_last_block_rejected(self, blocks):
         x, u, v = blocks
         u[-1, -1] = x[-1, -2] + 1
         v[-1, -1] = x[-1, -1] - u[-1, -1]
         with pytest.raises(InvalidParameterError, match="survivors exceed"):
-            InnovationDecomposition(x, u, v)
+            InnovationDecomposition(x, v)
+
+    def test_paths_of_two_shapes_rejected(self):
+        with pytest.raises(InvalidParameterError, match="x and v must share a 2-D shape"):
+            InnovationDecomposition(np.ones((2, 3)), np.ones((2, 4)))
+        with pytest.raises(InvalidParameterError, match="x and v must share a 2-D shape"):
+            InnovationDecomposition(np.ones(3), np.ones(3))
 
 
 VALUE_OBJECTS = {  # the frozen dataclasses that hold ndarray fields
     "Pmf": lambda: poisson_pmf(1.0),
     "MarkovChainSpec": lambda: inar_kernel(PARAMS),
     "PathEnsemble": lambda: PathEnsemble(np.ones((2, 3)), SeedSpec(1), {"a": 0.5}),
-    "InnovationDecomposition": lambda: InnovationDecomposition(
-        np.ones((2, 3)), np.zeros((2, 3)), np.ones((2, 3))
-    ),
+    "InnovationDecomposition": lambda: InnovationDecomposition(np.ones((2, 3)), np.ones((2, 3))),
     "JointPmf": lambda: JointPmf(np.full((2, 2), 0.25)),
     "TripletPmf": lambda: TripletPmf(np.full((2, 2, 2), 0.125)),
 }
@@ -986,7 +1004,7 @@ HOLDERS = {  # name -> (hold(array), the attribute holding it, a fresh array it 
         lambda m: PathEnsemble(m, SeedSpec(1), {}), "paths", lambda: np.ones((2, 3), np.int64)
     ),
     "InnovationDecomposition": (
-        lambda m: InnovationDecomposition(m, m, np.zeros(m.shape, np.int64)),
+        lambda m: InnovationDecomposition(m, np.zeros(m.shape, np.int64)),
         "x",
         lambda: np.ones((2, 3), np.int64),
     ),
@@ -1039,7 +1057,7 @@ def _allocated_peak(fn) -> int:
 
 
 def test_writer_and_decomposition_allocate_under_a_quarter_matrix(tmp_path):
-    """Neither the CSV writer nor the decomposition checks build a full-size
+    """Neither the CSV writer nor the decomposition check builds a full-size
     temporary, whether the paths are held in C or in Fortran layout (the
     transpose of a simulator's step-major buffer)."""
     rng = np.random.default_rng(12)
@@ -1049,8 +1067,8 @@ def test_writer_and_decomposition_allocate_under_a_quarter_matrix(tmp_path):
     v = x - u
     quarter = x.nbytes // 4
     for order in "CF":
-        xo, uo, vo = (np.asarray(m, order=order) for m in (x, u, v))
-        assert _allocated_peak(lambda: InnovationDecomposition(xo, uo, vo)) < quarter
+        xo, vo = (np.asarray(m, order=order) for m in (x, v))
+        assert _allocated_peak(lambda: InnovationDecomposition(xo, vo)) < quarter
         ens = PathEnsemble(xo, SeedSpec(1), {"construction": "test"})
         assert _allocated_peak(lambda: write_ensemble_csv(ens, tmp_path / "x.csv")) < quarter
 
@@ -1060,12 +1078,12 @@ def test_writer_and_decomposition_allocate_under_a_quarter_matrix(tmp_path):
     [partial(simulate_inar_direct, PARAMS), _superposition],
     ids=["direct", "superposition"],
 )
-def test_decomposed_simulators_peak_under_four_path_matrices(simulate):
-    """At most three path-sized matrices live at once, the step-major x and v
-    buffers and the survivors u = x - v, plus per-step vectors: about 3.2
-    matrices.  A path-sized copy of any of them would make it about 4.2."""
+def test_decomposed_simulators_peak_under_three_path_matrices(simulate):
+    """At most two path-sized matrices live at once, the step-major x and v
+    buffers, plus per-step vectors: about 2.2 matrices.  A survivors matrix
+    or a path-sized copy of either would make it about 3.2."""
     matrix = 2_000 * 200 * np.dtype(np.int64).itemsize
-    assert _allocated_peak(lambda: simulate(200, 2_000, SeedSpec(5))) < 4 * matrix
+    assert _allocated_peak(lambda: simulate(200, 2_000, SeedSpec(5))) < 3 * matrix
 
 
 def _reference_csv(ensemble, path) -> None:
@@ -1163,6 +1181,44 @@ def test_csv_bytes_equal_the_row_writer_on_random_matrices(tmp_path_factory, mat
 def test_csv_bytes_equal_the_row_writer_on_narrow_magnitudes(tmp_path_factory, matrix):
     """Magnitudes below 70 000 put the digits in 8-, 16- and 32-bit buffers."""
     _assert_matches_reference(matrix, tmp_path_factory.mktemp("csv"))
+
+
+def _assert_survivors_match(x, v, directory) -> None:
+    """The survivors written from x and v a row block at a time hold the
+    writer's bytes for the matrix x - v, with both held in C and in Fortran
+    layout.  The writer only reads ``x`` and ``v``, so any pair will do."""
+    params = {"construction": "test", "component": "u"}
+    write_ensemble_csv(PathEnsemble(x - v, SeedSpec(3, 1), params), directory / "whole.csv")
+    for order in "CF":
+        held = SimpleNamespace(x=np.asarray(x, order=order), v=np.asarray(v, order=order))
+        write_ensemble_csv(chains._Survivors(held, SeedSpec(3, 1), params), directory / "blocks.csv")
+        assert (directory / "blocks.csv").read_bytes() == (directory / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "x, v",
+    [
+        (np.full((2, 3), 5), np.full((2, 3), 5)),  # all survivors 0, bounds of 5
+        (np.array([[INT64.max, 0]]), np.array([[INT64.min, INT64.max]])),  # wraps
+        (np.array([[0, INT64.min]]), np.array([[INT64.max, 0]])),
+        (np.zeros((0, 4), np.int64), np.zeros((0, 4), np.int64)),
+    ],
+    ids=["zero-survivors", "wrapping-high", "wrapping-low", "empty"],
+)
+def test_survivors_csv_equals_the_whole_matrix_writer_at_the_edges(x, v, tmp_path):
+    _assert_survivors_match(x, v, tmp_path)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    hnp.arrays(
+        np.int64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12).map(lambda s: (2, *s)),
+        elements=st.one_of(st.integers(-300, 70_000), st.integers(INT64.min, INT64.max)),
+    )
+)
+def test_survivors_csv_equals_the_whole_matrix_writer_on_random_pairs(tmp_path_factory, pair):
+    _assert_survivors_match(pair[0], pair[1], tmp_path_factory.mktemp("csv"))
 
 
 class TestCsvExport:

@@ -10,12 +10,23 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, event, given, settings, strategies as st
 
-from inarlab import SeedSpec, binomial_death_chain, chains, cli, harness, poisson_death_chain
-from inarlab.chains import PathEnsemble
+from inarlab import (
+    InarParams,
+    SeedSpec,
+    SuperpositionConfig,
+    binomial_death_chain,
+    chains,
+    cli,
+    harness,
+    poisson_death_chain,
+    simulate_inar_direct,
+    simulate_inar_superposition,
+)
+from inarlab.chains import PathEnsemble, _BLOCK_CELLS
 from inarlab.cli import CHAIN_CONSTRUCTIONS, SIM_CONSTRUCTIONS, main
 from inarlab.serialize import dumps
 
-from .test_chains import _chain_reference, _reference_csv
+from .test_chains import _allocated_peak, _chain_reference, _reference_csv
 
 
 @pytest.fixture
@@ -42,6 +53,40 @@ class TestSimulate:
         assert all(len(r.split(",")) == 100 for r in rows[:5])
         assert (tmp_path / "direct_u.csv").exists()
         assert (tmp_path / "direct_v.csv").exists()
+
+    @pytest.mark.parametrize("construction", ["direct", "superposition"])
+    def test_components_hold_the_row_writers_bytes(self, runner, tmp_path, construction):
+        """u.csv, encoded from x and v a row block at a time, and v.csv hold
+        the row writer's bytes for the simulation's survivors and innovations,
+        over several row blocks."""
+        length, paths = 9, 3 * (_BLOCK_CELLS // 9) + 5
+        res = run(
+            runner, "simulate", construction, "--a", 0.5, "--lambda", 1, "--length", length,
+            "--paths", paths, "--seed", 4, "--out", tmp_path,
+        )
+        assert res.exit_code == 0
+        params = InarParams(0.5, 1.0)
+        if construction == "direct":
+            ens, dec = simulate_inar_direct(params, length, paths, SeedSpec(4))
+        else:
+            config = SuperpositionConfig.for_budget(params, cli.DEFAULT_TAIL_BUDGET)
+            ens, dec = simulate_inar_superposition(params, config, length, paths, SeedSpec(4))
+        for name, matrix in (("u", dec.u), ("v", dec.v)):
+            part = PathEnsemble(matrix, SeedSpec(4), dict(ens.params, component=name))
+            _reference_csv(part, tmp_path / "reference.csv")
+            written = (tmp_path / f"{construction}_{name}.csv").read_bytes()
+            assert written == (tmp_path / "reference.csv").read_bytes()
+
+    def test_direct_run_peaks_under_three_path_matrices(self, tmp_path):
+        """x and v are the run's only path matrices, and u.csv is encoded from
+        them a row block at a time: about 2.2 matrices at the peak.  A
+        survivors matrix would make it about 3.2."""
+        length, paths = 200, 10_000
+        matrix = length * paths * np.dtype(np.int64).itemsize
+        args = ["simulate", "direct", "--a", "0.5", "--lambda", "1", "--length", str(length),
+                "--paths", str(paths), "--out", str(tmp_path)]
+        assert _allocated_peak(lambda: main(args, standalone_mode=False)) < 3 * matrix
+        assert (tmp_path / "direct_u.csv").exists()
 
     def test_identical_invocations_identical_files(self, runner, tmp_path):
         for sub in ("one", "two"):

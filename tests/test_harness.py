@@ -41,7 +41,7 @@ from inarlab.harness import (
     _split_triplet,
     nonmarkov_control_triplet,
 )
-from inarlab.errors import InvalidConfigError
+from inarlab.errors import InvalidConfigError, ResourceLimitError
 
 from . import decimal_oracle as oracle
 
@@ -114,15 +114,16 @@ class TestThinningConditional:
         k = dec.x.shape[1] - 1
         zero_rows = dec.x[:, k - 1] == 0
         assert zero_rows.sum() >= MIN_STRATUM
-        u = dec.u.copy()
+        u = dec.u
         u[zero_rows, k] = 1  # InnovationDecomposition would refuse these survivors
-        corrupted = SimpleNamespace(x=dec.x, u=u, v=dec.v)
+        corrupted = SimpleNamespace(x=dec.x, v=dec.x - u)
         rep = check_thinning_conditional(corrupted, PARAMS)
         assert rep.statistic == harness.ERROR_STATISTIC and not rep.passed
         assert rep.to_dict() == _thinning_reference(corrupted, PARAMS).to_dict()
         clean = check_thinning_conditional(dec, PARAMS)
         assert clean.to_dict() == _thinning_reference(dec, PARAMS).to_dict()
-        zero_only = SimpleNamespace(x=np.zeros_like(dec.x), u=np.zeros_like(u), v=dec.v)
+        zeros = np.zeros_like(dec.x)
+        zero_only = SimpleNamespace(x=zeros, v=zeros)  # u = x - v = 0
         rep = check_thinning_conditional(zero_only, PARAMS)
         assert (rep.statistic, rep.params["strata_tested"], rep.params["strata_skipped"]) == (
             0.0, 0, 0
@@ -141,7 +142,7 @@ def _add_at_table(a, b, lo=None):
 def _thinning_reference(dec, params, significance=0.01):
     """The thinning check with one mask per previous count."""
     k = dec.x.shape[1] - 1
-    prev, surv = dec.x[:, k - 1], dec.u[:, k]
+    prev, surv = dec.x[:, k - 1], dec.x[:, k] - dec.v[:, k]
     strata = [int(x) for x in np.unique(prev) if int((prev == x).sum()) >= MIN_STRATUM]
     skipped = int(np.unique(prev).size) - len(strata)
     worst, tested = 0.0, 0
@@ -462,6 +463,41 @@ class TestRunAll:
         a = reports_to_json(run_all(small_config, threads=1), small_config)
         b = reports_to_json(run_all(small_config, threads=3), small_config)
         assert a == b
+
+    def test_paths_beyond_memory_are_refused_before_any_check(self, small_config, monkeypatch):
+        """The guard counts the two int64 path matrices, x and v, of the
+        longest simulation: one byte short is refused before any check runs,
+        and exactly enough runs every check."""
+        need = 2 * small_config.path_length * small_config.n_paths * np.dtype(np.int64).itemsize
+        ran = []
+        lemma_checks = harness._lemma_checks
+        monkeypatch.setattr(harness, "_lemma_checks", lambda: ran.append(1) or lemma_checks())
+        monkeypatch.setattr(chains, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ResourceLimitError, match="physical memory"):
+            run_all(small_config)
+        assert ran == []
+        monkeypatch.setattr(chains, "_physical_memory", lambda: need)
+        reports = run_all(small_config)
+        assert ran == [1] and reports and all(r.check != "errored" for r in reports)
+
+    def test_one_point_campaign_peaks_under_three_path_matrices(self):
+        """The direct simulation holds x and v only, and every check reads one
+        step at a time: about 2.2 path matrices at the peak.  A survivors
+        matrix would make it about 3.2."""
+        config = McConfig(
+            n_paths=10_000, path_length=200, a_grid=(0.5,), lambda_grid=(1.0,),
+            seed=SeedSpec(79),
+        )
+        matrix = config.n_paths * config.path_length * np.dtype(np.int64).itemsize
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reports = run_all(config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert all(r.check != "errored" for r in reports)
+        assert peak < 3 * matrix
 
     def test_negative_controls_fail_and_are_labelled(self, small_config):
         config = McConfig(

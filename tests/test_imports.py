@@ -2,8 +2,8 @@
 private module-level name is used somewhere in the package, every exported
 name is defined where it is exported and re-exported only from there, each
 rule the scan tracks (kernel products, null atoms, atom limits, array
-ownership, lost mass, dense BLAS kernels) is read only in its home, and the
-package loads no scipy at all."""
+ownership, lost mass, dense BLAS kernels, whole survivor matrices) is read
+only in its home, and the package loads no scipy at all."""
 
 import ast
 from collections import Counter
@@ -119,7 +119,8 @@ def test_scan_flags_an_unreferenced_private_name():
 # simulator transposes its step-major buffer into a path-sized copy.  The
 # dense SVDs and matrix powers run only at the call sites that enter
 # dependence._serial_blas, and only the OpenBLAS lookup behind that scope
-# loads a C library.
+# loads a C library.  Only the decomposition builds its survivors matrix
+# whole: every reader takes one step, x[:, k] - v[:, k], or a row block.
 KERNEL_PLACES = {"pmf", "chains.transition_matrix", "chains._kernel_row"}
 RULE_HOMES = {
     "binomial_table": KERNEL_PLACES,
@@ -132,6 +133,7 @@ RULE_HOMES = {
     "svd": {"dependence._flush"},
     "matrix_power": {"chains.window_joint_pmf", "chains.marginal_at"},
     "ctypes": {"dependence._openblas_threads"},
+    "u": {"chains.InnovationDecomposition"},
 }
 
 
@@ -184,6 +186,7 @@ def test_scan_flags_a_rule_read_outside_its_home():
             "from . import pmf\nTABLE = pmf.binomial_table(3, 0.5)\n"
             "def _chi2_tail(terms):\n    return math.fsum(terms)\n"
             "def _pooled_gof_ratio(probs):\n    return 1.0 - math.fsum(probs)\n"
+            "def check_thinning_conditional(dec, k):\n    return dec.x[:, k] - dec.u[:, k]\n"
         ),
         "mixing": "def lag_joints(spec):\n    raise ExplosionLimitError(spec)\n",
     }
@@ -195,6 +198,7 @@ def test_scan_flags_a_rule_read_outside_its_home():
         "dependence.maximal_correlation:svd",
         "harness:binomial_table",
         "harness._pooled_gof_ratio:fsum",
+        "harness.check_thinning_conditional:u",
         "mixing.lag_joints:ExplosionLimitError",
     ]
 
