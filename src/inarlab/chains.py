@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -89,12 +89,12 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _require_memory(length: int, n_paths: int, matrices: int) -> None:
+def _require_memory(length: int, n_paths: int, matrices: int = 0, columns: int = 0) -> None:
     """Refuse a simulation whose length or path count is not a positive
-    integer, or whose ``matrices`` int64 path matrices would exceed
-    physical memory."""
+    integer, or whose ``matrices`` int64 path matrices plus ``columns`` int64
+    vectors of one entry per path would exceed physical memory."""
     length, n_paths = _integer(length, "length", 1), _integer(n_paths, "n_paths", 1)
-    need = matrices * length * n_paths * np.dtype(np.int64).itemsize
+    need = (matrices * length + columns) * n_paths * np.dtype(np.int64).itemsize
     have = _physical_memory()
     if need > have:
         raise ResourceLimitError(
@@ -182,6 +182,13 @@ class PathEnsemble:
         return paths.shape, lambda b: paths[b], _extent(paths)
 
 
+def _require_survivors(x_prev: np.ndarray, x: np.ndarray, v: np.ndarray) -> None:
+    """Refuse one step whose survivors exceed their source, ``x - v > x_prev``
+    on some path."""
+    if np.any(x - v > x_prev):
+        raise InvalidParameterError("survivors exceed their source count")
+
+
 @dataclass(frozen=True, eq=False)
 class InnovationDecomposition:
     """Aligned paths of the count and innovation components; the survivors
@@ -204,8 +211,8 @@ class InnovationDecomposition:
             raise InvalidParameterError("x and v must share a 2-D shape")
         # one step at a time: a contiguous row of a simulator's step-major
         # buffer, so no full-size temporary is built
-        if any(np.any(x[:, k] - v[:, k] > x[:, k - 1]) for k in range(1, x.shape[1])):
-            raise InvalidParameterError("survivors exceed their source count")
+        for k in range(1, x.shape[1]):
+            _require_survivors(x[:, k - 1], x[:, k], v[:, k])
 
     @property
     def u(self) -> np.ndarray:
@@ -390,6 +397,26 @@ def _require_countable(params: InarParams) -> None:
         )
 
 
+def _direct_steps(
+    params: InarParams, n_paths: int, seed: SeedSpec
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The direct chain's steps ``(x_k, v_k)`` for k = 0, 1, ..., without end,
+    drawn as :func:`simulate_inar_direct` describes.
+
+    Every step is a pair of new arrays that the stream never writes again.
+    As a generator it checks and draws nothing before the first step is
+    asked for.
+    """
+    _require_countable(params)
+    rng = seed.generator()
+    x = rng.poisson(params.stationary_mean, n_paths)
+    while True:
+        x = rng.binomial(x, params.a)
+        v = rng.poisson(params.lam, n_paths)
+        x += v
+        yield x, v
+
+
 def simulate_inar_direct(
     params: InarParams, length: int, n_paths: int, seed: SeedSpec
 ) -> tuple[PathEnsemble, InnovationDecomposition]:
@@ -397,7 +424,9 @@ def simulate_inar_direct(
 
     The pre-window state is drawn from the stationary law, then each step
     draws survivors Binomial(previous, a) and an independent Poisson(lam)
-    innovation, so the decomposition identities hold by construction.
+    innovation, so the decomposition identities hold by construction.  The
+    paths are the first ``length`` steps of ``_direct_steps``, the stream
+    that the verification campaign reads without storing it.
     """
     _require_countable(params)
     _require_memory(length, n_paths, 2)  # x, v
@@ -405,13 +434,8 @@ def simulate_inar_direct(
     # vector, so they can take the slots that freed path matrices left whole
     x = np.empty((length, n_paths), dtype=np.int64)
     v = np.empty_like(x)
-    rng = seed.generator()
-    x_prev = rng.poisson(params.stationary_mean, n_paths)
-    for k in range(length):
-        x[k] = rng.binomial(x_prev, params.a)
-        v[k] = rng.poisson(params.lam, n_paths)
-        x[k] += v[k]
-        x_prev = x[k]
+    for k, step in zip(range(length), _direct_steps(params, n_paths, seed)):
+        x[k], v[k] = step
     return _decomposed(x.T, v.T, seed, "direct", params)
 
 

@@ -210,9 +210,11 @@ def main():
     show_default=True,
     help="Output directory (env INARLAB_OUT).",
 )
+@metrics_option
 @_exit_on_errors
-def simulate(construction, opts, length, paths, seed, stream, tail_budget, out):
+def simulate(construction, opts, length, paths, seed, stream, tail_budget, out, metrics_out):
     """Simulate paths; writes x.csv (plus u.csv/v.csv for decomposed builds)."""
+    start = _clocks()
     seed_spec = SeedSpec(seed, stream)
     outdir = Path(out)
     prefix = outdir / construction
@@ -240,7 +242,7 @@ def simulate(construction, opts, length, paths, seed, stream, tail_budget, out):
                 part = holder(held, seed_spec, dict(ens.params, component=name))
                 write_ensemble_csv(part, f"{prefix}_{name}.csv")
                 written.append(f"{prefix}_{name}.csv")
-    click.echo("\n".join(str(w) for w in written))
+    _write_output("".join(f"{w}\n" for w in written), None, metrics_out=metrics_out, start=start)
 
 
 @main.command()
@@ -329,9 +331,11 @@ def gap(a, epsilon, bound_name, out):
 @click.option("--at", type=int, required=True, help="Time index of the marginal.")
 @click.option("--tail-budget", type=float, default=DEFAULT_TAIL_BUDGET, show_default=True)
 @click.option("--out", default=None)
+@metrics_option
 @_exit_on_errors
-def marginal(construction, opts, at, tail_budget, out):
+def marginal(construction, opts, at, tail_budget, out, metrics_out):
     """Exact marginal law at a time index (initial law pushed through the kernel)."""
+    start = _clocks()
     spec = _chain_spec(construction, opts, tail_budget)
     law = marginal_at(spec, at)
     payload = {
@@ -340,7 +344,7 @@ def marginal(construction, opts, at, tail_budget, out):
         "tail_mass": law.tail_mass,
         "mean": law.mean(),
     }
-    _write_output(dumps(payload), out)
+    _write_output(dumps(payload), out, metrics_out=metrics_out, start=start)
 
 
 @main.command()

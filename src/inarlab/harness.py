@@ -18,6 +18,7 @@ import math
 import numbers
 import time
 import traceback
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -34,12 +35,13 @@ from .chains import (
     InnovationDecomposition,
     PathEnsemble,
     SuperpositionConfig,
+    _direct_steps,
     _require_memory,
+    _require_survivors,
     inar_kernel,
     indicator_chain_spec,
     marginal_at,
     poisson_death_chain,
-    simulate_inar_direct,
     simulate_inar_superposition,
     transition_matrix,
     window_joint_pmf,
@@ -337,7 +339,6 @@ def check_stationary_marginal(
     three time indices face a pooled chi-square test.  ``target_mean``
     overrides the comparison law (used by the wrong-mean negative control).
     """
-    mean = params.stationary_mean if target_mean is None else target_mean
     if ensemble is None:
         spec = inar_kernel(params, truncation_budget)
         laws = [marginal_at(spec, j) for j in range(1, EXACT_STEPS + 1)]
@@ -350,26 +351,69 @@ def check_stationary_marginal(
             "exact",
             budget=laws[-1].tail_mass,
         )
+    columns = {k: ensemble.paths[:, k] for k in _marginal_indices(ensemble.length)}
+    construction = str(ensemble.params.get("construction", "unknown"))
+    return _marginal_report(
+        columns, params, significance, target_mean, construction, ensemble.seed.stream_index
+    )
+
+
+def _marginal_indices(length: int) -> list[int]:
+    """The time indices whose counts the Monte Carlo marginal check tests."""
+    return sorted({0, length // 2, length - 1})
+
+
+def _marginal_report(
+    columns: Mapping[int, np.ndarray],
+    params: InarParams,
+    significance: float,
+    target_mean: float | None,
+    construction: str,
+    seed_index: int,
+) -> CheckReport:
+    """The Monte Carlo marginal check on the count ``columns``, keyed by time
+    index, one pooled chi-square test per index."""
+    mean = params.stationary_mean if target_mean is None else target_mean
     target = poisson_pmf(mean, 1e-14)
-    indices = sorted({0, ensemble.length // 2, ensemble.length - 1})
+    indices = sorted(columns)
     alpha = significance / len(indices)
     worst_ratio = 0.0
     for k in indices:
-        column = ensemble.paths[:, k]
-        counts = np.bincount(column)
+        counts = np.bincount(columns[k])
         ratio = _pooled_gof_ratio(counts, _padded(target.probs, counts.size), alpha)
         if ratio is not None:
             worst_ratio = max(worst_ratio, ratio)
     return CheckReport(
         "stationary-marginal" + ("" if target_mean is None else "-control"),
-        str(ensemble.params.get("construction", "unknown")),
+        construction,
         {"a": params.a, "lambda": params.lam, "target_mean": mean, "indices": indices},
         worst_ratio,
         1.0,
         "monte-carlo",
-        seed=ensemble.seed.stream_index,
+        seed=seed_index,
         note="" if target_mean is None else "documented wrong-mean target; expected to fail",
     )
+
+
+@dataclass(frozen=True)
+class _LastSteps:
+    """The counts and innovations at the last two time indices, k - 1 and k,
+    of a decomposed run: the columns the decomposition checks read."""
+
+    k: int
+    x_prev: np.ndarray
+    x: np.ndarray
+    v_prev: np.ndarray
+    v: np.ndarray
+
+
+def _last_steps(decomposition: InnovationDecomposition) -> _LastSteps:
+    """A decomposition's last two steps, refusing one with fewer."""
+    x, v = decomposition.x, decomposition.v
+    k = x.shape[1] - 1
+    if k < 1:
+        raise InvalidConfigError("need at least two time indices")
+    return _LastSteps(k, x[:, k - 1], x[:, k], v[:, k - 1], v[:, k])
 
 
 def check_innovation_independence(
@@ -384,25 +428,28 @@ def check_innovation_independence(
     Samples are taken at a single index so rows are independent across
     paths; the three contingency tests share a Bonferroni budget.
     """
-    k = decomposition.x.shape[1] - 1
-    if k < 1:
-        raise InvalidConfigError("need at least two time indices")
-    v = decomposition.v[:, k]
+    return _innovation_report(_last_steps(decomposition), seed_index, significance)
+
+
+def _innovation_report(
+    steps: _LastSteps, seed_index: int | None, significance: float
+) -> CheckReport:
+    """The innovation-independence check on a run's last two steps."""
     partners = {
-        "prev-count": decomposition.x[:, k - 1],
-        "survivors": decomposition.x[:, k] - decomposition.v[:, k],
-        "prev-innovation": decomposition.v[:, k - 1],
+        "prev-count": steps.x_prev,
+        "survivors": steps.x - steps.v,
+        "prev-innovation": steps.v_prev,
     }
     alpha = significance / len(partners)
     worst = 0.0
     for name, other in partners.items():
-        ratio = _contingency_ratio(_pair_counts(other, v), alpha)
+        ratio = _contingency_ratio(_pair_counts(other, steps.v), alpha)
         if ratio is not None:
             worst = max(worst, ratio)
     return CheckReport(
         "innovation-independence",
         "decomposition",
-        {"index": k, "partners": sorted(partners)},
+        {"index": steps.k, "partners": sorted(partners)},
         worst,
         1.0,
         "monte-carlo",
@@ -422,10 +469,14 @@ def check_thinning_conditional(
     Conditioning strata with fewer than ``MIN_STRATUM`` observations are
     skipped (noted in the report) to avoid vacuous low-power passes.
     """
-    k = decomposition.x.shape[1] - 1
-    if k < 1:
-        raise InvalidConfigError("need at least two time indices")
-    prev, surv = decomposition.x[:, k - 1], decomposition.x[:, k] - decomposition.v[:, k]
+    return _thinning_report(_last_steps(decomposition), params, seed_index, significance)
+
+
+def _thinning_report(
+    steps: _LastSteps, params: InarParams, seed_index: int | None, significance: float
+) -> CheckReport:
+    """The thinning check on a run's last two steps."""
+    prev, surv = steps.x_prev, steps.x - steps.v
     x_lo, s_lo = int(prev.min()), int(surv.min())
     table = _pair_counts(prev, surv)
     sizes = table.sum(axis=1)  # observations per previous count
@@ -448,7 +499,7 @@ def check_thinning_conditional(
     return CheckReport(
         "thinning-conditional",
         "decomposition",
-        {"a": params.a, "index": k, "strata_tested": tested, "strata_skipped": skipped},
+        {"a": params.a, "index": steps.k, "strata_tested": tested, "strata_skipped": skipped},
         worst,
         1.0,
         "monte-carlo",
@@ -599,16 +650,16 @@ def check_markov_property(
 
 
 def _corrupted_innovation_check(
-    params: InarParams, dec: InnovationDecomposition, seed_index: int, significance: float
+    params: InarParams, steps: _LastSteps, seed_index: int, significance: float
 ) -> CheckReport:
-    """Negative control: leak the previous count into the innovation."""
-    k = dec.x.shape[1] - 1
-    bumped = dec.v[:, k] + (dec.x[:, k - 1] > params.stationary_mean)
-    ratio = _contingency_ratio(_pair_counts(dec.x[:, k - 1], bumped), significance)
+    """Negative control on a run's last two steps: leak the previous count
+    into the innovation."""
+    bumped = steps.v + (steps.x_prev > params.stationary_mean)
+    ratio = _contingency_ratio(_pair_counts(steps.x_prev, bumped), significance)
     return CheckReport(
         "innovation-independence-control",
         "decomposition-corrupted",
-        {"a": params.a, "lambda": params.lam, "index": k},
+        {"a": params.a, "lambda": params.lam, "index": steps.k},
         ratio if ratio is not None else 0.0,
         1.0,
         "monte-carlo",
@@ -620,21 +671,33 @@ def _corrupted_innovation_check(
 def _mc_block(
     config: McConfig, params: InarParams, seed: SeedSpec
 ) -> list[CheckReport]:
-    """Monte Carlo checks on one direct-construction ensemble."""
-    ens, dec = simulate_inar_direct(params, config.path_length, config.n_paths, seed)
+    """Monte Carlo checks on one direct-construction run of
+    ``config.path_length`` steps, streamed: it keeps only the columns the
+    checks read, the counts at the marginal check's indices and both
+    components at the last two steps, and refuses survivors above their
+    source at every step, as ``InnovationDecomposition`` does."""
+    wanted = set(_marginal_indices(config.path_length))
+    columns: dict[int, np.ndarray] = {}
+    last = deque(maxlen=2)
+    steps = _direct_steps(params, config.n_paths, seed)
+    for k, (x, v) in zip(range(config.path_length), steps):
+        if last:
+            _require_survivors(last[-1][0], x, v)
+        if k in wanted:
+            columns[k] = x
+        last.append((x, v))
+    (x_prev, v_prev), (x, v) = last
+    tail = _LastSteps(config.path_length - 1, x_prev, x, v_prev, v)
+    index, significance = seed.stream_index, config.significance
     out = [
-        check_stationary_marginal(ens, params, config.significance),
-        check_innovation_independence(dec, seed.stream_index, config.significance),
-        check_thinning_conditional(dec, params, seed.stream_index, config.significance),
+        _marginal_report(columns, params, significance, None, "direct", index),
+        _innovation_report(tail, index, significance),
+        _thinning_report(tail, params, index, significance),
     ]
     if config.negative_controls:
         out += [
-            check_stationary_marginal(
-                ens, params, config.significance, target_mean=params.lam
-            ),
-            _corrupted_innovation_check(
-                params, dec, seed.stream_index, config.significance
-            ),
+            _marginal_report(columns, params, significance, params.lam, "direct", index),
+            _corrupted_innovation_check(params, tail, index, significance),
         ]
     return out
 
@@ -711,9 +774,10 @@ def run_all(config: McConfig, threads: int = 1) -> list[CheckReport]:
     as ``module:function:line``.  A path count whose simulations cannot fit
     in physical memory is refused before any check runs.
     """
-    # the largest simulation holds two int64 path matrices of path_length,
-    # x and v (the equivalence check's are shorter)
-    _require_memory(config.path_length, config.n_paths, 2)
+    # the direct Monte Carlo block keeps at most six int64 columns of n_paths
+    # entries (the counts at three indices, both components at the last two
+    # steps); the equivalence check's two path matrices of length 2 are four
+    _require_memory(config.path_length, config.n_paths, columns=6)
     jobs: list[tuple[str, Callable[[], CheckReport | list[CheckReport]]]] = []
     budget = config.truncation_budget
     for gi, (a, lam) in enumerate(product(config.a_grid, config.lambda_grid)):

@@ -862,8 +862,9 @@ def test_unwritable_out_exits_2(runner, tmp_path, args):
     [
         ["rho", "direct", "--a", "0.5", "--lambda", "1", "--n-max", "3", "--cap", "30"],
         ["rho-star", "indicator", "--p0", "0.5", "--a", "0.5", "-W", "4", "-n", "1"],
+        ["marginal", "direct", "--a", "0.5", "--lambda", "1", "--at", "3"],
     ],
-    ids=["rho", "rho-star"],
+    ids=["rho", "rho-star", "marginal"],
 )
 def test_exact_metrics_sidecar_leaves_the_output_bytes_alone(runner, tmp_path, args):
     plain, out, metrics = (tmp_path / name for name in ("plain.json", "out.json", "m.json"))
@@ -876,6 +877,39 @@ def test_exact_metrics_sidecar_leaves_the_output_bytes_alone(runner, tmp_path, a
     sidecar = json.loads(metrics.read_text())
     assert sorted(sidecar) == ["cpu_s", "peak_rss_mb", "wall_s"]
     assert sidecar["wall_s"] > 0.0 and sidecar["cpu_s"] > 0.0 and sidecar["peak_rss_mb"] > 1.0
+
+
+@pytest.mark.parametrize("construction", ["direct", "indicator"])
+def test_simulate_metrics_sidecar_leaves_stdout_and_csvs_alone(runner, tmp_path, construction):
+    args = ["simulate", construction, "--a", "0.5", "--lambda", "1", "--p0", "0.5",
+            "--length", "6", "--paths", "40", "--seed", "3", "--out"]
+    out, metrics = tmp_path / "out", tmp_path / "m.json"
+    stdout = run(runner, *args, out).stdout
+    files = sorted(out.iterdir())
+    assert sorted(stdout.splitlines()) == [str(f) for f in files]
+    plain = [f.read_bytes() for f in files]
+    assert run(runner, *args, out, "--metrics", metrics).stdout == stdout
+    assert [f.read_bytes() for f in sorted(out.iterdir())] == plain
+    sidecar = json.loads(metrics.read_text())
+    assert sorted(sidecar) == ["cpu_s", "peak_rss_mb", "wall_s"]
+    assert sidecar["wall_s"] > 0.0 and sidecar["cpu_s"] > 0.0 and sidecar["peak_rss_mb"] > 1.0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "direct", "--a", "0.5", "--lambda", "1", "--length", "3",
+         "--paths", "3", "--out"],
+        ["marginal", "direct", "--a", "0.5", "--lambda", "1", "--at", "2", "--out"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_unwritable_metrics_of_simulate_and_marginal_exits_2(runner, tmp_path, args):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    _assert_cannot_write(runner.invoke(main, args + [
+        str(tmp_path / "out"), "--metrics", str(blocker / "m.json"),
+    ]))
 
 
 def test_unwritable_metrics_exits_2(runner, tmp_path):

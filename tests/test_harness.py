@@ -89,7 +89,7 @@ class TestInnovationIndependence:
 
     def test_corrupted_control_fails(self, direct_run):
         _, dec = direct_run
-        rep = _corrupted_innovation_check(PARAMS, dec, 0, 0.01)
+        rep = _corrupted_innovation_check(PARAMS, harness._last_steps(dec), 0, 0.01)
         assert not rep.passed
 
 
@@ -189,7 +189,7 @@ class TestTallies:
             harness, "_contingency_ratio", lambda t, alpha: seen.append(t) or ratio(t, alpha)
         )
         check_innovation_independence(dec)
-        _corrupted_innovation_check(params, dec, 0, 0.01)
+        _corrupted_innovation_check(params, harness._last_steps(dec), 0, 0.01)
         k = length - 1
         bumped = dec.v[:, k] + (dec.x[:, k - 1] > params.stationary_mean)
         pairs = [(dec.x[:, k - 1], dec.v[:, k]), (dec.u[:, k], dec.v[:, k]),
@@ -434,6 +434,37 @@ class TestChiSquareMatchesScipyStats:
         assert (stat.hex(), dof) == (ref_stat.hex(), ref_dof)
 
 
+class TestStreamedBlock:
+    @pytest.mark.parametrize("negative_controls", [False, True], ids=["plain", "controls"])
+    @pytest.mark.parametrize("seed", [SeedSpec(83), SeedSpec(84, 5)], ids=["seed83", "seed84-5"])
+    @pytest.mark.parametrize(
+        "params, path_length",
+        [(InarParams(a=0.3, lam=2.0), 2), (InarParams(a=0.7, lam=0.5), 9)],
+        ids=["a0.3-length2", "a0.7-length9"],
+    )
+    def test_reports_equal_the_public_checks_on_the_simulation(
+        self, params, path_length, seed, negative_controls
+    ):
+        config = McConfig(
+            n_paths=10_000, path_length=path_length, seed=seed,
+            negative_controls=negative_controls,
+        )
+        ens, dec = simulate_inar_direct(params, path_length, config.n_paths, seed)
+        index, significance = seed.stream_index, config.significance
+        expected = [
+            check_stationary_marginal(ens, params, significance),
+            check_innovation_independence(dec, index, significance),
+            check_thinning_conditional(dec, params, index, significance),
+        ]
+        if negative_controls:
+            expected += [
+                check_stationary_marginal(ens, params, significance, target_mean=params.lam),
+                _corrupted_innovation_check(params, harness._last_steps(dec), index, significance),
+            ]
+        streamed = harness._mc_block(config, params, seed)
+        assert [r.to_dict() for r in streamed] == [r.to_dict() for r in expected]
+
+
 @pytest.fixture(scope="module")
 def small_config():
     return McConfig(
@@ -465,10 +496,10 @@ class TestRunAll:
         assert a == b
 
     def test_paths_beyond_memory_are_refused_before_any_check(self, small_config, monkeypatch):
-        """The guard counts the two int64 path matrices, x and v, of the
-        longest simulation: one byte short is refused before any check runs,
-        and exactly enough runs every check."""
-        need = 2 * small_config.path_length * small_config.n_paths * np.dtype(np.int64).itemsize
+        """The guard counts the six int64 columns of n_paths entries that the
+        streamed direct block keeps, whatever the path length: one byte short
+        is refused before any check runs, and exactly enough runs every check."""
+        need = 6 * small_config.n_paths * np.dtype(np.int64).itemsize
         ran = []
         lemma_checks = harness._lemma_checks
         monkeypatch.setattr(harness, "_lemma_checks", lambda: ran.append(1) or lemma_checks())
@@ -480,24 +511,47 @@ class TestRunAll:
         reports = run_all(small_config)
         assert ran == [1] and reports and all(r.check != "errored" for r in reports)
 
-    def test_one_point_campaign_peaks_under_three_path_matrices(self):
-        """The direct simulation holds x and v only, and every check reads one
-        step at a time: about 2.2 path matrices at the peak.  A survivors
-        matrix would make it about 3.2."""
-        config = McConfig(
-            n_paths=10_000, path_length=200, a_grid=(0.5,), lambda_grid=(1.0,),
-            seed=SeedSpec(79),
+    def test_one_point_campaign_peaks_under_twelve_path_columns(self):
+        """The direct block streams its steps and keeps six columns of n_paths
+        counts, so the peak does not grow with the path length: about 10
+        columns at lengths 8 and 200 alike, set by the block's per-step and
+        per-check temporaries.  Whole x and v matrices made it 19 columns at
+        length 8 and 402 at length 200."""
+        for path_length in (8, 200):
+            config = McConfig(
+                n_paths=100_000, path_length=path_length, a_grid=(0.5,), lambda_grid=(1.0,),
+                seed=SeedSpec(79),
+            )
+            column = config.n_paths * np.dtype(np.int64).itemsize
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                reports = run_all(config)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert all(r.check != "errored" for r in reports)
+            assert peak < 12 * column, path_length
+
+    def test_corrupted_step_is_an_errored_report_naming_the_refusal(
+        self, small_config, monkeypatch
+    ):
+        """The streamed block refuses survivors above their source at every
+        step, as a decomposition does."""
+        steps = harness._direct_steps
+
+        def corrupted(params, n_paths, seed):
+            for k, (x, v) in enumerate(steps(params, n_paths, seed)):
+                yield (x + 10**6 if k == 5 else x), v
+
+        monkeypatch.setattr(harness, "_direct_steps", corrupted)
+        errored = [r for r in run_all(small_config) if r.check == "errored"]
+        assert [r.construction for r in errored] == ["direct-mc[0.5,1.0]"]
+        assert re.fullmatch(
+            r"check raised: InvalidParameterError: survivors exceed their source count "
+            r"at inarlab\.chains:_require_survivors:\d+",
+            errored[0].note,
         )
-        matrix = config.n_paths * config.path_length * np.dtype(np.int64).itemsize
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            reports = run_all(config)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert all(r.check != "errored" for r in reports)
-        assert peak < 3 * matrix
 
     def test_negative_controls_fail_and_are_labelled(self, small_config):
         config = McConfig(

@@ -2,8 +2,8 @@
 private module-level name is used somewhere in the package, every exported
 name is defined where it is exported and re-exported only from there, each
 rule the scan tracks (kernel products, null atoms, atom limits, array
-ownership, lost mass, dense BLAS kernels, whole survivor matrices) is read
-only in its home, and the package loads no scipy at all."""
+ownership, lost mass, dense BLAS kernels, whole survivor matrices, the
+chain's own draws) is read only in its home, and the package loads no scipy at all."""
 
 import ast
 from collections import Counter
@@ -120,8 +120,11 @@ def test_scan_flags_an_unreferenced_private_name():
 # dense SVDs and matrix powers run only at the call sites that enter
 # dependence._serial_blas, and only the OpenBLAS lookup behind that scope
 # loads a C library.  Only the decomposition builds its survivors matrix
-# whole: every reader takes one step, x[:, k] - v[:, k], or a row block.
+# whole: every reader takes one step, x[:, k] - v[:, k], or a row block.  Only
+# the two count-chain simulators draw binomial survivors and Poisson counts,
+# so no other module runs a step loop of its own.
 KERNEL_PLACES = {"pmf", "chains.transition_matrix", "chains._kernel_row"}
+CHAIN_DRAWS = {"chains._direct_steps", "chains.simulate_inar_superposition"}
 RULE_HOMES = {
     "binomial_table": KERNEL_PLACES,
     "convolve": KERNEL_PLACES,
@@ -134,6 +137,8 @@ RULE_HOMES = {
     "matrix_power": {"chains.window_joint_pmf", "chains.marginal_at"},
     "ctypes": {"dependence._openblas_threads"},
     "u": {"chains.InnovationDecomposition"},
+    "binomial": CHAIN_DRAWS,
+    "poisson": CHAIN_DRAWS,
 }
 
 
@@ -187,6 +192,7 @@ def test_scan_flags_a_rule_read_outside_its_home():
             "def _chi2_tail(terms):\n    return math.fsum(terms)\n"
             "def _pooled_gof_ratio(probs):\n    return 1.0 - math.fsum(probs)\n"
             "def check_thinning_conditional(dec, k):\n    return dec.x[:, k] - dec.u[:, k]\n"
+            "def _mc_block(rng, x, a):\n    return rng.binomial(x, a)\n"
         ),
         "mixing": "def lag_joints(spec):\n    raise ExplosionLimitError(spec)\n",
     }
@@ -199,6 +205,7 @@ def test_scan_flags_a_rule_read_outside_its_home():
         "harness:binomial_table",
         "harness._pooled_gof_ratio:fsum",
         "harness.check_thinning_conditional:u",
+        "harness._mc_block:binomial",
         "mixing.lag_joints:ExplosionLimitError",
     ]
 
