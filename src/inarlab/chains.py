@@ -92,7 +92,13 @@ def _physical_memory() -> int:
 def _require_memory(length: int, n_paths: int, matrices: int = 0, columns: int = 0) -> None:
     """Refuse a simulation whose length or path count is not a positive
     integer, or whose ``matrices`` int64 path matrices plus ``columns`` int64
-    vectors of one entry per path would exceed physical memory."""
+    vectors of one entry per path would exceed physical memory.
+
+    The simulators' buffers start as int8 and ``_fitted`` widens one only
+    when a count needs it, so this counts int64, the widest type a count can
+    need.  A widening briefly holds the old buffer and the new one, so a run
+    whose counts need int64 can peak up to half an int64 matrix (an int32
+    buffer and its int64 copy) above this count."""
     length, n_paths = _integer(length, "length", 1), _integer(n_paths, "n_paths", 1)
     need = (matrices * length + columns) * n_paths * np.dtype(np.int64).itemsize
     have = _physical_memory()
@@ -101,6 +107,24 @@ def _require_memory(length: int, n_paths: int, matrices: int = 0, columns: int =
             f"{n_paths} paths of length {length} need about {need / 2**30:.3g} GiB "
             f"of int64 arrays, more than the {have / 2**30:.3g} GiB of physical memory"
         )
+
+
+def _fitted(buffer: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``buffer`` as it is when its type holds ``values.max()``, else a copy
+    in the narrowest wider signed type that does.  Each simulator calls it on
+    a step's counts before storing them, so its buffer stays in the narrowest
+    signed type of the run's counts and a store never wraps."""
+    top = int(values.max()) if values.size else 0
+    if top <= np.iinfo(buffer.dtype).max:
+        return buffer
+    return buffer.astype(np.promote_types(buffer.dtype, np.min_scalar_type(-top - 1)))
+
+
+def _counts(paths) -> np.ndarray:
+    """A holder's count matrix (see ``pmf._owned``): a signed-integer array
+    of any width held as it is, anything else converted to int64."""
+    paths = np.asarray(paths)
+    return _owned(paths, paths.dtype if paths.dtype.kind == "i" else np.int64)
 
 
 def _require_survival(a: float) -> None:
@@ -152,9 +176,9 @@ class PathEnsemble:
     """Matrix of simulated paths, one row per path, plus its provenance.
 
     Regenerating with the same seed and parameters reproduces the matrix
-    exactly.  The ensemble owns its matrix (see ``pmf._owned``); the
-    simulators fill one step at a time, so theirs is the transpose of a
-    step-major buffer, in Fortran layout.
+    exactly.  The ensemble owns its matrix (see ``_counts``); the simulators
+    fill one step at a time, so theirs is the transpose of a step-major
+    buffer, in Fortran layout, in the narrowest signed type of its counts.
     """
 
     paths: np.ndarray
@@ -162,7 +186,7 @@ class PathEnsemble:
     params: Mapping
 
     def __post_init__(self):
-        paths = _owned(self.paths, np.int64)
+        paths = _counts(self.paths)
         if paths.ndim != 2:
             raise InvalidParameterError("paths must be a 2-D matrix")
         object.__setattr__(self, "paths", paths)
@@ -184,8 +208,8 @@ class PathEnsemble:
 
 def _require_survivors(x_prev: np.ndarray, x: np.ndarray, v: np.ndarray) -> None:
     """Refuse one step whose survivors exceed their source, ``x - v > x_prev``
-    on some path."""
-    if np.any(x - v > x_prev):
+    on some path, in int64 so that no narrow type can wrap."""
+    if np.any(np.subtract(x, v, dtype=np.int64) > x_prev):
         raise InvalidParameterError("survivors exceed their source count")
 
 
@@ -195,9 +219,9 @@ class InnovationDecomposition:
     are the rest, ``u = x - v``.
 
     Refuses survivors above their source, ``x[k] - v[k] > x[k-1]``, wherever
-    the previous index exists.  It owns its two matrices (see
-    ``pmf._owned``) and computes ``u`` on each read, so ``x = u + v`` holds
-    by construction.
+    the previous index exists.  It owns its two matrices (see ``_counts``)
+    and computes ``u`` on each read, in int64, so ``x = u + v`` holds by
+    construction.
     """
 
     x: np.ndarray
@@ -205,7 +229,7 @@ class InnovationDecomposition:
 
     def __post_init__(self):
         for name in ("x", "v"):
-            object.__setattr__(self, name, _owned(getattr(self, name), np.int64))
+            object.__setattr__(self, name, _counts(getattr(self, name)))
         x, v = self.x, self.v
         if x.shape != v.shape or x.ndim != 2:
             raise InvalidParameterError("x and v must share a 2-D shape")
@@ -216,8 +240,8 @@ class InnovationDecomposition:
 
     @property
     def u(self) -> np.ndarray:
-        """The survivors ``x - v``, a new array on each read."""
-        return self.x - self.v
+        """The survivors ``x - v``, a new int64 array on each read."""
+        return np.subtract(self.x, self.v, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -340,7 +364,8 @@ def indicator_chain(
     """
     spec = indicator_chain_spec(p0, a)
     _require_memory(length, n_paths, 1)
-    paths = np.empty((length, n_paths), dtype=np.int64)  # first, as in simulate_inar_direct
+    # first, as in simulate_inar_direct; {0, 1} values never need widening
+    paths = np.empty((length, n_paths), dtype=np.int8)
     rng = seed.generator()
     paths[0] = rng.random(n_paths) < p0
     for k in range(1, length):
@@ -360,19 +385,21 @@ def simulate_chain(
     ``DEFAULT_TAIL_BUDGET``.
     """
     _require_memory(length, n_paths, 1)
-    paths = np.empty((length, n_paths), dtype=np.int64)  # first, as in simulate_inar_direct
+    paths = np.empty((length, n_paths), dtype=np.int8)  # first, as in simulate_inar_direct
     rng = seed.generator()
     _require_sampleable(spec.initial)
     if length > 1:
         _require_sampleable(spec.innovation)
-    paths[0] = _sample_with_rng(spec.initial, rng, n_paths)
+    start = _sample_with_rng(spec.initial, rng, n_paths)
+    paths = _fitted(paths, start)
+    paths[0] = start
     cdfs: dict[int, np.ndarray] = {}
     for k in range(1, length):
-        prev, cur = paths[k - 1], paths[k]
-        counts = np.bincount(prev)
+        counts = np.bincount(paths[k - 1])
         # paths grouped by state, ascending, in path order within a state; a
         # key of the narrowest unsigned type lets the stable sort run as radix
-        order = np.argsort(prev.astype(np.min_scalar_type(counts.size - 1)), kind="stable")
+        key = paths[k - 1].astype(np.min_scalar_type(counts.size - 1))
+        order = np.argsort(key, kind="stable")
         # one call takes the same uniforms as one call per state laid end to end
         uniforms = rng.random(n_paths)
         lo = 0
@@ -382,7 +409,9 @@ def simulate_chain(
             if cdf is None:
                 cdf = cdfs[s] = np.cumsum(_kernel_row(spec, s))
             draws = np.searchsorted(cdf, uniforms[lo:hi], side="right")
-            cur[order[lo:hi]] = np.minimum(draws, cdf.size - 1)  # clamp at the row's support end
+            draws = np.minimum(draws, cdf.size - 1)  # clamp at the row's support end
+            paths = _fitted(paths, draws)
+            paths[k, order[lo:hi]] = draws
             lo = hi
     return PathEnsemble(
         paths.T, seed, dict(spec.description, length=length, n_paths=n_paths)
@@ -432,10 +461,11 @@ def simulate_inar_direct(
     _require_memory(length, n_paths, 2)  # x, v
     # the step-major buffers come before the generator and every per-step
     # vector, so they can take the slots that freed path matrices left whole
-    x = np.empty((length, n_paths), dtype=np.int64)
+    x = np.empty((length, n_paths), dtype=np.int8)
     v = np.empty_like(x)
-    for k, step in zip(range(length), _direct_steps(params, n_paths, seed)):
-        x[k], v[k] = step
+    for k, (x_k, v_k) in zip(range(length), _direct_steps(params, n_paths, seed)):
+        x, v = _fitted(x, x_k), _fitted(v, v_k)
+        x[k], v[k] = x_k, v_k
     return _decomposed(x.T, v.T, seed, "direct", params)
 
 
@@ -493,7 +523,7 @@ def simulate_inar_superposition(
             f"depth {depth} and length {length} over {n_paths} paths need {work:.3g} "
             f"work units, above the superposition budget {_GENERATION_BUDGET:.3g}"
         )
-    x = np.zeros((length, n_paths), dtype=np.int64)  # first, as in simulate_inar_direct
+    x = np.zeros((length, n_paths), dtype=np.int8)  # first, as in simulate_inar_direct
     v = np.empty_like(x)
     rng = seed.generator()
     for start in range(-depth, length):
@@ -501,12 +531,15 @@ def simulate_inar_superposition(
         if start < 0:
             y = rng.binomial(y, params.a ** -start)  # composed thinning to index 0
         else:
+            v = _fitted(v, y)
             v[start] = y
         k, stop = max(start, 0), min(start + depth, length - 1)
         nz = np.flatnonzero(y)
         y = y[nz]
         while nz.size:
-            x[k, nz] += y
+            total = x[k, nz] + y  # int64, so the sum cannot wrap before it is fitted
+            x = _fitted(x, total)
+            x[k, nz] = total
             if k == stop:
                 break
             k += 1
@@ -700,7 +733,7 @@ def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
 @dataclass(frozen=True, eq=False)
 class _Survivors:
     """The survivors ``x - v`` of a decomposition as ``write_ensemble_csv``
-    reads an ensemble, one row block ``x[b] - v[b]`` at a time, so the
+    reads an ensemble, one int64 row block ``x[b] - v[b]`` at a time, so the
     survivors matrix is never built.  Its values lie between ``min x - max v``
     and ``max x - min v``.  Bounds wider than the values give the same bytes:
     the extra leading-zero digits, and the signs of nonnegative values, are
@@ -713,7 +746,11 @@ class _Survivors:
     def _row_source(self):
         x, v = self.dec.x, self.dec.v
         (x_lo, x_hi), (v_lo, v_hi) = _extent(x), _extent(v)
-        return x.shape, lambda b: x[b] - v[b], (x_lo - v_hi, x_hi - v_lo)
+
+        def rows(b):
+            return np.subtract(x[b], v[b], dtype=np.int64)  # a narrow type would wrap
+
+        return x.shape, rows, (x_lo - v_hi, x_hi - v_lo)
 
 
 def _extent(paths: np.ndarray) -> tuple[int, int]:

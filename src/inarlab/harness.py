@@ -274,7 +274,7 @@ def _pair_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a_lo, b_lo = int(a.min()), int(b.min())
     rows, cols = int(a.max()) - a_lo + 1, int(b.max()) - b_lo + 1
-    keys = a - a_lo
+    keys = np.subtract(a, a_lo, dtype=np.int64)  # a narrow type would wrap
     keys *= cols  # in place: one path-sized temporary
     keys += b
     keys -= b_lo
@@ -398,7 +398,8 @@ def _marginal_report(
 @dataclass(frozen=True)
 class _LastSteps:
     """The counts and innovations at the last two time indices, k - 1 and k,
-    of a decomposed run: the columns the decomposition checks read."""
+    of a decomposed run: the columns the decomposition checks read, as int64,
+    so that their differences and bumps cannot wrap."""
 
     k: int
     x_prev: np.ndarray
@@ -413,7 +414,8 @@ def _last_steps(decomposition: InnovationDecomposition) -> _LastSteps:
     k = x.shape[1] - 1
     if k < 1:
         raise InvalidConfigError("need at least two time indices")
-    return _LastSteps(k, x[:, k - 1], x[:, k], v[:, k - 1], v[:, k])
+    x_prev, x_k, v_prev, v_k = (m[:, i].astype(np.int64) for m in (x, v) for i in (k - 1, k))
+    return _LastSteps(k, x_prev, x_k, v_prev, v_k)
 
 
 def check_innovation_independence(

@@ -379,7 +379,11 @@ def test_physical_memory_is_read_from_the_host():
 
 class TestSimulateInarDirect:
     def test_bitwise_equal_to_column_reference(self):
-        for params, seed in ((PARAMS, SeedSpec(12, 3)), (InarParams(0.9, 2.5), SeedSpec(5))):
+        for params, seed in (
+            (PARAMS, SeedSpec(12, 3)),
+            (InarParams(0.9, 2.5), SeedSpec(5)),
+            (InarParams(0.9, 30.0), SeedSpec(19)),  # x widens to int16
+        ):
             ens, dec = simulate_inar_direct(params, 9, 1_000, seed)
             x, u, v = _direct_reference(params, 9, 1_000, seed)
             assert np.array_equal(ens.paths, x)
@@ -1027,6 +1031,21 @@ def test_holders_own_their_arrays_and_refuse_changed_values(name):
             hold(np.full(array.shape, value))
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.bool_])
+def test_count_holders_keep_any_signed_width_and_widen_the_rest(dtype):
+    """A signed-integer matrix of any width is held uncopied; any other
+    integer or bool matrix is held as an int64 copy."""
+    signed = np.dtype(dtype).kind == "i"
+    for hold, attribute in (
+        (lambda m: PathEnsemble(m, SeedSpec(1), {}), "paths"),
+        (lambda m: InnovationDecomposition(m, np.zeros_like(m)), "x"),
+    ):
+        array = np.ones((2, 3), dtype)
+        held = getattr(hold(array), attribute)
+        assert held.dtype == (dtype if signed else np.int64)
+        assert np.shares_memory(held, array) == signed and np.array_equal(held, array)
+
+
 @pytest.mark.parametrize(
     "hold, message",
     [
@@ -1080,10 +1099,115 @@ def test_writer_and_decomposition_allocate_under_a_quarter_matrix(tmp_path):
 )
 def test_decomposed_simulators_peak_under_three_path_matrices(simulate):
     """At most two path-sized matrices live at once, the step-major x and v
-    buffers, plus per-step vectors: about 2.2 matrices.  A survivors matrix
-    or a path-sized copy of either would make it about 3.2."""
-    matrix = 2_000 * 200 * np.dtype(np.int64).itemsize
+    buffers, int8 at this mean, plus per-step int64 vectors: about 2.2-2.4
+    int8 matrices.  A survivors matrix, a path-sized copy of either, or a
+    buffer in a wider type would make it 3.2 or more.  A tiny run first
+    loads what numpy imports on its first draw."""
+    simulate(2, 10, SeedSpec(5))
+    matrix = 2_000 * 200 * np.dtype(np.int8).itemsize
     assert _allocated_peak(lambda: simulate(200, 2_000, SeedSpec(5))) < 3 * matrix
+
+
+INT64_PARAMS = InarParams(a=0.5, lam=3e9)  # stationary mean 6e9: x and v need int64
+
+
+@pytest.mark.parametrize(
+    "simulate",
+    [
+        partial(simulate_inar_direct, INT64_PARAMS),
+        partial(
+            simulate_inar_superposition, INT64_PARAMS, SuperpositionConfig.for_budget(INT64_PARAMS)
+        ),
+    ],
+    ids=["direct", "superposition"],
+)
+def test_widening_to_int64_peaks_within_the_memory_guard(simulate):
+    """At a mean whose counts need int64, each buffer is widened while the
+    other is held: the transient stays within the guard's two int64 matrices
+    plus the half matrix its docstring allows for a widening."""
+    simulate(2, 10, SeedSpec(5))
+    out = []
+    matrix = 2_000 * 200 * np.dtype(np.int64).itemsize
+    assert _allocated_peak(lambda: out.append(simulate(200, 2_000, SeedSpec(5)))) < 2.5 * matrix
+    ens, dec = out[0]
+    assert ens.paths.dtype == dec.v.dtype == np.int64
+
+
+WIDE = InarParams(a=0.9, lam=30.0)  # stationary mean 300; each generation about 30
+WIDENING_RUNS = {  # name -> (simulate(length, n_paths, seed), length, n_paths)
+    "direct-a0.9-lam30": (partial(simulate_inar_direct, WIDE), 40, 300),
+    "superposition-a0.9-lam30": (
+        partial(simulate_inar_superposition, WIDE, SuperpositionConfig.for_budget(WIDE)), 40, 300
+    ),
+    "death-poisson-lam40000": (partial(simulate_chain, poisson_death_chain(4e4, 0.5)), 4, 20),
+}
+
+
+def _matrices(out) -> dict:
+    """A simulation's held matrices by name."""
+    ens, dec = out if isinstance(out, tuple) else (out, None)
+    return {"x": ens.paths} if dec is None else {"x": ens.paths, "v": dec.v}
+
+
+@pytest.mark.parametrize("name", WIDENING_RUNS)
+def test_widened_paths_equal_their_int64_stack_in_the_narrowest_type(
+    name, monkeypatch, tmp_path
+):
+    """Counts above int8 (a = 0.9, lambda = 30) and above int16 (a death
+    chain from Poisson(40 000)) widen the buffers to the narrowest signed
+    type of their maxima.  The paths are those of the same draws stacked in
+    int64, and their CSV bytes those of an int64 copy."""
+    simulate, length, n_paths = WIDENING_RUNS[name]
+    held = _matrices(simulate(length, n_paths, SeedSpec(19)))
+    monkeypatch.setattr(chains, "_fitted", lambda buffer, values: buffer.astype(np.int64))
+    stacked = _matrices(simulate(length, n_paths, SeedSpec(19)))
+    assert held["x"].dtype != np.int8
+    for part, matrix in held.items():
+        assert matrix.dtype == np.min_scalar_type(-int(matrix.max()) - 1)
+        assert stacked[part].dtype == np.int64 and np.array_equal(matrix, stacked[part])
+        for copy, label in ((matrix, "held"), (matrix.astype(np.int64), "int64")):
+            write_ensemble_csv(PathEnsemble(copy, SeedSpec(19), {}), tmp_path / f"{label}.csv")
+        assert (tmp_path / "held.csv").read_bytes() == (tmp_path / "int64.csv").read_bytes()
+
+
+def test_superposition_widens_on_a_row_sum_that_no_generation_reaches():
+    """Every generation stays below 128 while the sums of live generations
+    cross it, so only the counts' buffer widens."""
+    simulate, length, n_paths = WIDENING_RUNS["superposition-a0.9-lam30"]
+    ens, dec = simulate(length, n_paths, SeedSpec(19))
+    assert dec.v.max() < 128 < ens.paths.max()
+    assert (ens.paths.dtype, dec.v.dtype) == (np.int16, np.int8)
+
+
+NARROW_PAIRS = {  # x, v: decompositions whose int8 arithmetic would wrap
+    "count-127": ([[127, 127, 127], [0, 3, 1]], [[0, 0, 127], [0, 3, 1]]),
+    "survivors-below-int8": ([[-128, -128]], [[0, 100]]),  # u = -228 exceeds no source
+}
+
+
+@pytest.mark.parametrize("x, v", NARROW_PAIRS.values(), ids=list(NARROW_PAIRS))
+def test_narrow_decompositions_read_as_their_int64_copy(x, v, tmp_path):
+    """Held int8 matrices give the survivors and CSV bytes of their int64
+    copies."""
+    narrow = InnovationDecomposition(np.array(x, np.int8), np.array(v, np.int8))
+    wide = InnovationDecomposition(np.array(x), np.array(v))
+    assert narrow.x.dtype == narrow.v.dtype == np.int8
+    assert narrow.u.dtype == np.int64 and np.array_equal(narrow.u, wide.u)
+    for dec, label in ((narrow, "narrow"), (wide, "wide")):
+        write_ensemble_csv(PathEnsemble(dec.x, SeedSpec(2), {}), tmp_path / f"{label}_x.csv")
+        write_ensemble_csv(chains._Survivors(dec, SeedSpec(2), {}), tmp_path / f"{label}_u.csv")
+    for part in "xu":
+        assert (tmp_path / f"narrow_{part}.csv").read_bytes() == (
+            tmp_path / f"wide_{part}.csv"
+        ).read_bytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_survivor_refusal_does_not_wrap_in_a_narrow_type(dtype):
+    """Survivors 100 - (-100) = 200 exceed their source 0, though in int8 they
+    would read -56."""
+    with pytest.raises(InvalidParameterError, match="survivors exceed their source count"):
+        InnovationDecomposition(np.array([[0, 100]], dtype), np.array([[0, -100]], dtype))
 
 
 def _reference_csv(ensemble, path) -> None:

@@ -78,14 +78,22 @@ class TestSimulate:
             assert written == (tmp_path / "reference.csv").read_bytes()
 
     def test_direct_run_peaks_under_three_path_matrices(self, tmp_path):
-        """x and v are the run's only path matrices, and u.csv is encoded from
-        them a row block at a time: about 2.2 matrices at the peak.  A
-        survivors matrix would make it about 3.2."""
+        """x and v are the run's only path matrices, int8 at this mean, and
+        u.csv is encoded from them an int64 row block at a time: about 2.9
+        int8 matrices at the peak, the writer's blocks included.  One more
+        int8 matrix would pass 3.5; a survivors matrix, or either held in
+        int64, would add eight.  A tiny run first loads what numpy imports
+        on its first draw."""
+        def args(length, paths):
+            return ["simulate", "direct", "--a", "0.5", "--lambda", "1", "--length",
+                    str(length), "--paths", str(paths), "--out", str(tmp_path)]
+
+        main(args(2, 10), standalone_mode=False)
         length, paths = 200, 10_000
-        matrix = length * paths * np.dtype(np.int64).itemsize
-        args = ["simulate", "direct", "--a", "0.5", "--lambda", "1", "--length", str(length),
-                "--paths", str(paths), "--out", str(tmp_path)]
-        assert _allocated_peak(lambda: main(args, standalone_mode=False)) < 3 * matrix
+        matrix = length * paths * np.dtype(np.int8).itemsize
+        assert _allocated_peak(lambda: main(args(length, paths), standalone_mode=False)) < (
+            3.5 * matrix
+        )
         assert (tmp_path / "direct_u.csv").exists()
 
     def test_identical_invocations_identical_files(self, runner, tmp_path):

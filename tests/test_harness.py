@@ -11,6 +11,7 @@ import pytest
 
 from inarlab import (
     InarParams,
+    InnovationDecomposition,
     PathEnsemble,
     SeedSpec,
     binomial_pmf,
@@ -432,6 +433,45 @@ class TestChiSquareMatchesScipyStats:
         stat, dof = self.statistic(np.vstack([dense, sparse]), monkeypatch)
         ref_stat, ref_dof = self.reference(pooled)
         assert (stat.hex(), dof) == (ref_stat.hex(), ref_dof)
+
+
+@pytest.fixture(scope="module")
+def narrow_run():
+    """A direct run with one path raised to the count 127, held as int8 and as
+    an int64 copy.  That path's last innovation, 127, reads 128 when the
+    corrupted control bumps it."""
+    seed = SeedSpec(41)
+    _, dec = simulate_inar_direct(PARAMS, 6, 4_000, seed)
+    x, v = dec.x.astype(np.int64), dec.v.astype(np.int64)
+    x[0], v[0] = 127, 0
+    v[0, -1] = 127  # no survivors at the last step
+    return {
+        dtype: (
+            PathEnsemble(x.astype(dtype), seed, {"construction": "direct"}),
+            InnovationDecomposition(x.astype(dtype), v.astype(dtype)),
+        )
+        for dtype in (np.int8, np.int64)
+    }
+
+
+def test_checks_read_int8_counts_as_their_int64_copy(narrow_run):
+    def reports(ens, dec):
+        return [
+            check_stationary_marginal(ens, PARAMS).to_dict(),
+            check_innovation_independence(dec).to_dict(),
+            check_thinning_conditional(dec, PARAMS).to_dict(),
+            _corrupted_innovation_check(PARAMS, harness._last_steps(dec), 0, 0.01).to_dict(),
+        ]
+
+    ens, dec = narrow_run[np.int8]
+    assert ens.paths.dtype == dec.x.dtype == dec.v.dtype == np.int8
+    assert ens.paths.max() == dec.v.max() == 127
+    assert reports(ens, dec) == reports(*narrow_run[np.int64])
+    wide = narrow_run[np.int64][1]
+    assert np.array_equal(
+        harness._pair_counts(dec.x[:, -2], dec.v[:, -1]),
+        harness._pair_counts(wide.x[:, -2], wide.v[:, -1]),
+    )
 
 
 class TestStreamedBlock:

@@ -137,6 +137,9 @@ RULE_HOMES = {
     "matrix_power": {"chains.window_joint_pmf", "chains.marginal_at"},
     "ctypes": {"dependence._openblas_threads"},
     "u": {"chains.InnovationDecomposition"},
+    # a simulator's buffer range is read in one place; every simulator calls it
+    "iinfo": {"chains._fitted"},
+    "promote_types": {"chains._fitted"},
     "binomial": CHAIN_DRAWS,
     "poisson": CHAIN_DRAWS,
 }
@@ -181,6 +184,8 @@ def test_scan_flags_a_rule_read_outside_its_home():
             "def require_window_atoms(cap, count):\n    raise ExplosionLimitError(cap)\n"
             "class TupleLaw:\n    def split(self):\n        return self.mass.compress([1])\n"
             "def simulate_inar_direct(params, x):\n    return np.ascontiguousarray(x.T)\n"
+            "def _fitted(buffer, values):\n    return np.iinfo(buffer.dtype).max\n"
+            "def simulate_chain(paths, draws):\n    return draws.max() <= np.iinfo(paths.dtype).max\n"
         ),
         "dependence": (
             "def _without_null_atoms(mass):\n    return mass.compress([1], axis=0)\n"
@@ -201,6 +206,7 @@ def test_scan_flags_a_rule_read_outside_its_home():
         "chains.marginal:convolve",
         "chains.TupleLaw:compress",
         "chains.simulate_inar_direct:ascontiguousarray",
+        "chains.simulate_chain:iinfo",
         "dependence.maximal_correlation:svd",
         "harness:binomial_table",
         "harness._pooled_gof_ratio:fsum",
