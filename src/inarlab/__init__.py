@@ -42,6 +42,7 @@ from .harness import (
     check_construction_equivalence,
     check_innovation_independence,
     check_markov_property,
+    check_stationary_exact,
     check_stationary_marginal,
     check_thinning_conditional,
     reports_to_json,

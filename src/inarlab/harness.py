@@ -32,8 +32,6 @@ import numpy as np
 
 from .chains import (
     InarParams,
-    InnovationDecomposition,
-    PathEnsemble,
     SuperpositionConfig,
     _direct_steps,
     _require_memory,
@@ -43,7 +41,6 @@ from .chains import (
     marginal_at,
     poisson_death_chain,
     simulate_inar_superposition,
-    transition_matrix,
     window_joint_pmf,
 )
 from .dependence import TripletPmf, markov_triplet_residual
@@ -78,6 +75,7 @@ DEFAULT_ROOT_SEED = 20170825
 __all__ = [
     "McConfig",
     "CheckReport",
+    "check_stationary_exact",
     "check_stationary_marginal",
     "check_innovation_independence",
     "check_thinning_conditional",
@@ -323,56 +321,61 @@ def _empirical_tv_threshold(probs: np.ndarray, n: int, alpha: float) -> float:
 # individual checks
 
 
-def check_stationary_marginal(
-    ensemble: PathEnsemble | None,
-    params: InarParams,
-    significance: float = DEFAULT_SIGNIFICANCE,
-    truncation_budget: float = DEFAULT_TAIL_BUDGET,
-    target_mean: float | None = None,
+def check_stationary_exact(
+    params: InarParams, truncation_budget: float = DEFAULT_TAIL_BUDGET
 ) -> CheckReport:
-    """Marginal law at every time index should be the stationary Poisson.
-
-    With ``ensemble=None`` the check is exact: the worst total-variation
-    distance from the stationary law to the ``marginal_at`` laws at indices
-    1..``EXACT_STEPS`` is compared against ``EXACT_THRESHOLD``, and the
-    last marginal's tail mass is the budget.  Otherwise the empirical laws at
-    three time indices face a pooled chi-square test.  ``target_mean``
-    overrides the comparison law (used by the wrong-mean negative control).
-    """
-    if ensemble is None:
-        spec = inar_kernel(params, truncation_budget)
-        laws = [marginal_at(spec, j) for j in range(1, EXACT_STEPS + 1)]
-        return CheckReport(
-            "stationary-marginal-exact",
-            "inar-kernel",
-            {"a": params.a, "lambda": params.lam, "steps": EXACT_STEPS},
-            max(total_variation(law, spec.initial) for law in laws),
-            EXACT_THRESHOLD,
-            "exact",
-            budget=laws[-1].tail_mass,
-        )
-    columns = {k: ensemble.paths[:, k] for k in _marginal_indices(ensemble.length)}
-    construction = str(ensemble.params.get("construction", "unknown"))
-    return _marginal_report(
-        columns, params, significance, target_mean, construction, ensemble.seed.stream_index
+    """The marginal law at every time index should be the stationary Poisson,
+    exactly: the worst total-variation distance from the stationary law to
+    the ``marginal_at`` laws at indices 1..``EXACT_STEPS`` is compared
+    against ``EXACT_THRESHOLD``, and the last marginal's tail mass is the
+    budget."""
+    spec = inar_kernel(params, truncation_budget)
+    laws = [marginal_at(spec, j) for j in range(1, EXACT_STEPS + 1)]
+    return CheckReport(
+        "stationary-marginal-exact",
+        "inar-kernel",
+        {"a": params.a, "lambda": params.lam, "steps": EXACT_STEPS},
+        max(total_variation(law, spec.initial) for law in laws),
+        EXACT_THRESHOLD,
+        "exact",
+        budget=laws[-1].tail_mass,
     )
 
 
-def _marginal_indices(length: int) -> list[int]:
-    """The time indices whose counts the Monte Carlo marginal check tests."""
-    return sorted({0, length // 2, length - 1})
+def _require_columns(*columns: np.ndarray) -> None:
+    """Refuse count columns unless there is at least one, each is a nonempty
+    1-D signed-integer array (of any width, as the path holders keep them)
+    with no negative count, and all share one length."""
+    for column in columns:
+        if not (isinstance(column, np.ndarray) and column.ndim == 1
+                and column.dtype.kind == "i" and column.size):
+            raise InvalidParameterError("count columns must be nonempty 1-D signed-integer arrays")
+        if column.min() < 0:
+            raise InvalidParameterError("count columns must hold no negative count")
+    if len({column.size for column in columns}) != 1:
+        raise InvalidParameterError("need one or more count columns, all of one length")
 
 
-def _marginal_report(
-    columns: Mapping[int, np.ndarray],
-    params: InarParams,
-    significance: float,
-    target_mean: float | None,
-    construction: str,
-    seed_index: int,
+def _survivors(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The survivors ``x - v`` in int64, so that no narrow type can wrap,
+    refusing an innovation above its count."""
+    survivors = np.subtract(x, v, dtype=np.int64)
+    if survivors.min() < 0:
+        raise InvalidParameterError("innovations exceed their count")
+    return survivors
+
+
+def check_stationary_marginal(
+    columns: Mapping[int, np.ndarray], params: InarParams, construction: str = "unknown",
+    seed_index: int | None = None, significance: float = DEFAULT_SIGNIFICANCE,
+    target_mean: float | None = None,
 ) -> CheckReport:
-    """The Monte Carlo marginal check on the count ``columns``, keyed by time
-    index, one pooled chi-square test per index."""
+    """The empirical law of the counts at each time index should be the
+    stationary Poisson: one pooled chi-square test per entry of ``columns``,
+    which maps a time index to its counts, under a shared Bonferroni budget.
+    ``target_mean`` overrides the comparison law (used by the wrong-mean
+    negative control)."""
+    _require_columns(*columns.values())
     mean = params.stationary_mean if target_mean is None else target_mean
     target = poisson_pmf(mean, 1e-14)
     indices = sorted(columns)
@@ -395,63 +398,29 @@ def _marginal_report(
     )
 
 
-@dataclass(frozen=True)
-class _LastSteps:
-    """The counts and innovations at the last two time indices, k - 1 and k,
-    of a decomposed run: the columns the decomposition checks read, as int64,
-    so that their differences and bumps cannot wrap."""
-
-    k: int
-    x_prev: np.ndarray
-    x: np.ndarray
-    v_prev: np.ndarray
-    v: np.ndarray
-
-
-def _last_steps(decomposition: InnovationDecomposition) -> _LastSteps:
-    """A decomposition's last two steps, refusing one with fewer."""
-    x, v = decomposition.x, decomposition.v
-    k = x.shape[1] - 1
-    if k < 1:
-        raise InvalidConfigError("need at least two time indices")
-    x_prev, x_k, v_prev, v_k = (m[:, i].astype(np.int64) for m in (x, v) for i in (k - 1, k))
-    return _LastSteps(k, x_prev, x_k, v_prev, v_k)
-
-
 def check_innovation_independence(
-    decomposition: InnovationDecomposition,
-    seed_index: int | None = None,
-    significance: float = DEFAULT_SIGNIFICANCE,
+    x_prev: np.ndarray, x: np.ndarray, v_prev: np.ndarray, v: np.ndarray, index: int,
+    seed_index: int | None = None, significance: float = DEFAULT_SIGNIFICANCE,
 ) -> CheckReport:
-    """The innovation at the last time index must be independent of the
-    previous count, the concurrent survivor count, and the previous
-    innovation.
+    """The innovation ``v`` at time ``index`` must be independent of the
+    previous count ``x_prev``, the concurrent survivors ``x - v``, and the
+    previous innovation ``v_prev``.
 
     Samples are taken at a single index so rows are independent across
     paths; the three contingency tests share a Bonferroni budget.
     """
-    return _innovation_report(_last_steps(decomposition), seed_index, significance)
-
-
-def _innovation_report(
-    steps: _LastSteps, seed_index: int | None, significance: float
-) -> CheckReport:
-    """The innovation-independence check on a run's last two steps."""
-    partners = {
-        "prev-count": steps.x_prev,
-        "survivors": steps.x - steps.v,
-        "prev-innovation": steps.v_prev,
-    }
+    _require_columns(x_prev, x, v_prev, v)
+    partners = {"prev-count": x_prev, "survivors": _survivors(x, v), "prev-innovation": v_prev}
     alpha = significance / len(partners)
     worst = 0.0
-    for name, other in partners.items():
-        ratio = _contingency_ratio(_pair_counts(other, steps.v), alpha)
+    for other in partners.values():
+        ratio = _contingency_ratio(_pair_counts(other, v), alpha)
         if ratio is not None:
             worst = max(worst, ratio)
     return CheckReport(
         "innovation-independence",
         "decomposition",
-        {"index": steps.k, "partners": sorted(partners)},
+        {"index": index, "partners": sorted(partners)},
         worst,
         1.0,
         "monte-carlo",
@@ -460,48 +429,40 @@ def _innovation_report(
 
 
 def check_thinning_conditional(
-    decomposition: InnovationDecomposition,
-    params: InarParams,
-    seed_index: int | None = None,
-    significance: float = DEFAULT_SIGNIFICANCE,
+    x_prev: np.ndarray, x: np.ndarray, v: np.ndarray, params: InarParams, index: int,
+    seed_index: int | None = None, significance: float = DEFAULT_SIGNIFICANCE,
 ) -> CheckReport:
-    """Given the previous count x, survivors at the last time index must be
-    Binomial(x, a).
+    """Given the previous count ``x_prev``, the survivors ``x - v`` at time
+    ``index`` must be Binomial(x_prev, a).
 
     Conditioning strata with fewer than ``MIN_STRATUM`` observations are
     skipped (noted in the report) to avoid vacuous low-power passes.
     """
-    return _thinning_report(_last_steps(decomposition), params, seed_index, significance)
-
-
-def _thinning_report(
-    steps: _LastSteps, params: InarParams, seed_index: int | None, significance: float
-) -> CheckReport:
-    """The thinning check on a run's last two steps."""
-    prev, surv = steps.x_prev, steps.x - steps.v
-    x_lo, s_lo = int(prev.min()), int(surv.min())
-    table = _pair_counts(prev, surv)
+    _require_columns(x_prev, x, v)
+    surv = _survivors(x, v)
+    x_lo, s_lo = int(x_prev.min()), int(surv.min())
+    table = _pair_counts(x_prev, surv)
     sizes = table.sum(axis=1)  # observations per previous count
     strata = (x_lo + np.flatnonzero(sizes >= MIN_STRATUM)).tolist()
     skipped = int(np.count_nonzero(sizes)) - len(strata)
     worst = 0.0
     tested = 0
     alpha = significance / max(1, len(strata))
-    for x in strata:
-        row = np.trim_zeros(table[x - x_lo], "b")
-        if s_lo + row.size > x + 1:  # survivor counts above x are impossible
+    for stratum in strata:
+        row = np.trim_zeros(table[stratum - x_lo], "b")
+        if s_lo + row.size > stratum + 1:  # survivor counts above the stratum are impossible
             worst = max(worst, ERROR_STATISTIC)
             continue
-        counts = np.zeros(x + 1, dtype=row.dtype)  # survivor counts 0..x
+        counts = np.zeros(stratum + 1, dtype=row.dtype)  # survivor counts 0..stratum
         counts[s_lo:s_lo + row.size] = row
-        ratio = _pooled_gof_ratio(counts, binomial_pmf(x, params.a).probs, alpha)
+        ratio = _pooled_gof_ratio(counts, binomial_pmf(stratum, params.a).probs, alpha)
         if ratio is not None:
             worst = max(worst, ratio)
             tested += 1
     return CheckReport(
         "thinning-conditional",
         "decomposition",
-        {"a": params.a, "index": steps.k, "strata_tested": tested, "strata_skipped": skipped},
+        {"a": params.a, "index": index, "strata_tested": tested, "strata_skipped": skipped},
         worst,
         1.0,
         "monte-carlo",
@@ -572,28 +533,22 @@ def check_construction_equivalence(
 # exact conditional-independence (Markov triplet) constructions
 
 
-def _kernel_triplet(params: InarParams, tail_budget: float) -> TripletPmf:
-    """Window law of (X0, X1, X2), renormalized; Markov by structure."""
+def _decomposition_sides(params: InarParams, tail_budget: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of the decomposition identity on the states 0..cap,
+    ``sum_u D(x0, u) I(x1 - u)`` and ``pi(x0) K(x0, x1)``: D is the (0, 1)
+    window law of the Poisson-started death chain (a count and its
+    survivors), I the kernel's own innovation table, and pi K the count
+    chain's (0, 1) window law.  They multiply the same factors, so they
+    differ by rounding alone unless the survivors are not the thinned count."""
     spec = inar_kernel(params, tail_budget)
-    law = window_joint_pmf(spec, (0, 1, 2), min(MARKOV_CAP, spec.state_cap))
-    return TripletPmf(law.mass / law.mass.sum())
-
-
-def _decomposition_triplet(params: InarParams, tail_budget: float) -> TripletPmf:
-    """Joint of ((X0, U1, V1), X1, U2): the survivor draw given the current
-    count must screen off the whole decomposed past.  (X0, U1) and U2 given
-    X1 are read from the Poisson-started death chain."""
     deaths = poisson_death_chain(params.stationary_mean, params.a, tail_budget)
-    law = window_joint_pmf(deaths, (0, 1), min(MARKOV_CAP, deaths.state_cap)).mass
-    x0, u1 = np.nonzero(law)  # survivors u1 <= x0
-    innov = poisson_pmf(params.lam, INNOVATION_BUDGET).probs
-    p = np.outer(law[x0, u1], innov).ravel()  # atoms (x0, u1, v1) in lexicographic order
-    x1 = np.add.outer(u1, np.arange(innov.size)).ravel()
-    table = transition_matrix(deaths, int(x1.max()))
-    mass = np.zeros((p.size, *table.shape))
-    mass[np.arange(p.size), x1] = p[:, None] * table[x1]
-    mass /= mass.sum()
-    return TripletPmf(mass)
+    cap = min(MARKOV_CAP, spec.state_cap)
+    innovation = _padded(spec.innovation.probs, cap + 1)
+    lag = np.arange(cap + 1) - np.arange(cap + 1)[:, None]  # x1 - u
+    shifted = np.where(lag >= 0, innovation[lag], 0.0)
+    survivors = window_joint_pmf(deaths, (0, 1), cap).mass
+    mixed = (survivors[:, :, None] * shifted).sum(axis=1)
+    return mixed, window_joint_pmf(spec, (0, 1), cap).mass
 
 
 def _split_triplet(lam1: float, lam2: float, a: float) -> TripletPmf:
@@ -623,15 +578,14 @@ def nonmarkov_control_triplet() -> TripletPmf:
 def check_markov_property(
     params: InarParams, truncation_budget: float = DEFAULT_TAIL_BUDGET
 ) -> CheckReport:
-    """All exact conditional-independence constructions must have residual
-    at or below ``EXACT_THRESHOLD``."""
+    """The count must be its thinned survivors plus an independent innovation,
+    exactly, and a Poisson total must screen off its split: the largest gap
+    between the two sides of the decomposition identity and the Poisson-split
+    triplet's conditional-independence residual are both at or below
+    ``EXACT_THRESHOLD``."""
+    mixed, window = _decomposition_sides(params, truncation_budget)
     residuals = {
-        "kernel-window": markov_triplet_residual(
-            _kernel_triplet(params, truncation_budget)
-        ),
-        "decomposition": markov_triplet_residual(
-            _decomposition_triplet(params, truncation_budget)
-        ),
+        "decomposition-identity": float(np.abs(mixed - window).max()),
         "poisson-split": markov_triplet_residual(
             _split_triplet(params.lam, params.lam / 2.0, params.a)
         ),
@@ -652,16 +606,18 @@ def check_markov_property(
 
 
 def _corrupted_innovation_check(
-    params: InarParams, steps: _LastSteps, seed_index: int, significance: float
+    params: InarParams, x_prev: np.ndarray, v: np.ndarray, index: int,
+    seed_index: int | None, significance: float,
 ) -> CheckReport:
-    """Negative control on a run's last two steps: leak the previous count
-    into the innovation."""
-    bumped = steps.v + (steps.x_prev > params.stationary_mean)
-    ratio = _contingency_ratio(_pair_counts(steps.x_prev, bumped), significance)
+    """Negative control on the innovation ``v`` at time ``index``: leak the
+    previous count into it, in int64 so that the bump cannot wrap."""
+    _require_columns(x_prev, v)
+    bumped = np.add(v, x_prev > params.stationary_mean, dtype=np.int64)
+    ratio = _contingency_ratio(_pair_counts(x_prev, bumped), significance)
     return CheckReport(
         "innovation-independence-control",
         "decomposition-corrupted",
-        {"a": params.a, "lambda": params.lam, "index": steps.k},
+        {"a": params.a, "lambda": params.lam, "index": index},
         ratio if ratio is not None else 0.0,
         1.0,
         "monte-carlo",
@@ -675,31 +631,31 @@ def _mc_block(
 ) -> list[CheckReport]:
     """Monte Carlo checks on one direct-construction run of
     ``config.path_length`` steps, streamed: it keeps only the columns the
-    checks read, the counts at the marginal check's indices and both
-    components at the last two steps, and refuses survivors above their
-    source at every step, as ``InnovationDecomposition`` does."""
-    wanted = set(_marginal_indices(config.path_length))
+    checks read, the counts at three time indices and both components at
+    the last two steps, and refuses survivors above their source at every
+    step, as ``InnovationDecomposition`` does."""
+    k = config.path_length - 1
+    wanted = {0, config.path_length // 2, k}
     columns: dict[int, np.ndarray] = {}
     last = deque(maxlen=2)
     steps = _direct_steps(params, config.n_paths, seed)
-    for k, (x, v) in zip(range(config.path_length), steps):
+    for j, (x, v) in zip(range(config.path_length), steps):
         if last:
             _require_survivors(last[-1][0], x, v)
-        if k in wanted:
-            columns[k] = x
+        if j in wanted:
+            columns[j] = x
         last.append((x, v))
     (x_prev, v_prev), (x, v) = last
-    tail = _LastSteps(config.path_length - 1, x_prev, x, v_prev, v)
     index, significance = seed.stream_index, config.significance
     out = [
-        _marginal_report(columns, params, significance, None, "direct", index),
-        _innovation_report(tail, index, significance),
-        _thinning_report(tail, params, index, significance),
+        check_stationary_marginal(columns, params, "direct", index, significance),
+        check_innovation_independence(x_prev, x, v_prev, v, k, index, significance),
+        check_thinning_conditional(x_prev, x, v, params, k, index, significance),
     ]
     if config.negative_controls:
         out += [
-            _marginal_report(columns, params, significance, params.lam, "direct", index),
-            _corrupted_innovation_check(params, tail, index, significance),
+            check_stationary_marginal(columns, params, "direct", index, significance, params.lam),
+            _corrupted_innovation_check(params, x_prev, v, k, index, significance),
         ]
     return out
 
@@ -792,8 +748,7 @@ def run_all(config: McConfig, threads: int = 1) -> list[CheckReport]:
         )
         at = f"[{a},{lam}]"
         jobs += [
-            ("stationary-exact" + at,
-             partial(check_stationary_marginal, None, params, truncation_budget=budget)),
+            ("stationary-exact" + at, partial(check_stationary_exact, params, budget)),
             ("markov-triplets" + at,
              partial(check_markov_property, params, truncation_budget=budget)),
             ("direct-mc" + at, partial(_mc_block, config, params, sim_seed)),

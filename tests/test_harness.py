@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from collections import Counter
 from decimal import Decimal
 from itertools import product
 from types import SimpleNamespace
@@ -11,13 +12,12 @@ import pytest
 
 from inarlab import (
     InarParams,
-    InnovationDecomposition,
-    PathEnsemble,
     SeedSpec,
     binomial_pmf,
     check_construction_equivalence,
     check_innovation_independence,
     check_markov_property,
+    check_stationary_exact,
     check_stationary_marginal,
     check_thinning_conditional,
     markov_triplet_residual,
@@ -36,13 +36,12 @@ from inarlab.harness import (
     CheckReport,
     McConfig,
     _corrupted_innovation_check,
-    _decomposition_triplet,
     _job_seconds,
     _pooled_gof_ratio,
     _split_triplet,
     nonmarkov_control_triplet,
 )
-from inarlab.errors import InvalidConfigError, ResourceLimitError
+from inarlab.errors import InvalidConfigError, InvalidParameterError, ResourceLimitError
 
 from . import decimal_oracle as oracle
 
@@ -52,20 +51,47 @@ SMALL = dict(n_paths=20_000, path_length=16)
 
 @pytest.fixture(scope="module")
 def direct_run():
-    ens, dec = simulate_inar_direct(PARAMS, SMALL["path_length"], SMALL["n_paths"], SeedSpec(31, 7))
-    wrapped = PathEnsemble(dec.x, SeedSpec(31, 7), {"construction": "direct"})
-    return wrapped, dec
+    return simulate_inar_direct(
+        PARAMS, SMALL["path_length"], SMALL["n_paths"], SeedSpec(31, 7)
+    )[1]
+
+
+def _marginal_columns(paths):
+    """The counts at the three time indices the campaign's marginal check reads."""
+    length = paths.shape[1]
+    return {k: paths[:, k] for k in {0, length // 2, length - 1}}
+
+
+def _tail(dec):
+    """A decomposition's last two steps as the columns x_prev, x, v_prev, v,
+    then the last time index."""
+    k = dec.x.shape[1] - 1
+    return dec.x[:, k - 1], dec.x[:, k], dec.v[:, k - 1], dec.v[:, k], k
+
+
+def _innovation(dec, *args):
+    return check_innovation_independence(*_tail(dec), *args)
+
+
+def _thinning(dec, params, *args):
+    x_prev, x, _, v, k = _tail(dec)
+    return check_thinning_conditional(x_prev, x, v, params, k, *args)
+
+
+def _control(dec, params, seed_index=0, significance=0.01):
+    x_prev, _, _, v, k = _tail(dec)
+    return _corrupted_innovation_check(params, x_prev, v, k, seed_index, significance)
 
 
 class TestStationaryMarginal:
     def test_exact_mode(self):
-        rep = check_stationary_marginal(None, PARAMS)
+        rep = check_stationary_exact(PARAMS)
+        assert rep.check == "stationary-marginal-exact"
         assert rep.provenance == "exact" and rep.seed is None
         assert rep.passed and rep.statistic <= 1e-10
 
     def test_monte_carlo_mode(self, direct_run):
-        ens, _ = direct_run
-        rep = check_stationary_marginal(ens, PARAMS)
+        rep = check_stationary_marginal(_marginal_columns(direct_run.x), PARAMS)
         assert rep.provenance == "monte-carlo"
         assert rep.passed
 
@@ -73,36 +99,31 @@ class TestStationaryMarginal:
         # independent draws with the right marginal must also pass
         rng = np.random.default_rng(55)
         fake = rng.poisson(PARAMS.stationary_mean, (SMALL["n_paths"], 8))
-        ens = PathEnsemble(fake, SeedSpec(55), {"construction": "shuffled"})
-        assert check_stationary_marginal(ens, PARAMS).passed
+        assert check_stationary_marginal(_marginal_columns(fake), PARAMS).passed
 
     def test_wrong_mean_negative_control(self, direct_run):
-        ens, _ = direct_run
-        rep = check_stationary_marginal(ens, PARAMS, target_mean=PARAMS.lam)
+        columns = _marginal_columns(direct_run.x)
+        rep = check_stationary_marginal(columns, PARAMS, target_mean=PARAMS.lam)
         assert not rep.passed
         assert rep.check.endswith("-control")
 
 
 class TestInnovationIndependence:
     def test_direct_construction_passes(self, direct_run):
-        _, dec = direct_run
-        assert check_innovation_independence(dec).passed
+        assert _innovation(direct_run).passed
 
     def test_corrupted_control_fails(self, direct_run):
-        _, dec = direct_run
-        rep = _corrupted_innovation_check(PARAMS, harness._last_steps(dec), 0, 0.01)
-        assert not rep.passed
+        assert not _control(direct_run, PARAMS).passed
 
 
 class TestThinningConditional:
     def test_direct_construction_passes(self, direct_run):
-        _, dec = direct_run
-        rep = check_thinning_conditional(dec, PARAMS)
+        rep = _thinning(direct_run, PARAMS)
         assert rep.passed
         assert rep.params["strata_tested"] >= 3
 
     def test_zero_stratum_is_trivially_consistent(self, direct_run):
-        _, dec = direct_run
+        dec = direct_run
         k = dec.x.shape[1] - 1
         zero_rows = dec.x[:, k - 1] == 0
         assert np.all(dec.u[zero_rows, k] == 0)
@@ -111,21 +132,21 @@ class TestThinningConditional:
         """A zero stratum is Binomial(0, a), the point mass at 0: survivors there
         are impossible counts, and a clean zero stratum is neither tested nor
         counted."""
-        _, dec = direct_run
+        dec = direct_run
         k = dec.x.shape[1] - 1
         zero_rows = dec.x[:, k - 1] == 0
         assert zero_rows.sum() >= MIN_STRATUM
-        u = dec.u
-        u[zero_rows, k] = 1  # InnovationDecomposition would refuse these survivors
-        corrupted = SimpleNamespace(x=dec.x, v=dec.x - u)
-        rep = check_thinning_conditional(corrupted, PARAMS)
+        x = dec.x.copy()
+        x[zero_rows, k] += 1  # one survivor each; InnovationDecomposition would refuse it
+        corrupted = SimpleNamespace(x=x, v=dec.v)
+        rep = _thinning(corrupted, PARAMS)
         assert rep.statistic == harness.ERROR_STATISTIC and not rep.passed
         assert rep.to_dict() == _thinning_reference(corrupted, PARAMS).to_dict()
-        clean = check_thinning_conditional(dec, PARAMS)
+        clean = _thinning(dec, PARAMS)
         assert clean.to_dict() == _thinning_reference(dec, PARAMS).to_dict()
         zeros = np.zeros_like(dec.x)
         zero_only = SimpleNamespace(x=zeros, v=zeros)  # u = x - v = 0
-        rep = check_thinning_conditional(zero_only, PARAMS)
+        rep = _thinning(zero_only, PARAMS)
         assert (rep.statistic, rep.params["strata_tested"], rep.params["strata_skipped"]) == (
             0.0, 0, 0
         )
@@ -189,8 +210,8 @@ class TestTallies:
         monkeypatch.setattr(
             harness, "_contingency_ratio", lambda t, alpha: seen.append(t) or ratio(t, alpha)
         )
-        check_innovation_independence(dec)
-        _corrupted_innovation_check(params, harness._last_steps(dec), 0, 0.01)
+        _innovation(dec)
+        _control(dec, params)
         k = length - 1
         bumped = dec.v[:, k] + (dec.x[:, k - 1] > params.stationary_mean)
         pairs = [(dec.x[:, k - 1], dec.v[:, k]), (dec.u[:, k], dec.v[:, k]),
@@ -205,7 +226,7 @@ class TestTallies:
     def test_thinning_report_equals_the_per_stratum_reference(self, run):
         params, length, n_paths, seed = run
         _, dec = simulate_inar_direct(params, length, n_paths, seed)
-        rep = check_thinning_conditional(dec, params)
+        rep = _thinning(dec, params)
         assert rep.params["strata_skipped"] > 0 and rep.params["strata_tested"] > 0
         assert rep.to_dict() == _thinning_reference(dec, params).to_dict()
 
@@ -216,8 +237,8 @@ class TestTallies:
         _, dec = simulate_inar_direct(params, 2, 50_000, SeedSpec(45))
         tracemalloc.start()
         try:
-            rep = check_thinning_conditional(dec, params)
-            check_innovation_independence(dec)
+            rep = _thinning(dec, params)
+            _innovation(dec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -239,47 +260,57 @@ class TestConstructionEquivalence:
         assert rep.check.endswith("-control")
 
 
+GRID = list(product(DEFAULT_A_GRID, DEFAULT_LAMBDA_GRID))
+
+
 class TestMarkovProperty:
     def test_exact_constructions_have_tiny_residuals(self):
         rep = check_markov_property(PARAMS)
         assert rep.passed and rep.statistic <= 1e-10
-        assert set(rep.params["residuals"]) == {
-            "kernel-window",
-            "decomposition",
-            "poisson-split",
-        }
+        assert set(rep.params["residuals"]) == {"decomposition-identity", "poisson-split"}
 
     def test_nonmarkov_control_residual(self):
         assert markov_triplet_residual(nonmarkov_control_triplet()) >= 1e-3
 
-    @pytest.mark.parametrize("a, lam", product(DEFAULT_A_GRID, DEFAULT_LAMBDA_GRID))
+    @pytest.mark.parametrize("a, lam", GRID)
     def test_triplets_match_brute_force(self, a, lam):
-        params = InarParams(a=a, lam=lam)
-        assert _cell_gap(_decomposition_triplet(params, 1e-12).mass,
-                         _decomposition_reference(params, 1e-12)) <= 1e-15
         assert _cell_gap(_split_triplet(lam, lam / 2.0, a).mass,
                          _split_reference(lam, lam / 2.0, a)) <= 1e-15
 
+    @pytest.mark.parametrize("a, lam", GRID)
+    def test_decomposition_identity_matches_the_cell_by_cell_reference(self, a, lam):
+        """Both sides of the identity equal the reference to rounding, and the
+        report's statistic is rounding alone."""
+        params = InarParams(a=a, lam=lam)
+        want = _identity_reference(params, harness.DEFAULT_TAIL_BUDGET)
+        for side in harness._decomposition_sides(params, harness.DEFAULT_TAIL_BUDGET):
+            assert side.shape == want.shape
+            assert float(np.abs(side - want).max()) <= 1e-15
+        assert check_markov_property(params).statistic <= 1e-15
 
-def _decomposition_reference(params, tail_budget):
-    """((X0, U1, V1), X1, U2) cell by cell: one first-axis row per atom with
-    u1 <= x0, in lexicographic order."""
+    def test_death_chain_mutant_fails_at_every_grid_point(self, monkeypatch):
+        """Survivors thinned at a + 0.01 instead of a break the identity by more
+        than 7e-4 at each default grid point."""
+        deaths = harness.poisson_death_chain
+        monkeypatch.setattr(
+            harness, "poisson_death_chain", lambda lam, a, budget: deaths(lam, a + 0.01, budget)
+        )
+        for a, lam in GRID:
+            rep = check_markov_property(InarParams(a=a, lam=lam))
+            assert not rep.passed and rep.params["residuals"]["decomposition-identity"] > 7e-4
+
+
+def _identity_reference(params, tail_budget):
+    """sum_u pi(x0) B(x0, a)(u) I(x1 - u) on the states 0..cap, cell by cell."""
     init = poisson_pmf(params.stationary_mean, tail_budget).probs
-    innov = poisson_pmf(params.lam, INNOVATION_BUDGET).probs
+    innov = poisson_pmf(params.lam, tail_budget).probs
     top = min(MARKOV_CAP, init.size - 1)
-    size = top + innov.size  # X1 and U2 take 0..top + largest innovation
-    rows = []
-    for x0 in range(top + 1):
+    mass = np.zeros((top + 1, top + 1))
+    for x0, x1 in product(range(top + 1), repeat=2):
         survive = binomial_pmf(x0, params.a).probs
-        for u1 in range(x0 + 1):
-            for v1 in range(innov.size):
-                x1 = u1 + v1
-                row = np.zeros((size, size))
-                p = init[x0] * survive[u1] * innov[v1]
-                row[x1, : x1 + 1] = p * binomial_pmf(x1, params.a).probs
-                rows.append(row)
-    mass = np.array(rows)
-    return mass / mass.sum()
+        terms = [survive[u] * innov[x1 - u] for u in range(min(x0, x1) + 1) if x1 - u < innov.size]
+        mass[x0, x1] = init[x0] * sum(terms)
+    return mass
 
 
 def _split_reference(lam1, lam2, a):
@@ -440,34 +471,37 @@ def narrow_run():
     """A direct run with one path raised to the count 127, held as int8 and as
     an int64 copy.  That path's last innovation, 127, reads 128 when the
     corrupted control bumps it."""
-    seed = SeedSpec(41)
-    _, dec = simulate_inar_direct(PARAMS, 6, 4_000, seed)
+    _, dec = simulate_inar_direct(PARAMS, 6, 4_000, SeedSpec(41))
     x, v = dec.x.astype(np.int64), dec.v.astype(np.int64)
     x[0], v[0] = 127, 0
     v[0, -1] = 127  # no survivors at the last step
     return {
-        dtype: (
-            PathEnsemble(x.astype(dtype), seed, {"construction": "direct"}),
-            InnovationDecomposition(x.astype(dtype), v.astype(dtype)),
-        )
+        dtype: SimpleNamespace(x=x.astype(dtype), v=v.astype(dtype))
         for dtype in (np.int8, np.int64)
     }
 
 
-def test_checks_read_int8_counts_as_their_int64_copy(narrow_run):
-    def reports(ens, dec):
+def test_checks_read_int8_counts_as_their_int64_copy(narrow_run, monkeypatch):
+    def reports(dec):
         return [
-            check_stationary_marginal(ens, PARAMS).to_dict(),
-            check_innovation_independence(dec).to_dict(),
-            check_thinning_conditional(dec, PARAMS).to_dict(),
-            _corrupted_innovation_check(PARAMS, harness._last_steps(dec), 0, 0.01).to_dict(),
+            check_stationary_marginal(_marginal_columns(dec.x), PARAMS).to_dict(),
+            _innovation(dec).to_dict(),
+            _thinning(dec, PARAMS).to_dict(),
+            _control(dec, PARAMS).to_dict(),
         ]
 
-    ens, dec = narrow_run[np.int8]
-    assert ens.paths.dtype == dec.x.dtype == dec.v.dtype == np.int8
-    assert ens.paths.max() == dec.v.max() == 127
-    assert reports(ens, dec) == reports(*narrow_run[np.int64])
-    wide = narrow_run[np.int64][1]
+    dec = narrow_run[np.int8]
+    assert dec.x.dtype == dec.v.dtype == np.int8
+    assert dec.x.max() == dec.v.max() == 127
+    assert reports(dec) == reports(narrow_run[np.int64])
+    bumps = []
+    pair_counts = harness._pair_counts
+    monkeypatch.setattr(
+        harness, "_pair_counts", lambda a, b: bumps.append(int(b.max())) or pair_counts(a, b)
+    )
+    _control(dec, PARAMS)
+    assert bumps == [128]  # a bump in int8 would wrap to -128
+    wide = narrow_run[np.int64]
     assert np.array_equal(
         harness._pair_counts(dec.x[:, -2], dec.v[:, -1]),
         harness._pair_counts(wide.x[:, -2], wide.v[:, -1]),
@@ -491,18 +525,85 @@ class TestStreamedBlock:
         )
         ens, dec = simulate_inar_direct(params, path_length, config.n_paths, seed)
         index, significance = seed.stream_index, config.significance
+        columns = _marginal_columns(ens.paths)
         expected = [
-            check_stationary_marginal(ens, params, significance),
-            check_innovation_independence(dec, index, significance),
-            check_thinning_conditional(dec, params, index, significance),
+            check_stationary_marginal(columns, params, "direct", index, significance),
+            _innovation(dec, index, significance),
+            _thinning(dec, params, index, significance),
         ]
         if negative_controls:
             expected += [
-                check_stationary_marginal(ens, params, significance, target_mean=params.lam),
-                _corrupted_innovation_check(params, harness._last_steps(dec), index, significance),
+                check_stationary_marginal(
+                    columns, params, "direct", index, significance, params.lam
+                ),
+                _control(dec, params, index, significance),
             ]
         streamed = harness._mc_block(config, params, seed)
         assert [r.to_dict() for r in streamed] == [r.to_dict() for r in expected]
+
+    @pytest.mark.parametrize("negative_controls", [False, True], ids=["plain", "controls"])
+    def test_block_calls_each_public_check(self, negative_controls, monkeypatch):
+        """The block reaches each Monte Carlo check through its public name,
+        the name a wrapper (such as a profiling span) replaces."""
+        calls = Counter()
+        for name in MC_CHECKS:
+            check = getattr(harness, name)
+            monkeypatch.setattr(
+                harness, name,
+                lambda *args, _name=name, _check=check: calls.update([_name]) or _check(*args),
+            )
+        config = McConfig(n_paths=10_000, path_length=4, negative_controls=negative_controls)
+        harness._mc_block(config, PARAMS, SeedSpec(85))
+        assert calls == {
+            "check_stationary_marginal": 2 if negative_controls else 1,
+            "check_innovation_independence": 1,
+            "check_thinning_conditional": 1,
+        }
+
+
+MC_CHECKS = ("check_stationary_marginal", "check_innovation_independence",
+             "check_thinning_conditional")
+GOOD = np.array([0, 1, 2, 1, 3])
+
+
+def _column_calls(bad):
+    """Each column check, and the control, with ``bad`` as one of its columns."""
+    return [
+        lambda: check_stationary_marginal({0: GOOD, 4: bad}, PARAMS),
+        lambda: check_innovation_independence(GOOD, GOOD, GOOD, bad, 1),
+        lambda: check_thinning_conditional(GOOD, GOOD, bad, PARAMS, 1),
+        lambda: _corrupted_innovation_check(PARAMS, GOOD, bad, 1, 0, 0.01),
+    ]
+
+
+class TestColumnRule:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (GOOD.astype(np.float64), "signed-integer array"),
+            (GOOD.astype(np.uint64), "signed-integer array"),
+            (GOOD.tolist(), "signed-integer array"),
+            (GOOD[None, :], "signed-integer array"),
+            (GOOD[:0], "signed-integer array"),
+            (np.array([0, 1, -2, 1, 3]), "no negative count"),
+            (GOOD[:4], "all of one length"),
+        ],
+        ids=["float", "unsigned", "list", "2-D", "empty", "negative", "short"],
+    )
+    def test_every_check_refuses_a_bad_column(self, bad, message):
+        for call in _column_calls(bad):
+            with pytest.raises(InvalidParameterError, match=message):
+                call()
+
+    def test_an_innovation_above_its_count_is_refused(self):
+        v = np.array([0, 2, 0, 1, 3])  # above the count 1 on the second path
+        for call in _column_calls(v)[1:3]:
+            with pytest.raises(InvalidParameterError, match="innovations exceed their count"):
+                call()
+
+    def test_a_marginal_check_without_columns_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="one or more count columns"):
+            check_stationary_marginal({}, PARAMS)
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,8 @@ private module-level name is used somewhere in the package, every exported
 name is defined where it is exported and re-exported only from there, each
 rule the scan tracks (kernel products, null atoms, atom limits, array
 ownership, lost mass, dense BLAS kernels, whole survivor matrices, the
-chain's own draws) is read only in its home, and the package loads no scipy at all."""
+chain's own draws) is read only in its home, every public harness check is
+run by some package code, and the package loads no scipy at all."""
 
 import ast
 from collections import Counter
@@ -214,6 +215,43 @@ def test_scan_flags_a_rule_read_outside_its_home():
         "harness._mc_block:binomial",
         "mixing.lag_joints:ExplosionLimitError",
     ]
+
+
+def unread_checks(sources: dict[str, str], module: str) -> list[str]:
+    """``check_*`` names in ``module``'s ``__all__`` that no module-level
+    definition in ``sources`` reads besides the check's own: a public check
+    that no package code runs (an import is not a read)."""
+    read = set()
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            bound = _bound_names(node)
+            if bound:
+                read |= set(_references(node)) - set(bound)
+    exports = _exports(ast.parse(sources[module]))
+    return [name for name in exports if name.startswith("check_") and name not in read]
+
+
+def test_package_runs_every_public_check():
+    package = Path(inarlab.__file__).parent
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in package.glob("*.py")}
+    assert unread_checks(sources, "harness") == []
+
+
+def test_scan_flags_a_check_no_package_code_runs():
+    sources = {
+        "harness": (
+            "__all__ = ['check_a', 'check_b', 'check_c', 'check_d', 'run']\n"
+            "def check_a(n):\n    return check_a(n - 1)\n"
+            "def check_b(n):\n    return n\n"
+            "def check_c(n):\n    return n\n"
+            "def check_d(n):\n    return n\n"
+            "def run():\n    return check_c(1)\n"
+            "print(check_b(2))\n"
+        ),
+        "cli": "from .harness import check_d\nJOBS = [check_d]\n",
+        "__init__": "from .harness import check_a, check_b\n",
+    }
+    assert unread_checks(sources, "harness") == ["check_a", "check_b"]
 
 
 def undefined_exports(source: str) -> list[str]:
