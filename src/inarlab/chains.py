@@ -40,7 +40,6 @@ from .pmf import (
     _padded,
     _require_finite_nonnegative,
     _require_sampleable,
-    _sample_with_rng,
     _smallest,
     binomial_pmf,
     binomial_table,
@@ -206,11 +205,20 @@ class PathEnsemble:
         return paths.shape, lambda b: paths[b], _extent(paths)
 
 
-def _require_survivors(x_prev: np.ndarray, x: np.ndarray, v: np.ndarray) -> None:
-    """Refuse one step whose survivors exceed their source, ``x - v > x_prev``
-    on some path, in int64 so that no narrow type can wrap."""
-    if np.any(np.subtract(x, v, dtype=np.int64) > x_prev):
+def _survivors(x: np.ndarray, v: np.ndarray, x_prev: np.ndarray | None = None) -> np.ndarray:
+    """The survivors ``x - v`` of one step, in the wider of the two types.
+
+    Refuses a negative innovation, an innovation above its count and, given
+    the previous counts ``x_prev``, survivors above them.  The refusals come
+    first, so ``0 <= x - v <= x`` and the difference cannot wrap."""
+    if np.any(v < 0):
+        raise InvalidParameterError("innovations must be nonnegative")
+    if np.any(v > x):
+        raise InvalidParameterError("innovations exceed their count")
+    rest = np.subtract(x, v)
+    if x_prev is not None and np.any(rest > x_prev):
         raise InvalidParameterError("survivors exceed their source count")
+    return rest
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,10 +226,11 @@ class InnovationDecomposition:
     """Aligned paths of the count and innovation components; the survivors
     are the rest, ``u = x - v``.
 
-    Refuses survivors above their source, ``x[k] - v[k] > x[k-1]``, wherever
-    the previous index exists.  It owns its two matrices (see ``_counts``)
-    and computes ``u`` on each read, in int64, so ``x = u + v`` holds by
-    construction.
+    Refuses, at every step, what ``_survivors`` refuses: a negative
+    innovation, an innovation above its count, and survivors above their
+    source, ``x[k] - v[k] > x[k-1]``, wherever the previous index exists.
+    It owns its two matrices (see ``_counts``) and computes ``u`` on each
+    read, in the counts' own type, so ``x = u + v`` holds by construction.
     """
 
     x: np.ndarray
@@ -235,13 +244,14 @@ class InnovationDecomposition:
             raise InvalidParameterError("x and v must share a 2-D shape")
         # one step at a time: a contiguous row of a simulator's step-major
         # buffer, so no full-size temporary is built
-        for k in range(1, x.shape[1]):
-            _require_survivors(x[:, k - 1], x[:, k], v[:, k])
+        for k in range(x.shape[1]):
+            _survivors(x[:, k], v[:, k], x[:, k - 1] if k else None)
 
     @property
     def u(self) -> np.ndarray:
-        """The survivors ``x - v``, a new int64 array on each read."""
-        return np.subtract(self.x, self.v, dtype=np.int64)
+        """The survivors ``x - v``, a new array on each read, in
+        ``np.result_type(x, v)``; they lie in [0, x], so they cannot wrap."""
+        return np.subtract(self.x, self.v)
 
 
 @dataclass(frozen=True)
@@ -373,6 +383,12 @@ def indicator_chain(
     return PathEnsemble(paths.T, seed, spec.description)
 
 
+def _inverse_cdf(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The states whose tabulated ``cdf`` first exceeds each uniform, clamped
+    at the table's last state (the tail mass a sampleable law may lose)."""
+    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), cdf.size - 1)
+
+
 def simulate_chain(
     spec: MarkovChainSpec, length: int, n_paths: int, seed: SeedSpec
 ) -> PathEnsemble:
@@ -390,7 +406,7 @@ def simulate_chain(
     _require_sampleable(spec.initial)
     if length > 1:
         _require_sampleable(spec.innovation)
-    start = _sample_with_rng(spec.initial, rng, n_paths)
+    start = _inverse_cdf(np.cumsum(spec.initial.probs), rng.random(n_paths))
     paths = _fitted(paths, start)
     paths[0] = start
     cdfs: dict[int, np.ndarray] = {}
@@ -408,8 +424,7 @@ def simulate_chain(
             cdf = cdfs.get(s)
             if cdf is None:
                 cdf = cdfs[s] = np.cumsum(_kernel_row(spec, s))
-            draws = np.searchsorted(cdf, uniforms[lo:hi], side="right")
-            draws = np.minimum(draws, cdf.size - 1)  # clamp at the row's support end
+            draws = _inverse_cdf(cdf, uniforms[lo:hi])
             paths = _fitted(paths, draws)
             paths[k, order[lo:hi]] = draws
             lo = hi
@@ -733,11 +748,11 @@ def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
 @dataclass(frozen=True, eq=False)
 class _Survivors:
     """The survivors ``x - v`` of a decomposition as ``write_ensemble_csv``
-    reads an ensemble, one int64 row block ``x[b] - v[b]`` at a time, so the
-    survivors matrix is never built.  Its values lie between ``min x - max v``
-    and ``max x - min v``.  Bounds wider than the values give the same bytes:
-    the extra leading-zero digits, and the signs of nonnegative values, are
-    zero bytes and are deleted with the others."""
+    reads an ensemble, one row block ``x[b] - v[b]`` at a time, so the
+    survivors matrix is never built.  The decomposition holds them in
+    [0, x], so (0, max x) bounds them; bounds wider than the values give the
+    same bytes, since the extra leading-zero digits are zero bytes and are
+    deleted with the others."""
 
     dec: InnovationDecomposition
     seed: SeedSpec
@@ -745,12 +760,7 @@ class _Survivors:
 
     def _row_source(self):
         x, v = self.dec.x, self.dec.v
-        (x_lo, x_hi), (v_lo, v_hi) = _extent(x), _extent(v)
-
-        def rows(b):
-            return np.subtract(x[b], v[b], dtype=np.int64)  # a narrow type would wrap
-
-        return x.shape, rows, (x_lo - v_hi, x_hi - v_lo)
+        return x.shape, lambda b: x[b] - v[b], (0, _extent(x)[1])
 
 
 def _extent(paths: np.ndarray) -> tuple[int, int]:

@@ -35,7 +35,7 @@ from .chains import (
     SuperpositionConfig,
     _direct_steps,
     _require_memory,
-    _require_survivors,
+    _survivors,
     inar_kernel,
     indicator_chain_spec,
     marginal_at,
@@ -356,15 +356,6 @@ def _require_columns(*columns: np.ndarray) -> None:
         raise InvalidParameterError("need one or more count columns, all of one length")
 
 
-def _survivors(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The survivors ``x - v`` in int64, so that no narrow type can wrap,
-    refusing an innovation above its count."""
-    survivors = np.subtract(x, v, dtype=np.int64)
-    if survivors.min() < 0:
-        raise InvalidParameterError("innovations exceed their count")
-    return survivors
-
-
 def check_stationary_marginal(
     columns: Mapping[int, np.ndarray], params: InarParams, construction: str = "unknown",
     seed_index: int | None = None, significance: float = DEFAULT_SIGNIFICANCE,
@@ -632,16 +623,15 @@ def _mc_block(
     """Monte Carlo checks on one direct-construction run of
     ``config.path_length`` steps, streamed: it keeps only the columns the
     checks read, the counts at three time indices and both components at
-    the last two steps, and refuses survivors above their source at every
-    step, as ``InnovationDecomposition`` does."""
+    the last two steps, and applies the survivor rule ``_survivors`` at
+    every step, as ``InnovationDecomposition`` does."""
     k = config.path_length - 1
     wanted = {0, config.path_length // 2, k}
     columns: dict[int, np.ndarray] = {}
     last = deque(maxlen=2)
     steps = _direct_steps(params, config.n_paths, seed)
     for j, (x, v) in zip(range(config.path_length), steps):
-        if last:
-            _require_survivors(last[-1][0], x, v)
+        _survivors(x, v, last[-1][0] if last else None)
         if j in wanted:
             columns[j] = x
         last.append((x, v))

@@ -2,8 +2,9 @@
 
 Finite-window values of the interlaced maximal-correlation coefficient are
 computed exactly by enumerating every admissible pair of disjoint index
-sets inside the window; they are certified lower bounds for the
-infinite-window coefficient.  The certificate side turns a target level
+sets inside the window.  A value is a lower bound for the infinite-window
+coefficient only when its law lost no mass (``truncation_error`` 0); a
+truncated law is renormalized.  The certificate side turns a target level
 epsilon into a separation gap that provably caps the coefficient for
 product-of-indicators chains and everything built from them.  It takes
 delta = epsilon, the identity lambda-to-rho map, which is deliberately

@@ -391,13 +391,6 @@ def total_variation(p: Pmf, q: Pmf) -> float:
     return 0.5 * (core + p.tail_mass + q.tail_mass)
 
 
-def _sample_with_rng(p: Pmf, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Inverse-CDF sampling from the tabulated part using an existing stream."""
-    cdf = np.cumsum(p.probs)
-    idx = np.searchsorted(cdf, rng.random(count), side="right")
-    return np.minimum(idx, p.max_state).astype(np.int64)
-
-
 def _require_sampleable(p: Pmf) -> None:
     if p.tail_mass > DEFAULT_TAIL_BUDGET:
         raise SamplingBudgetError(

@@ -198,13 +198,18 @@ def _chain_reference(spec, length, n_paths, seed):
     """Per-state sampling loop: from each state present, in ascending order,
     draw its kernel row, built as a Pmf from the row-by-row closed form."""
     rng = seed.generator()
+
+    def draw(law, count):  # inverse CDF, clamped at the table's last state
+        cdf = np.cumsum(law.probs)
+        return np.minimum(np.searchsorted(cdf, rng.random(count), side="right"), cdf.size - 1)
+
     paths = np.empty((n_paths, length), dtype=np.int64)
-    paths[:, 0] = pmf._sample_with_rng(spec.initial, rng, n_paths)
+    paths[:, 0] = draw(spec.initial, n_paths)
     for k in range(1, length):
         prev = paths[:, k - 1]
         for s in np.unique(prev):
             mask = prev == s
-            paths[mask, k] = pmf._sample_with_rng(_row_reference(spec, int(s)), rng, mask.sum())
+            paths[mask, k] = draw(_row_reference(spec, int(s)), mask.sum())
     return paths
 
 
@@ -923,11 +928,25 @@ class TestIntegerArguments:
         assert ens.paths.shape == (2, 3)
 
 
+def _valid_decomposition(rng, rows, length):
+    """Counts ``x = u + v`` of ``rows`` paths: Poisson(1) innovations ``v``,
+    and survivors ``u`` thinned at rate 0.5 from the previous count (Poisson(1)
+    at step 0), so every step has ``0 <= v <= x`` and ``u <= x_prev``."""
+    v = rng.poisson(1.0, (rows, length))
+    u = np.zeros_like(v)
+    u[:, 0] = rng.poisson(1.0, rows)
+    x = u + v
+    for k in range(1, length):
+        u[:, k] = rng.binomial(x[:, k - 1], 0.5)
+        x[:, k] = u[:, k] + v[:, k]
+    return x, u, v
+
+
 class TestDecompositionValidation:
     def test_survivor_bound_rejected(self):
-        x = np.array([[1, 1]], dtype=np.int64)
+        x = np.array([[1, 3]], dtype=np.int64)
         u = np.array([[0, 2]], dtype=np.int64)
-        v = np.array([[1, -1]], dtype=np.int64)
+        v = np.array([[1, 1]], dtype=np.int64)
         assert np.array_equal(v, x - u)
         with pytest.raises(InvalidParameterError, match="survivors exceed"):
             InnovationDecomposition(x, v)
@@ -939,8 +958,9 @@ class TestDecompositionValidation:
         simulate, _ = SIMULATORS[name]
         _, dec = simulate(9, 1_000, SeedSpec(23))
         first, second = dec.u, dec.u
-        assert first.dtype == np.int64
-        assert np.array_equal(first, dec.x - dec.v) and np.array_equal(second, first)
+        assert first.dtype == np.result_type(dec.x, dec.v)
+        assert np.array_equal(first, np.subtract(dec.x, dec.v, dtype=np.int64))
+        assert np.array_equal(second, first)
         assert first is not second and not np.shares_memory(first, second)
         assert not any(np.shares_memory(first, m) for m in (dec.x, dec.v))
         assert np.array_equal(dec.x, first + dec.v)
@@ -950,25 +970,23 @@ class TestDecompositionValidation:
         """A valid decomposition spanning several row blocks, the last one partial."""
         length = 8
         rows = 3 * (_BLOCK_CELLS // length) + 5
-        rng = np.random.default_rng(11)
-        x = rng.poisson(2.0, (rows, length))
-        u = np.zeros_like(x)
-        u[:, 1:] = rng.binomial(x[:, :-1], 0.5)
-        InnovationDecomposition(x.copy(), x - u)  # valid as built
-        return x, u, x - u
+        x, u, v = _valid_decomposition(np.random.default_rng(11), rows, length)
+        InnovationDecomposition(x.copy(), v.copy())  # valid as built
+        return x, u, v
 
     def test_survivor_violation_in_first_step_rejected(self, blocks):
+        """Survivors one above their source, planted with the innovation kept."""
         x, u, v = blocks
         row = x.shape[0] // 2
         u[row, 1] = x[row, 0] + 1
-        v[row, 1] = x[row, 1] - u[row, 1]
+        x[row, 1] = u[row, 1] + v[row, 1]
         with pytest.raises(InvalidParameterError, match="survivors exceed"):
             InnovationDecomposition(x, v)
 
     def test_survivor_violation_in_last_block_rejected(self, blocks):
         x, u, v = blocks
         u[-1, -1] = x[-1, -2] + 1
-        v[-1, -1] = x[-1, -1] - u[-1, -1]
+        x[-1, -1] = u[-1, -1] + v[-1, -1]
         with pytest.raises(InvalidParameterError, match="survivors exceed"):
             InnovationDecomposition(x, v)
 
@@ -1079,11 +1097,7 @@ def test_writer_and_decomposition_allocate_under_a_quarter_matrix(tmp_path):
     """Neither the CSV writer nor the decomposition check builds a full-size
     temporary, whether the paths are held in C or in Fortran layout (the
     transpose of a simulator's step-major buffer)."""
-    rng = np.random.default_rng(12)
-    x = rng.poisson(2.0, (20_000, 200))
-    u = np.zeros_like(x)
-    u[:, 1:] = rng.binomial(x[:, :-1], 0.5)
-    v = x - u
+    x, _, v = _valid_decomposition(np.random.default_rng(12), 20_000, 200)
     quarter = x.nbytes // 4
     for order in "CF":
         xo, vo = (np.asarray(m, order=order) for m in (x, v))
@@ -1179,20 +1193,19 @@ def test_superposition_widens_on_a_row_sum_that_no_generation_reaches():
     assert (ens.paths.dtype, dec.v.dtype) == (np.int16, np.int8)
 
 
-NARROW_PAIRS = {  # x, v: decompositions whose int8 arithmetic would wrap
+NARROW_PAIRS = {  # x, v: decompositions at the int8 edge
     "count-127": ([[127, 127, 127], [0, 3, 1]], [[0, 0, 127], [0, 3, 1]]),
-    "survivors-below-int8": ([[-128, -128]], [[0, 100]]),  # u = -228 exceeds no source
 }
 
 
 @pytest.mark.parametrize("x, v", NARROW_PAIRS.values(), ids=list(NARROW_PAIRS))
 def test_narrow_decompositions_read_as_their_int64_copy(x, v, tmp_path):
-    """Held int8 matrices give the survivors and CSV bytes of their int64
-    copies."""
+    """Held int8 matrices give int8 survivors equal to those of their int64
+    copies, and the same CSV bytes."""
     narrow = InnovationDecomposition(np.array(x, np.int8), np.array(v, np.int8))
     wide = InnovationDecomposition(np.array(x), np.array(v))
-    assert narrow.x.dtype == narrow.v.dtype == np.int8
-    assert narrow.u.dtype == np.int64 and np.array_equal(narrow.u, wide.u)
+    assert narrow.x.dtype == narrow.v.dtype == narrow.u.dtype == np.int8
+    assert wide.u.dtype == np.int64 and np.array_equal(narrow.u, wide.u)
     for dec, label in ((narrow, "narrow"), (wide, "wide")):
         write_ensemble_csv(PathEnsemble(dec.x, SeedSpec(2), {}), tmp_path / f"{label}_x.csv")
         write_ensemble_csv(chains._Survivors(dec, SeedSpec(2), {}), tmp_path / f"{label}_u.csv")
@@ -1204,10 +1217,33 @@ def test_narrow_decompositions_read_as_their_int64_copy(x, v, tmp_path):
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64])
 def test_survivor_refusal_does_not_wrap_in_a_narrow_type(dtype):
-    """Survivors 100 - (-100) = 200 exceed their source 0, though in int8 they
-    would read -56."""
+    """Survivors 127 exceed their source 0 in int8 as in int64."""
     with pytest.raises(InvalidParameterError, match="survivors exceed their source count"):
-        InnovationDecomposition(np.array([[0, 100]], dtype), np.array([[0, -100]], dtype))
+        InnovationDecomposition(np.array([[0, 127]], dtype), np.array([[0, 0]], dtype))
+
+
+IMPOSSIBLE_STEPS = {  # x, v, refusal: steps no decomposition can hold
+    "negative-innovation-at-step-0": ([[1, 1]], [[-1, 0]], "innovations must be nonnegative"),
+    "negative-innovation-later": ([[1, 1]], [[1, -1]], "innovations must be nonnegative"),
+    # survivors 100 - (-100) = 200 would read -56 in int8
+    "negative-innovation-wrapping": ([[0, 100]], [[0, -100]], "innovations must be nonnegative"),
+    # survivors -3 exceed no source
+    "innovation-above-count-at-step-0": ([[0, 0]], [[3, 0]], "innovations exceed their count"),
+    "innovation-above-count-later": ([[2, 1]], [[0, 3]], "innovations exceed their count"),
+    # survivors -228 would exceed no source
+    "negative-count": ([[-128, -128]], [[0, 100]], "innovations exceed their count"),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+@pytest.mark.parametrize(
+    "x, v, refusal", IMPOSSIBLE_STEPS.values(), ids=list(IMPOSSIBLE_STEPS)
+)
+def test_impossible_innovations_are_refused(x, v, refusal, dtype):
+    """An innovation below 0 or above its count is refused at any step, in a
+    narrow type as in int64, before any difference is taken."""
+    with pytest.raises(InvalidParameterError, match=refusal):
+        InnovationDecomposition(np.array(x, dtype), np.array(v, dtype))
 
 
 def _reference_csv(ensemble, path) -> None:
@@ -1307,12 +1343,14 @@ def test_csv_bytes_equal_the_row_writer_on_narrow_magnitudes(tmp_path_factory, m
     _assert_matches_reference(matrix, tmp_path_factory.mktemp("csv"))
 
 
-def _assert_survivors_match(x, v, directory) -> None:
-    """The survivors written from x and v a row block at a time hold the
-    writer's bytes for the matrix x - v, with both held in C and in Fortran
-    layout.  The writer only reads ``x`` and ``v``, so any pair will do."""
+def _assert_survivors_match(u, v, directory) -> None:
+    """The survivors written from ``x = u + v`` and ``v`` a row block at a
+    time hold the writer's bytes for the matrix ``u``, with both held in C
+    and in Fortran layout.  The writer only reads ``x`` and ``v``, and bounds
+    the survivors by [0, max x], so any nonnegative ``u`` and ``v`` will do."""
+    x = u + v
     params = {"construction": "test", "component": "u"}
-    write_ensemble_csv(PathEnsemble(x - v, SeedSpec(3, 1), params), directory / "whole.csv")
+    write_ensemble_csv(PathEnsemble(u, SeedSpec(3, 1), params), directory / "whole.csv")
     for order in "CF":
         held = SimpleNamespace(x=np.asarray(x, order=order), v=np.asarray(v, order=order))
         write_ensemble_csv(chains._Survivors(held, SeedSpec(3, 1), params), directory / "blocks.csv")
@@ -1320,17 +1358,32 @@ def _assert_survivors_match(x, v, directory) -> None:
 
 
 @pytest.mark.parametrize(
-    "x, v",
+    "u, v",
     [
-        (np.full((2, 3), 5), np.full((2, 3), 5)),  # all survivors 0, bounds of 5
-        (np.array([[INT64.max, 0]]), np.array([[INT64.min, INT64.max]])),  # wraps
-        (np.array([[0, INT64.min]]), np.array([[INT64.max, 0]])),
+        (np.zeros((2, 3), np.int64), np.full((2, 3), 5)),  # all survivors 0, bounds of 5
+        (np.array([[INT64.max, 0]]), np.array([[0, INT64.max]])),  # counts at the int64 top
+        (np.array([[0, 1, 9]]), np.array([[INT64.max, INT64.max - 1, 10]])),
         (np.zeros((0, 4), np.int64), np.zeros((0, 4), np.int64)),
     ],
-    ids=["zero-survivors", "wrapping-high", "wrapping-low", "empty"],
+    ids=["zero-survivors", "int64-top-survivors", "int64-top-innovations", "empty"],
 )
-def test_survivors_csv_equals_the_whole_matrix_writer_at_the_edges(x, v, tmp_path):
-    _assert_survivors_match(x, v, tmp_path)
+def test_survivors_csv_equals_the_whole_matrix_writer_at_the_edges(u, v, tmp_path):
+    _assert_survivors_match(u, v, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "x, v",
+    [
+        (np.array([[INT64.max, 0]]), np.array([[INT64.min, INT64.max]])),
+        (np.array([[0, INT64.min]]), np.array([[INT64.max, 0]])),
+    ],
+    ids=["wrapping-high", "wrapping-low"],
+)
+def test_pairs_whose_survivors_would_wrap_are_refused(x, v):
+    """Survivors ``x - v`` outside int64 come only from an innovation below 0
+    or above its count, which the decomposition refuses."""
+    with pytest.raises(InvalidParameterError, match="innovations"):
+        InnovationDecomposition(x, v)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1338,7 +1391,7 @@ def test_survivors_csv_equals_the_whole_matrix_writer_at_the_edges(x, v, tmp_pat
     hnp.arrays(
         np.int64,
         hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12).map(lambda s: (2, *s)),
-        elements=st.one_of(st.integers(-300, 70_000), st.integers(INT64.min, INT64.max)),
+        elements=st.one_of(st.integers(0, 70_000), st.integers(0, INT64.max // 2)),
     )
 )
 def test_survivors_csv_equals_the_whole_matrix_writer_on_random_pairs(tmp_path_factory, pair):

@@ -79,8 +79,9 @@ class TestSimulate:
 
     def test_direct_run_peaks_under_three_path_matrices(self, tmp_path):
         """x and v are the run's only path matrices, int8 at this mean, and
-        u.csv is encoded from them an int64 row block at a time: about 2.9
-        int8 matrices at the peak, the writer's blocks included.  One more
+        u.csv is encoded from them a row block at a time, in their own
+        type: about 2.6 int8 matrices at the peak (2.9 with int64 blocks),
+        the writer's blocks included.  One more
         int8 matrix would pass 3.5; a survivors matrix, or either held in
         int64, would add eight.  A tiny run first loads what numpy imports
         on its first draw."""

@@ -690,7 +690,28 @@ class TestRunAll:
         assert [r.construction for r in errored] == ["direct-mc[0.5,1.0]"]
         assert re.fullmatch(
             r"check raised: InvalidParameterError: survivors exceed their source count "
-            r"at inarlab\.chains:_require_survivors:\d+",
+            r"at inarlab\.chains:_survivors:\d+",
+            errored[0].note,
+        )
+
+    @pytest.mark.parametrize("step", [0, 5])
+    def test_innovation_above_its_count_is_an_errored_report(
+        self, small_config, monkeypatch, step
+    ):
+        """The streamed block refuses an innovation above its count, at the
+        first step as at a later one."""
+        steps = harness._direct_steps
+
+        def corrupted(params, n_paths, seed):
+            for k, (x, v) in enumerate(steps(params, n_paths, seed)):
+                yield x, (x + 1 if k == step else v)
+
+        monkeypatch.setattr(harness, "_direct_steps", corrupted)
+        errored = [r for r in run_all(small_config) if r.check == "errored"]
+        assert [r.construction for r in errored] == ["direct-mc[0.5,1.0]"]
+        assert re.fullmatch(
+            r"check raised: InvalidParameterError: innovations exceed their count "
+            r"at inarlab\.chains:_survivors:\d+",
             errored[0].note,
         )
 

@@ -3,8 +3,9 @@ private module-level name is used somewhere in the package, every exported
 name is defined where it is exported and re-exported only from there, each
 rule the scan tracks (kernel products, null atoms, atom limits, array
 ownership, lost mass, dense BLAS kernels, whole survivor matrices, the
-chain's own draws) is read only in its home, every public harness check is
-run by some package code, and the package loads no scipy at all."""
+chain's own draws, int64 widening) is read only in its home, every public
+harness check is run by some package code, and the package loads no scipy
+at all."""
 
 import ast
 from collections import Counter
@@ -123,7 +124,11 @@ def test_scan_flags_an_unreferenced_private_name():
 # loads a C library.  Only the decomposition builds its survivors matrix
 # whole: every reader takes one step, x[:, k] - v[:, k], or a row block.  Only
 # the two count-chain simulators draw binomial survivors and Poisson counts,
-# so no other module runs a step loop of its own.
+# so no other module runs a step loop of its own.  A count leaves its own
+# type for int64 only where memory is counted at the worst case, where
+# outside input is converted, where pair keys are formed and where the
+# negative control bumps an innovation: survivors lie in [0, x] and are
+# read in the counts' type.
 KERNEL_PLACES = {"pmf", "chains.transition_matrix", "chains._kernel_row"}
 CHAIN_DRAWS = {"chains._direct_steps", "chains.simulate_inar_superposition"}
 RULE_HOMES = {
@@ -143,6 +148,12 @@ RULE_HOMES = {
     "promote_types": {"chains._fitted"},
     "binomial": CHAIN_DRAWS,
     "poisson": CHAIN_DRAWS,
+    "int64": {
+        "chains._require_memory",
+        "chains._counts",
+        "harness._pair_counts",
+        "harness._corrupted_innovation_check",
+    },
 }
 
 
@@ -187,6 +198,9 @@ def test_scan_flags_a_rule_read_outside_its_home():
             "def simulate_inar_direct(params, x):\n    return np.ascontiguousarray(x.T)\n"
             "def _fitted(buffer, values):\n    return np.iinfo(buffer.dtype).max\n"
             "def simulate_chain(paths, draws):\n    return draws.max() <= np.iinfo(paths.dtype).max\n"
+            "def _counts(paths):\n    return np.asarray(paths, np.int64)\n"
+            "class _Survivors:\n    def rows(self, b):\n"
+            "        return np.subtract(self.x[b], self.v[b], dtype=np.int64)\n"
         ),
         "dependence": (
             "def _without_null_atoms(mass):\n    return mass.compress([1], axis=0)\n"
@@ -208,6 +222,7 @@ def test_scan_flags_a_rule_read_outside_its_home():
         "chains.TupleLaw:compress",
         "chains.simulate_inar_direct:ascontiguousarray",
         "chains.simulate_chain:iinfo",
+        "chains._Survivors:int64",
         "dependence.maximal_correlation:svd",
         "harness:binomial_table",
         "harness._pooled_gof_ratio:fsum",
