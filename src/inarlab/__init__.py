@@ -9,7 +9,6 @@ pass/fail reports.
 
 from .chains import (
     InarParams,
-    InnovationDecomposition,
     MarkovChainSpec,
     PathEnsemble,
     SuperpositionConfig,

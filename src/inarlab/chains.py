@@ -51,7 +51,6 @@ __all__ = [
     "InarParams",
     "MarkovChainSpec",
     "PathEnsemble",
-    "InnovationDecomposition",
     "SuperpositionConfig",
     "TupleLaw",
     "inar_kernel",
@@ -170,41 +169,6 @@ class MarkovChainSpec:
         return self.initial.max_state
 
 
-@dataclass(frozen=True, eq=False)
-class PathEnsemble:
-    """Matrix of simulated paths, one row per path, plus its provenance.
-
-    Regenerating with the same seed and parameters reproduces the matrix
-    exactly.  The ensemble owns its matrix (see ``_counts``); the simulators
-    fill one step at a time, so theirs is the transpose of a step-major
-    buffer, in Fortran layout, in the narrowest signed type of its counts.
-    """
-
-    paths: np.ndarray
-    seed: SeedSpec
-    params: Mapping
-
-    def __post_init__(self):
-        paths = _counts(self.paths)
-        if paths.ndim != 2:
-            raise InvalidParameterError("paths must be a 2-D matrix")
-        object.__setattr__(self, "paths", paths)
-
-    @property
-    def n_paths(self) -> int:
-        return self.paths.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.paths.shape[1]
-
-    def _row_source(self):
-        """The shape, a row-slice reader and the value bounds that
-        ``write_ensemble_csv`` encodes."""
-        paths = self.paths
-        return paths.shape, lambda b: paths[b], _extent(paths)
-
-
 def _survivors(x: np.ndarray, v: np.ndarray, x_prev: np.ndarray | None = None) -> np.ndarray:
     """The survivors ``x - v`` of one step, in the wider of the two types.
 
@@ -222,36 +186,62 @@ def _survivors(x: np.ndarray, v: np.ndarray, x_prev: np.ndarray | None = None) -
 
 
 @dataclass(frozen=True, eq=False)
-class InnovationDecomposition:
-    """Aligned paths of the count and innovation components; the survivors
-    are the rest, ``u = x - v``.
+class PathEnsemble:
+    """Matrix of simulated paths, one row per path, plus its provenance and,
+    optionally, the innovations ``v`` of each count; the survivors are the
+    rest, ``u = paths - v``.
 
-    Refuses, at every step, what ``_survivors`` refuses: a negative
-    innovation, an innovation above its count, and survivors above their
-    source, ``x[k] - v[k] > x[k-1]``, wherever the previous index exists.
-    It owns its two matrices (see ``_counts``) and computes ``u`` on each
-    read, in the counts' own type, so ``x = u + v`` holds by construction.
+    Regenerating with the same seed and parameters reproduces the matrices
+    exactly.  The ensemble owns them (see ``_counts``); the simulators fill
+    one step at a time, so theirs are transposes of step-major buffers, in
+    Fortran layout, in the narrowest signed type of their counts.  Given
+    ``v``, it applies ``_survivors`` at every step, with the previous counts
+    wherever they exist.
     """
 
-    x: np.ndarray
-    v: np.ndarray
+    paths: np.ndarray
+    seed: SeedSpec
+    params: Mapping
+    v: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("x", "v"):
-            object.__setattr__(self, name, _counts(getattr(self, name)))
-        x, v = self.x, self.v
-        if x.shape != v.shape or x.ndim != 2:
-            raise InvalidParameterError("x and v must share a 2-D shape")
+        paths = _counts(self.paths)
+        if paths.ndim != 2:
+            raise InvalidParameterError("paths must be a 2-D matrix")
+        object.__setattr__(self, "paths", paths)
+        if self.v is None:
+            return
+        v = _counts(self.v)
+        if v.shape != paths.shape:
+            raise InvalidParameterError("paths and v must share a shape")
+        object.__setattr__(self, "v", v)
         # one step at a time: a contiguous row of a simulator's step-major
         # buffer, so no full-size temporary is built
-        for k in range(x.shape[1]):
-            _survivors(x[:, k], v[:, k], x[:, k - 1] if k else None)
+        for k in range(paths.shape[1]):
+            _survivors(paths[:, k], v[:, k], paths[:, k - 1] if k else None)
+
+    @property
+    def n_paths(self) -> int:
+        return self.paths.shape[0]
+
+    @property
+    def length(self) -> int:
+        return self.paths.shape[1]
 
     @property
     def u(self) -> np.ndarray:
-        """The survivors ``x - v``, a new array on each read, in
-        ``np.result_type(x, v)``; they lie in [0, x], so they cannot wrap."""
-        return np.subtract(self.x, self.v)
+        """The survivors ``paths - v``, a new array on each read, in
+        ``np.result_type(paths, v)``; they lie in [0, paths], so they cannot
+        wrap."""
+        _require_innovations(self, "u")
+        return np.subtract(self.paths, self.v)
+
+
+def _require_innovations(ensemble: PathEnsemble, component: str) -> None:
+    if ensemble.v is None:
+        raise InvalidParameterError(
+            f"component {component} needs innovations, and this ensemble holds none"
+        )
 
 
 @dataclass(frozen=True)
@@ -365,6 +355,15 @@ def indicator_chain_spec(p0: float, a: float) -> MarkovChainSpec:
     return _death_chain(Pmf(np.array([1.0 - p0, p0])), a, description)
 
 
+def _ensemble(x, seed: SeedSpec, description: Mapping, v=None) -> PathEnsemble:
+    """A simulator's result from its step-major buffers of counts ``x`` and
+    innovations ``v``, one path per column: the held matrices are their
+    transposes, and the params are ``description`` plus the run's
+    ``length`` and ``n_paths``."""
+    params = dict(description, length=x.shape[0], n_paths=x.shape[1])
+    return PathEnsemble(x.T, seed, params, None if v is None else v.T)
+
+
 def indicator_chain(
     p0: float, a: float, length: int, n_paths: int, seed: SeedSpec
 ) -> PathEnsemble:
@@ -380,7 +379,7 @@ def indicator_chain(
     paths[0] = rng.random(n_paths) < p0
     for k in range(1, length):
         paths[k] = paths[k - 1] & (rng.random(n_paths) < a)
-    return PathEnsemble(paths.T, seed, spec.description)
+    return _ensemble(paths, seed, spec.description)
 
 
 def _inverse_cdf(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -428,9 +427,7 @@ def simulate_chain(
             paths = _fitted(paths, draws)
             paths[k, order[lo:hi]] = draws
             lo = hi
-    return PathEnsemble(
-        paths.T, seed, dict(spec.description, length=length, n_paths=n_paths)
-    )
+    return _ensemble(paths, seed, spec.description)
 
 
 def _require_countable(params: InarParams) -> None:
@@ -463,7 +460,7 @@ def _direct_steps(
 
 def simulate_inar_direct(
     params: InarParams, length: int, n_paths: int, seed: SeedSpec
-) -> tuple[PathEnsemble, InnovationDecomposition]:
+) -> PathEnsemble:
     """Simulate the chain from its transition structure.
 
     The pre-window state is drawn from the stationary law, then each step
@@ -481,16 +478,8 @@ def simulate_inar_direct(
     for k, (x_k, v_k) in zip(range(length), _direct_steps(params, n_paths, seed)):
         x, v = _fitted(x, x_k), _fitted(v, v_k)
         x[k], v[k] = x_k, v_k
-    return _decomposed(x.T, v.T, seed, "direct", params)
-
-
-def _decomposed(x, v, seed: SeedSpec, construction: str, params: InarParams, **extra):
-    """Ensemble of the counts ``x`` (one path per row), described with
-    ``extra``, and their decomposition into survivors and innovations
-    ``v``."""
-    description = {"construction": construction, "a": params.a, "lambda": params.lam, **extra}
-    ensemble = PathEnsemble(x, seed, dict(description, length=x.shape[1], n_paths=x.shape[0]))
-    return ensemble, InnovationDecomposition(x, v)
+    description = {"construction": "direct", "a": params.a, "lambda": params.lam}
+    return _ensemble(x, seed, description, v)
 
 
 def _superposition_work(params: InarParams, depth: int, length: int, n_paths: int) -> float:
@@ -514,7 +503,7 @@ def simulate_inar_superposition(
     length: int,
     n_paths: int,
     seed: SeedSpec,
-) -> tuple[PathEnsemble, InnovationDecomposition]:
+) -> PathEnsemble:
     """Simulate the chain as a sum of independent pure-death chains.
 
     A fresh Poisson(lam)-started death chain begins at every time index;
@@ -561,7 +550,8 @@ def simulate_inar_superposition(
             y = rng.binomial(y, params.a)
             alive = y > 0
             nz, y = nz[alive], y[alive]
-    return _decomposed(x.T, v.T, seed, "superposition", params, depth=depth)
+    description = {"construction": "superposition", "a": params.a, "lambda": params.lam}
+    return _ensemble(x, seed, dict(description, depth=depth), v)
 
 
 def _kernel_row(spec: MarkovChainSpec, x: int) -> np.ndarray:
@@ -745,42 +735,40 @@ def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
-@dataclass(frozen=True, eq=False)
-class _Survivors:
-    """The survivors ``x - v`` of a decomposition as ``write_ensemble_csv``
-    reads an ensemble, one row block ``x[b] - v[b]`` at a time, so the
-    survivors matrix is never built.  The decomposition holds them in
-    [0, x], so (0, max x) bounds them; bounds wider than the values give the
-    same bytes, since the extra leading-zero digits are zero bytes and are
-    deleted with the others."""
-
-    dec: InnovationDecomposition
-    seed: SeedSpec
-    params: Mapping
-
-    def _row_source(self):
-        x, v = self.dec.x, self.dec.v
-        return x.shape, lambda b: x[b] - v[b], (0, _extent(x)[1])
-
-
 def _extent(paths: np.ndarray) -> tuple[int, int]:
     """Smallest and largest value of a matrix, (0, 0) when it is empty."""
     return (int(paths.min()), int(paths.max())) if paths.size else (0, 0)
 
 
-def write_ensemble_csv(ensemble: PathEnsemble, path) -> None:
-    """One row per path with `#`-prefixed metadata lines, then a header row.
+def write_ensemble_csv(ensemble: PathEnsemble, path, component: str = "x") -> None:
+    """One row per path of the counts ``x``, the innovations ``v`` or the
+    survivors ``u``, with `#`-prefixed metadata lines, then a header row.
+    For ``u`` and ``v`` the params line also names the component.
 
     Rows are encoded a block at a time: each value's decimal digits are
     right-aligned in a zero-filled byte grid with a sign byte in front and
     a separator byte (``,`` or a newline) behind; the grid is written with
     its zero bytes deleted.  Digits are computed in the narrowest unsigned
     type that holds the largest magnitude, and the sign bytes are filled
-    only when some value is negative.  ``simulate`` passes its survivors as
-    a ``_Survivors``, which gives its rows and bounds the same way.
+    only when some value is negative.  The survivors are read one row block
+    ``x[b] - v[b]`` at a time, so their matrix is never built.  They lie in
+    [0, x], so (0, max x) bounds them; bounds wider than the values give the
+    same bytes, since the extra leading-zero digits are zero bytes and are
+    deleted with the others.
     """
-    (n_rows, n_cols), block, (lo, hi) = ensemble._row_source()
+    if component not in ("x", "u", "v"):
+        raise InvalidParameterError(f"component must be x, u or v, got {component!r}")
+    x, v = ensemble.paths, ensemble.v
     meta = dict(ensemble.params)
+    if component != "x":
+        _require_innovations(ensemble, component)
+        meta["component"] = component
+    if component == "u":
+        block, (lo, hi) = (lambda b: x[b] - v[b]), (0, _extent(x)[1])
+    else:
+        held = x if component == "x" else v
+        block, (lo, hi) = (lambda b: held[b]), _extent(held)
+    n_rows, n_cols = x.shape
     lines = [
         f"# construction={meta.pop('construction', 'unknown')}",
         f"# params={json.dumps(meta, sort_keys=True)}",

@@ -20,9 +20,7 @@ import click
 
 from .chains import (
     InarParams,
-    PathEnsemble,
     SuperpositionConfig,
-    _Survivors,
     binomial_death_chain,
     iid_chain,
     inar_kernel,
@@ -221,27 +219,23 @@ def simulate(construction, opts, length, paths, seed, stream, tail_budget, out, 
 
     values = _params(construction, opts)
     if construction == "direct":
-        ens, dec = simulate_inar_direct(InarParams(*values), length, paths, seed_spec)
+        ens = simulate_inar_direct(InarParams(*values), length, paths, seed_spec)
     elif construction == "superposition":
         params = InarParams(*values)
         config = SuperpositionConfig.for_budget(params, tail_budget)
-        ens, dec = simulate_inar_superposition(params, config, length, paths, seed_spec)
+        ens = simulate_inar_superposition(params, config, length, paths, seed_spec)
     elif construction == "indicator":
-        ens, dec = indicator_chain(*values, length, paths, seed_spec), None
+        ens = indicator_chain(*values, length, paths, seed_spec)
     else:
         spec = _chain_spec(construction, opts, tail_budget)
-        ens, dec = simulate_chain(spec, length, paths, seed_spec), None
+        ens = simulate_chain(spec, length, paths, seed_spec)
 
-    written = [f"{prefix}_x.csv"]
+    components = "x" if ens.v is None else "xuv"
+    written = [f"{prefix}_{c}.csv" for c in components]
     with _writing_output():  # only a run that simulated creates the directory
         outdir.mkdir(parents=True, exist_ok=True)
-        write_ensemble_csv(ens, written[0])
-        if dec is not None:
-            # the survivors are encoded from x and v a row block at a time
-            for name, held, holder in (("u", dec, _Survivors), ("v", dec.v, PathEnsemble)):
-                part = holder(held, seed_spec, dict(ens.params, component=name))
-                write_ensemble_csv(part, f"{prefix}_{name}.csv")
-                written.append(f"{prefix}_{name}.csv")
+        for component, name in zip(components, written):
+            write_ensemble_csv(ens, name, component)
     _write_output("".join(f"{w}\n" for w in written), None, metrics_out=metrics_out, start=start)
 
 

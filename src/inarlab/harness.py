@@ -486,7 +486,7 @@ def check_construction_equivalence(
         else InarParams(a=params.a + perturb_a, lam=params.lam)
     )
     config = SuperpositionConfig.for_budget(sim_params)
-    ensemble, _ = simulate_inar_superposition(sim_params, config, 2, n_paths, seed)
+    ensemble = simulate_inar_superposition(sim_params, config, 2, n_paths, seed)
     obs = ensemble.paths
 
     # final slot: rows with a coordinate outside the truncated law
@@ -624,7 +624,7 @@ def _mc_block(
     ``config.path_length`` steps, streamed: it keeps only the columns the
     checks read, the counts at three time indices and both components at
     the last two steps, and applies the survivor rule ``_survivors`` at
-    every step, as ``InnovationDecomposition`` does."""
+    every step, as a ``PathEnsemble`` given its innovations does."""
     k = config.path_length - 1
     wanted = {0, config.path_length // 2, k}
     columns: dict[int, np.ndarray] = {}

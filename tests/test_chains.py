@@ -15,7 +15,6 @@ from hypothesis.extra import numpy as hnp
 
 from inarlab import (
     InarParams,
-    InnovationDecomposition,
     JointPmf,
     MarkovChainSpec,
     Pmf,
@@ -347,13 +346,11 @@ def test_simulators_hand_over_their_step_major_buffers(name, monkeypatch):
 
     monkeypatch.setattr(chains, "_owned", owned)
     simulate, _ = SIMULATORS[name]
-    out = simulate(7, 500, SeedSpec(11))
-    ens, dec = out if isinstance(out, tuple) else (out, None)
-    held = [ens.paths] if dec is None else [ens.paths, dec.x, dec.v]
+    ens = simulate(7, 500, SeedSpec(11))
+    held = [ens.paths] if ens.v is None else [ens.paths, ens.v]
     assert uncopied == [True] * len(held)
-    if dec is not None:
-        assert np.shares_memory(ens.paths, dec.x)
-        held.append(dec.u)
+    if ens.v is not None:
+        held.append(ens.u)
     for m in held:
         assert m.shape == (500, 7) and m.T.flags.c_contiguous
 
@@ -389,20 +386,19 @@ class TestSimulateInarDirect:
             (InarParams(0.9, 2.5), SeedSpec(5)),
             (InarParams(0.9, 30.0), SeedSpec(19)),  # x widens to int16
         ):
-            ens, dec = simulate_inar_direct(params, 9, 1_000, seed)
+            ens = simulate_inar_direct(params, 9, 1_000, seed)
             x, u, v = _direct_reference(params, 9, 1_000, seed)
             assert np.array_equal(ens.paths, x)
-            assert np.array_equal(dec.x, x)
-            assert np.array_equal(dec.u, u)
-            assert np.array_equal(dec.v, v)
+            assert np.array_equal(ens.u, u)
+            assert np.array_equal(ens.v, v)
 
     def test_decomposition_identity(self):
-        _, dec = simulate_inar_direct(PARAMS, 30, 2_000, SeedSpec(12))
-        assert np.array_equal(dec.x, dec.u + dec.v)
-        assert np.all(dec.u[:, 1:] <= dec.x[:, :-1])
+        ens = simulate_inar_direct(PARAMS, 30, 2_000, SeedSpec(12))
+        assert np.array_equal(ens.paths, ens.u + ens.v)
+        assert np.all(ens.u[:, 1:] <= ens.paths[:, :-1])
 
     def test_marginal_is_stationary(self):
-        ens, _ = simulate_inar_direct(PARAMS, 4, 200_000, SeedSpec(13))
+        ens = simulate_inar_direct(PARAMS, 4, 200_000, SeedSpec(13))
         target = poisson_pmf(2.0)
         counts = np.bincount(ens.paths[:, 2], minlength=target.probs.size)
         emp = counts / ens.n_paths
@@ -412,17 +408,17 @@ class TestSimulateInarDirect:
         assert tv <= 0.01
 
     def test_lag_one_correlation_matches_thinning_rate(self):
-        _, dec = simulate_inar_direct(PARAMS, 6, 300_000, SeedSpec(14))
-        r = np.corrcoef(dec.x[:, 4], dec.x[:, 5])[0, 1]
+        ens = simulate_inar_direct(PARAMS, 6, 300_000, SeedSpec(14))
+        r = np.corrcoef(ens.paths[:, 4], ens.paths[:, 5])[0, 1]
         assert abs(r - PARAMS.a) <= 0.01
 
 
 class TestSimulateInarSuperposition:
     def test_decomposition_identity(self):
         cfg = SuperpositionConfig.for_budget(PARAMS, 1e-9)
-        _, dec = simulate_inar_superposition(PARAMS, cfg, 10, 2_000, SeedSpec(15))
-        assert np.array_equal(dec.x, dec.u + dec.v)
-        assert np.all(dec.u[:, 1:] <= dec.x[:, :-1])
+        ens = simulate_inar_superposition(PARAMS, cfg, 10, 2_000, SeedSpec(15))
+        assert np.array_equal(ens.paths, ens.u + ens.v)
+        assert np.all(ens.u[:, 1:] <= ens.paths[:, :-1])
 
     def test_agrees_with_exact_law_where_the_jump_carries_most_mass(self):
         # at a = 0.9 about 200 generations start before the window and each
@@ -434,8 +430,8 @@ class TestSimulateInarSuperposition:
 
     def test_marginal_and_innovation_laws(self):
         cfg = SuperpositionConfig.for_budget(PARAMS, 1e-9)
-        _, dec = simulate_inar_superposition(PARAMS, cfg, 4, 200_000, SeedSpec(16))
-        for column, mean in ((dec.x[:, 3], 2.0), (dec.v[:, 3], 1.0)):
+        ens = simulate_inar_superposition(PARAMS, cfg, 4, 200_000, SeedSpec(16))
+        for column, mean in ((ens.paths[:, 3], 2.0), (ens.v[:, 3], 1.0)):
             target = poisson_pmf(mean)
             counts = np.bincount(column, minlength=target.probs.size)
             tv = 0.5 * np.abs(counts / column.size - target.probs[: counts.size]).sum()
@@ -506,7 +502,7 @@ class TestSimulateInarSuperposition:
         spec = inar_kernel(PARAMS)
         law = window_joint_pmf(spec, [0, 1, 2], cap=spec.state_cap)
         cfg = SuperpositionConfig.for_budget(PARAMS, 1e-9)
-        ens, _ = simulate_inar_superposition(PARAMS, cfg, 3, 200_000, SeedSpec(17))
+        ens = simulate_inar_superposition(PARAMS, cfg, 3, 200_000, SeedSpec(17))
         emp: dict[tuple, float] = {}
         for row in map(tuple, ens.paths.tolist()):
             emp[row] = emp.get(row, 0.0) + 1.0 / ens.n_paths
@@ -523,7 +519,7 @@ class TestSimulateInarSuperposition:
     def test_window_laws_are_shift_invariant(self):
         # strict stationarity of the superposition, checked numerically
         cfg = SuperpositionConfig.for_budget(PARAMS, 1e-9)
-        ens, _ = simulate_inar_superposition(PARAMS, cfg, 8, 200_000, SeedSpec(18))
+        ens = simulate_inar_superposition(PARAMS, cfg, 8, 200_000, SeedSpec(18))
 
         def empirical_pair_law(k):
             out: dict[tuple, float] = {}
@@ -924,7 +920,7 @@ class TestIntegerArguments:
         assert point_mass(np.int64(2)).probs.tolist() == [0.0, 0.0, 1.0]
         pair = WindowSpec(np.int64(4), (0,), (2,), np.int32(1))
         assert (pair.width, pair.gap) == (4, 1) and type(pair.width) is type(pair.gap) is int
-        ens, _ = simulate_inar_direct(PARAMS, np.int64(3), np.int32(2), SeedSpec(1))
+        ens = simulate_inar_direct(PARAMS, np.int64(3), np.int32(2), SeedSpec(1))
         assert ens.paths.shape == (2, 3)
 
 
@@ -942,6 +938,11 @@ def _valid_decomposition(rng, rows, length):
     return x, u, v
 
 
+def _decomposed(x, v) -> PathEnsemble:
+    """An ensemble of the counts ``x`` with innovations ``v``."""
+    return PathEnsemble(x, SeedSpec(1), {}, v)
+
+
 class TestDecompositionValidation:
     def test_survivor_bound_rejected(self):
         x = np.array([[1, 3]], dtype=np.int64)
@@ -949,21 +950,21 @@ class TestDecompositionValidation:
         v = np.array([[1, 1]], dtype=np.int64)
         assert np.array_equal(v, x - u)
         with pytest.raises(InvalidParameterError, match="survivors exceed"):
-            InnovationDecomposition(x, v)
+            _decomposed(x, v)
 
     @pytest.mark.parametrize("name", ["direct", "superposition"])
     def test_survivors_are_a_new_difference_on_each_read(self, name):
         """x = u + v cannot fail: ``u`` is ``x - v``, bit for bit, built anew
         on each read and never an alias of the held matrices."""
         simulate, _ = SIMULATORS[name]
-        _, dec = simulate(9, 1_000, SeedSpec(23))
-        first, second = dec.u, dec.u
-        assert first.dtype == np.result_type(dec.x, dec.v)
-        assert np.array_equal(first, np.subtract(dec.x, dec.v, dtype=np.int64))
+        ens = simulate(9, 1_000, SeedSpec(23))
+        first, second = ens.u, ens.u
+        assert first.dtype == np.result_type(ens.paths, ens.v)
+        assert np.array_equal(first, np.subtract(ens.paths, ens.v, dtype=np.int64))
         assert np.array_equal(second, first)
         assert first is not second and not np.shares_memory(first, second)
-        assert not any(np.shares_memory(first, m) for m in (dec.x, dec.v))
-        assert np.array_equal(dec.x, first + dec.v)
+        assert not any(np.shares_memory(first, m) for m in (ens.paths, ens.v))
+        assert np.array_equal(ens.paths, first + ens.v)
 
     @pytest.fixture
     def blocks(self):
@@ -971,7 +972,7 @@ class TestDecompositionValidation:
         length = 8
         rows = 3 * (_BLOCK_CELLS // length) + 5
         x, u, v = _valid_decomposition(np.random.default_rng(11), rows, length)
-        InnovationDecomposition(x.copy(), v.copy())  # valid as built
+        _decomposed(x.copy(), v.copy())  # valid as built
         return x, u, v
 
     def test_survivor_violation_in_first_step_rejected(self, blocks):
@@ -981,27 +982,27 @@ class TestDecompositionValidation:
         u[row, 1] = x[row, 0] + 1
         x[row, 1] = u[row, 1] + v[row, 1]
         with pytest.raises(InvalidParameterError, match="survivors exceed"):
-            InnovationDecomposition(x, v)
+            _decomposed(x, v)
 
     def test_survivor_violation_in_last_block_rejected(self, blocks):
         x, u, v = blocks
         u[-1, -1] = x[-1, -2] + 1
         x[-1, -1] = u[-1, -1] + v[-1, -1]
         with pytest.raises(InvalidParameterError, match="survivors exceed"):
-            InnovationDecomposition(x, v)
+            _decomposed(x, v)
 
     def test_paths_of_two_shapes_rejected(self):
-        with pytest.raises(InvalidParameterError, match="x and v must share a 2-D shape"):
-            InnovationDecomposition(np.ones((2, 3)), np.ones((2, 4)))
-        with pytest.raises(InvalidParameterError, match="x and v must share a 2-D shape"):
-            InnovationDecomposition(np.ones(3), np.ones(3))
+        with pytest.raises(InvalidParameterError, match="paths and v must share a shape"):
+            _decomposed(np.ones((2, 3)), np.ones((2, 4)))
+        with pytest.raises(InvalidParameterError, match="paths must be a 2-D matrix"):
+            _decomposed(np.ones(3), np.ones(3))
 
 
 VALUE_OBJECTS = {  # the frozen dataclasses that hold ndarray fields
     "Pmf": lambda: poisson_pmf(1.0),
     "MarkovChainSpec": lambda: inar_kernel(PARAMS),
     "PathEnsemble": lambda: PathEnsemble(np.ones((2, 3)), SeedSpec(1), {"a": 0.5}),
-    "InnovationDecomposition": lambda: InnovationDecomposition(np.ones((2, 3)), np.ones((2, 3))),
+    "PathEnsemble-with-v": lambda: _decomposed(np.ones((2, 3)), np.ones((2, 3))),
     "JointPmf": lambda: JointPmf(np.full((2, 2), 0.25)),
     "TripletPmf": lambda: TripletPmf(np.full((2, 2, 2), 0.125)),
 }
@@ -1025,10 +1026,13 @@ HOLDERS = {  # name -> (hold(array), the attribute holding it, a fresh array it 
     "PathEnsemble": (
         lambda m: PathEnsemble(m, SeedSpec(1), {}), "paths", lambda: np.ones((2, 3), np.int64)
     ),
-    "InnovationDecomposition": (
-        lambda m: InnovationDecomposition(m, np.zeros(m.shape, np.int64)),
-        "x",
+    "PathEnsemble-with-v": (
+        lambda m: _decomposed(m, np.zeros(m.shape, np.int64)),
+        "paths",
         lambda: np.ones((2, 3), np.int64),
+    ),
+    "PathEnsemble-v": (
+        lambda m: _decomposed(np.full(m.shape, 2), m), "v", lambda: np.ones((2, 3), np.int64)
     ),
 }
 
@@ -1056,7 +1060,7 @@ def test_count_holders_keep_any_signed_width_and_widen_the_rest(dtype):
     signed = np.dtype(dtype).kind == "i"
     for hold, attribute in (
         (lambda m: PathEnsemble(m, SeedSpec(1), {}), "paths"),
-        (lambda m: InnovationDecomposition(m, np.zeros_like(m)), "x"),
+        (lambda m: _decomposed(m, np.zeros_like(m)), "paths"),
     ):
         array = np.ones((2, 3), dtype)
         held = getattr(hold(array), attribute)
@@ -1094,16 +1098,18 @@ def _allocated_peak(fn) -> int:
 
 
 def test_writer_and_decomposition_allocate_under_a_quarter_matrix(tmp_path):
-    """Neither the CSV writer nor the decomposition check builds a full-size
-    temporary, whether the paths are held in C or in Fortran layout (the
-    transpose of a simulator's step-major buffer)."""
+    """Neither the CSV writer, of any component, nor the ensemble's survivor
+    check builds a full-size temporary, whether the paths are held in C or in
+    Fortran layout (the transpose of a simulator's step-major buffer)."""
     x, _, v = _valid_decomposition(np.random.default_rng(12), 20_000, 200)
     quarter = x.nbytes // 4
     for order in "CF":
         xo, vo = (np.asarray(m, order=order) for m in (x, v))
-        assert _allocated_peak(lambda: InnovationDecomposition(xo, vo)) < quarter
-        ens = PathEnsemble(xo, SeedSpec(1), {"construction": "test"})
-        assert _allocated_peak(lambda: write_ensemble_csv(ens, tmp_path / "x.csv")) < quarter
+        assert _allocated_peak(lambda: _decomposed(xo, vo)) < quarter
+        ens = PathEnsemble(xo, SeedSpec(1), {"construction": "test"}, vo)
+        for part in "xuv":
+            write = partial(write_ensemble_csv, ens, tmp_path / f"{part}.csv", part)
+            assert _allocated_peak(write) < quarter
 
 
 @pytest.mark.parametrize(
@@ -1143,8 +1149,7 @@ def test_widening_to_int64_peaks_within_the_memory_guard(simulate):
     out = []
     matrix = 2_000 * 200 * np.dtype(np.int64).itemsize
     assert _allocated_peak(lambda: out.append(simulate(200, 2_000, SeedSpec(5)))) < 2.5 * matrix
-    ens, dec = out[0]
-    assert ens.paths.dtype == dec.v.dtype == np.int64
+    assert out[0].paths.dtype == out[0].v.dtype == np.int64
 
 
 WIDE = InarParams(a=0.9, lam=30.0)  # stationary mean 300; each generation about 30
@@ -1157,10 +1162,9 @@ WIDENING_RUNS = {  # name -> (simulate(length, n_paths, seed), length, n_paths)
 }
 
 
-def _matrices(out) -> dict:
+def _matrices(ens) -> dict:
     """A simulation's held matrices by name."""
-    ens, dec = out if isinstance(out, tuple) else (out, None)
-    return {"x": ens.paths} if dec is None else {"x": ens.paths, "v": dec.v}
+    return {"x": ens.paths} if ens.v is None else {"x": ens.paths, "v": ens.v}
 
 
 @pytest.mark.parametrize("name", WIDENING_RUNS)
@@ -1188,9 +1192,9 @@ def test_superposition_widens_on_a_row_sum_that_no_generation_reaches():
     """Every generation stays below 128 while the sums of live generations
     cross it, so only the counts' buffer widens."""
     simulate, length, n_paths = WIDENING_RUNS["superposition-a0.9-lam30"]
-    ens, dec = simulate(length, n_paths, SeedSpec(19))
-    assert dec.v.max() < 128 < ens.paths.max()
-    assert (ens.paths.dtype, dec.v.dtype) == (np.int16, np.int8)
+    ens = simulate(length, n_paths, SeedSpec(19))
+    assert ens.v.max() < 128 < ens.paths.max()
+    assert (ens.paths.dtype, ens.v.dtype) == (np.int16, np.int8)
 
 
 NARROW_PAIRS = {  # x, v: decompositions at the int8 edge
@@ -1202,13 +1206,13 @@ NARROW_PAIRS = {  # x, v: decompositions at the int8 edge
 def test_narrow_decompositions_read_as_their_int64_copy(x, v, tmp_path):
     """Held int8 matrices give int8 survivors equal to those of their int64
     copies, and the same CSV bytes."""
-    narrow = InnovationDecomposition(np.array(x, np.int8), np.array(v, np.int8))
-    wide = InnovationDecomposition(np.array(x), np.array(v))
-    assert narrow.x.dtype == narrow.v.dtype == narrow.u.dtype == np.int8
+    narrow = PathEnsemble(np.array(x, np.int8), SeedSpec(2), {}, np.array(v, np.int8))
+    wide = PathEnsemble(np.array(x), SeedSpec(2), {}, np.array(v))
+    assert narrow.paths.dtype == narrow.v.dtype == narrow.u.dtype == np.int8
     assert wide.u.dtype == np.int64 and np.array_equal(narrow.u, wide.u)
-    for dec, label in ((narrow, "narrow"), (wide, "wide")):
-        write_ensemble_csv(PathEnsemble(dec.x, SeedSpec(2), {}), tmp_path / f"{label}_x.csv")
-        write_ensemble_csv(chains._Survivors(dec, SeedSpec(2), {}), tmp_path / f"{label}_u.csv")
+    for ens, label in ((narrow, "narrow"), (wide, "wide")):
+        for part in "xu":
+            write_ensemble_csv(ens, tmp_path / f"{label}_{part}.csv", part)
     for part in "xu":
         assert (tmp_path / f"narrow_{part}.csv").read_bytes() == (
             tmp_path / f"wide_{part}.csv"
@@ -1219,7 +1223,7 @@ def test_narrow_decompositions_read_as_their_int64_copy(x, v, tmp_path):
 def test_survivor_refusal_does_not_wrap_in_a_narrow_type(dtype):
     """Survivors 127 exceed their source 0 in int8 as in int64."""
     with pytest.raises(InvalidParameterError, match="survivors exceed their source count"):
-        InnovationDecomposition(np.array([[0, 127]], dtype), np.array([[0, 0]], dtype))
+        _decomposed(np.array([[0, 127]], dtype), np.array([[0, 0]], dtype))
 
 
 IMPOSSIBLE_STEPS = {  # x, v, refusal: steps no decomposition can hold
@@ -1243,7 +1247,7 @@ def test_impossible_innovations_are_refused(x, v, refusal, dtype):
     """An innovation below 0 or above its count is refused at any step, in a
     narrow type as in int64, before any difference is taken."""
     with pytest.raises(InvalidParameterError, match=refusal):
-        InnovationDecomposition(np.array(x, dtype), np.array(v, dtype))
+        _decomposed(np.array(x, dtype), np.array(v, dtype))
 
 
 def _reference_csv(ensemble, path) -> None:
@@ -1346,14 +1350,20 @@ def test_csv_bytes_equal_the_row_writer_on_narrow_magnitudes(tmp_path_factory, m
 def _assert_survivors_match(u, v, directory) -> None:
     """The survivors written from ``x = u + v`` and ``v`` a row block at a
     time hold the writer's bytes for the matrix ``u``, with both held in C
-    and in Fortran layout.  The writer only reads ``x`` and ``v``, and bounds
-    the survivors by [0, max x], so any nonnegative ``u`` and ``v`` will do."""
+    and in Fortran layout.  The writer only reads ``paths`` and ``v``, and
+    bounds the survivors by [0, max x], so any nonnegative ``u`` and ``v``
+    will do; they come in a plain namespace, since an ensemble refuses
+    survivors above their source."""
     x = u + v
-    params = {"construction": "test", "component": "u"}
-    write_ensemble_csv(PathEnsemble(u, SeedSpec(3, 1), params), directory / "whole.csv")
+    params = {"construction": "test"}
+    whole = PathEnsemble(u, SeedSpec(3, 1), dict(params, component="u"))
+    write_ensemble_csv(whole, directory / "whole.csv")
     for order in "CF":
-        held = SimpleNamespace(x=np.asarray(x, order=order), v=np.asarray(v, order=order))
-        write_ensemble_csv(chains._Survivors(held, SeedSpec(3, 1), params), directory / "blocks.csv")
+        held = SimpleNamespace(
+            paths=np.asarray(x, order=order), v=np.asarray(v, order=order),
+            seed=SeedSpec(3, 1), params=params,
+        )
+        write_ensemble_csv(held, directory / "blocks.csv", "u")
         assert (directory / "blocks.csv").read_bytes() == (directory / "whole.csv").read_bytes()
 
 
@@ -1381,9 +1391,9 @@ def test_survivors_csv_equals_the_whole_matrix_writer_at_the_edges(u, v, tmp_pat
 )
 def test_pairs_whose_survivors_would_wrap_are_refused(x, v):
     """Survivors ``x - v`` outside int64 come only from an innovation below 0
-    or above its count, which the decomposition refuses."""
+    or above its count, which an ensemble given its innovations refuses."""
     with pytest.raises(InvalidParameterError, match="innovations"):
-        InnovationDecomposition(x, v)
+        _decomposed(x, v)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1398,9 +1408,35 @@ def test_survivors_csv_equals_the_whole_matrix_writer_on_random_pairs(tmp_path_f
     _assert_survivors_match(pair[0], pair[1], tmp_path_factory.mktemp("csv"))
 
 
+@pytest.mark.parametrize(
+    "innovations, component, refusal",
+    [
+        (False, "u", "component u needs innovations, and this ensemble holds none"),
+        (False, "v", "component v needs innovations, and this ensemble holds none"),
+        (True, "w", "component must be x, u or v, got 'w'"),
+        (True, "X", "component must be x, u or v, got 'X'"),
+        (True, None, "component must be x, u or v, got None"),
+    ],
+    ids=["u-without-v", "v-without-v", "unknown", "upper-case", "none"],
+)
+def test_writer_refuses_a_component_the_ensemble_lacks(tmp_path, innovations, component, refusal):
+    x = np.ones((2, 3), np.int64)
+    ens = PathEnsemble(x, SeedSpec(1), {}, x if innovations else None)
+    out = tmp_path / "never.csv"
+    with pytest.raises(InvalidParameterError) as refused:
+        write_ensemble_csv(ens, out, component)
+    assert str(refused.value) == refusal
+    assert not out.exists()
+
+
+def test_survivors_of_an_ensemble_without_innovations_are_refused():
+    with pytest.raises(InvalidParameterError, match="^component u needs innovations"):
+        PathEnsemble(np.ones((2, 3)), SeedSpec(1), {}).u
+
+
 class TestCsvExport:
     def test_metadata_and_roundtrip(self, tmp_path):
-        ens, _ = simulate_inar_direct(PARAMS, 5, 20, SeedSpec(21))
+        ens = simulate_inar_direct(PARAMS, 5, 20, SeedSpec(21))
         out = tmp_path / "paths.csv"
         write_ensemble_csv(ens, out)
         lines = out.read_text().splitlines()
@@ -1412,6 +1448,6 @@ class TestCsvExport:
 
     def test_identical_runs_identical_files(self, tmp_path):
         for name in ("a.csv", "b.csv"):
-            ens, _ = simulate_inar_direct(PARAMS, 4, 10, SeedSpec(22))
+            ens = simulate_inar_direct(PARAMS, 4, 10, SeedSpec(22))
             write_ensemble_csv(ens, tmp_path / name)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

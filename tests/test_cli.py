@@ -4,6 +4,7 @@ import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,15 +68,30 @@ class TestSimulate:
         assert res.exit_code == 0
         params = InarParams(0.5, 1.0)
         if construction == "direct":
-            ens, dec = simulate_inar_direct(params, length, paths, SeedSpec(4))
+            ens = simulate_inar_direct(params, length, paths, SeedSpec(4))
         else:
             config = SuperpositionConfig.for_budget(params, cli.DEFAULT_TAIL_BUDGET)
-            ens, dec = simulate_inar_superposition(params, config, length, paths, SeedSpec(4))
-        for name, matrix in (("u", dec.u), ("v", dec.v)):
+            ens = simulate_inar_superposition(params, config, length, paths, SeedSpec(4))
+        for name, matrix in (("u", ens.u), ("v", ens.v)):
             part = PathEnsemble(matrix, SeedSpec(4), dict(ens.params, component=name))
             _reference_csv(part, tmp_path / "reference.csv")
             written = (tmp_path / f"{construction}_{name}.csv").read_bytes()
             assert written == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("construction", SIM_CONSTRUCTIONS)
+    def test_every_csv_names_its_length_and_path_count(self, runner, tmp_path, construction):
+        """Every construction's params line carries ``length`` and ``n_paths``,
+        and the u and v files also their component."""
+        res = run(
+            runner, "simulate", construction, "--a", 0.5, "--lambda", 1, "--p0", 0.5,
+            "--n", 3, "--p", 0.5, "--length", 50, "--paths", 30, "--out", tmp_path,
+        )
+        assert res.exit_code == 0
+        for path in map(Path, res.stdout.splitlines()):
+            line = path.read_text(encoding="utf-8").splitlines()[1]
+            params = json.loads(line.removeprefix("# params="))
+            assert (params["length"], params["n_paths"]) == (50, 30)
+            assert params.get("component", "x") == path.stem[-1]
 
     def test_direct_run_peaks_under_three_path_matrices(self, tmp_path):
         """x and v are the run's only path matrices, int8 at this mean, and

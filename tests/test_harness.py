@@ -27,6 +27,7 @@ from inarlab import (
     simulate_inar_direct,
 )
 from inarlab import chains, harness
+from inarlab.chains import PathEnsemble
 from inarlab.harness import (
     DEFAULT_A_GRID,
     DEFAULT_LAMBDA_GRID,
@@ -51,9 +52,7 @@ SMALL = dict(n_paths=20_000, path_length=16)
 
 @pytest.fixture(scope="module")
 def direct_run():
-    return simulate_inar_direct(
-        PARAMS, SMALL["path_length"], SMALL["n_paths"], SeedSpec(31, 7)
-    )[1]
+    return simulate_inar_direct(PARAMS, SMALL["path_length"], SMALL["n_paths"], SeedSpec(31, 7))
 
 
 def _marginal_columns(paths):
@@ -62,24 +61,24 @@ def _marginal_columns(paths):
     return {k: paths[:, k] for k in {0, length // 2, length - 1}}
 
 
-def _tail(dec):
-    """A decomposition's last two steps as the columns x_prev, x, v_prev, v,
+def _tail(ens):
+    """An ensemble's last two steps as the columns x_prev, x, v_prev, v,
     then the last time index."""
-    k = dec.x.shape[1] - 1
-    return dec.x[:, k - 1], dec.x[:, k], dec.v[:, k - 1], dec.v[:, k], k
+    k = ens.paths.shape[1] - 1
+    return ens.paths[:, k - 1], ens.paths[:, k], ens.v[:, k - 1], ens.v[:, k], k
 
 
-def _innovation(dec, *args):
-    return check_innovation_independence(*_tail(dec), *args)
+def _innovation(ens, *args):
+    return check_innovation_independence(*_tail(ens), *args)
 
 
-def _thinning(dec, params, *args):
-    x_prev, x, _, v, k = _tail(dec)
+def _thinning(ens, params, *args):
+    x_prev, x, _, v, k = _tail(ens)
     return check_thinning_conditional(x_prev, x, v, params, k, *args)
 
 
-def _control(dec, params, seed_index=0, significance=0.01):
-    x_prev, _, _, v, k = _tail(dec)
+def _control(ens, params, seed_index=0, significance=0.01):
+    x_prev, _, _, v, k = _tail(ens)
     return _corrupted_innovation_check(params, x_prev, v, k, seed_index, significance)
 
 
@@ -91,7 +90,7 @@ class TestStationaryMarginal:
         assert rep.passed and rep.statistic <= 1e-10
 
     def test_monte_carlo_mode(self, direct_run):
-        rep = check_stationary_marginal(_marginal_columns(direct_run.x), PARAMS)
+        rep = check_stationary_marginal(_marginal_columns(direct_run.paths), PARAMS)
         assert rep.provenance == "monte-carlo"
         assert rep.passed
 
@@ -102,7 +101,7 @@ class TestStationaryMarginal:
         assert check_stationary_marginal(_marginal_columns(fake), PARAMS).passed
 
     def test_wrong_mean_negative_control(self, direct_run):
-        columns = _marginal_columns(direct_run.x)
+        columns = _marginal_columns(direct_run.paths)
         rep = check_stationary_marginal(columns, PARAMS, target_mean=PARAMS.lam)
         assert not rep.passed
         assert rep.check.endswith("-control")
@@ -123,29 +122,29 @@ class TestThinningConditional:
         assert rep.params["strata_tested"] >= 3
 
     def test_zero_stratum_is_trivially_consistent(self, direct_run):
-        dec = direct_run
-        k = dec.x.shape[1] - 1
-        zero_rows = dec.x[:, k - 1] == 0
-        assert np.all(dec.u[zero_rows, k] == 0)
+        ens = direct_run
+        k = ens.paths.shape[1] - 1
+        zero_rows = ens.paths[:, k - 1] == 0
+        assert np.all(ens.u[zero_rows, k] == 0)
 
     def test_survivors_of_a_zero_count_are_impossible(self, direct_run):
         """A zero stratum is Binomial(0, a), the point mass at 0: survivors there
         are impossible counts, and a clean zero stratum is neither tested nor
         counted."""
-        dec = direct_run
-        k = dec.x.shape[1] - 1
-        zero_rows = dec.x[:, k - 1] == 0
+        ens = direct_run
+        k = ens.paths.shape[1] - 1
+        zero_rows = ens.paths[:, k - 1] == 0
         assert zero_rows.sum() >= MIN_STRATUM
-        x = dec.x.copy()
-        x[zero_rows, k] += 1  # one survivor each; InnovationDecomposition would refuse it
-        corrupted = SimpleNamespace(x=x, v=dec.v)
+        x = ens.paths.copy()
+        x[zero_rows, k] += 1  # one survivor each; a PathEnsemble would refuse it
+        corrupted = SimpleNamespace(paths=x, v=ens.v)
         rep = _thinning(corrupted, PARAMS)
         assert rep.statistic == harness.ERROR_STATISTIC and not rep.passed
         assert rep.to_dict() == _thinning_reference(corrupted, PARAMS).to_dict()
-        clean = _thinning(dec, PARAMS)
-        assert clean.to_dict() == _thinning_reference(dec, PARAMS).to_dict()
-        zeros = np.zeros_like(dec.x)
-        zero_only = SimpleNamespace(x=zeros, v=zeros)  # u = x - v = 0
+        clean = _thinning(ens, PARAMS)
+        assert clean.to_dict() == _thinning_reference(ens, PARAMS).to_dict()
+        zeros = np.zeros_like(ens.paths)
+        zero_only = SimpleNamespace(paths=zeros, v=zeros)  # u = x - v = 0
         rep = _thinning(zero_only, PARAMS)
         assert (rep.statistic, rep.params["strata_tested"], rep.params["strata_skipped"]) == (
             0.0, 0, 0
@@ -161,10 +160,10 @@ def _add_at_table(a, b, lo=None):
     return table
 
 
-def _thinning_reference(dec, params, significance=0.01):
+def _thinning_reference(ens, params, significance=0.01):
     """The thinning check with one mask per previous count."""
-    k = dec.x.shape[1] - 1
-    prev, surv = dec.x[:, k - 1], dec.x[:, k] - dec.v[:, k]
+    k = ens.paths.shape[1] - 1
+    prev, surv = ens.paths[:, k - 1], ens.paths[:, k] - ens.v[:, k]
     strata = [int(x) for x in np.unique(prev) if int((prev == x).sum()) >= MIN_STRATUM]
     skipped = int(np.unique(prev).size) - len(strata)
     worst, tested = 0.0, 0
@@ -204,18 +203,18 @@ class TestTallies:
     @pytest.mark.parametrize("run", TALLY_RUNS, ids=TALLY_IDS)
     def test_tables_equal_the_add_at_reference(self, run, monkeypatch):
         params, length, n_paths, seed = run
-        _, dec = simulate_inar_direct(params, length, n_paths, seed)
+        ens = simulate_inar_direct(params, length, n_paths, seed)
         seen = []
         ratio = harness._contingency_ratio
         monkeypatch.setattr(
             harness, "_contingency_ratio", lambda t, alpha: seen.append(t) or ratio(t, alpha)
         )
-        _innovation(dec)
-        _control(dec, params)
+        _innovation(ens)
+        _control(ens, params)
         k = length - 1
-        bumped = dec.v[:, k] + (dec.x[:, k - 1] > params.stationary_mean)
-        pairs = [(dec.x[:, k - 1], dec.v[:, k]), (dec.u[:, k], dec.v[:, k]),
-                 (dec.v[:, k - 1], dec.v[:, k]), (dec.x[:, k - 1], bumped)]
+        bumped = ens.v[:, k] + (ens.paths[:, k - 1] > params.stationary_mean)
+        pairs = [(ens.paths[:, k - 1], ens.v[:, k]), (ens.u[:, k], ens.v[:, k]),
+                 (ens.v[:, k - 1], ens.v[:, k]), (ens.paths[:, k - 1], bumped)]
         assert len(seen) == len(pairs)
         for table, (a, b) in zip(seen, pairs):
             assert np.array_equal(table.astype(np.float64), _add_at_table(a, b))
@@ -225,20 +224,20 @@ class TestTallies:
     @pytest.mark.parametrize("run", TALLY_RUNS, ids=TALLY_IDS)
     def test_thinning_report_equals_the_per_stratum_reference(self, run):
         params, length, n_paths, seed = run
-        _, dec = simulate_inar_direct(params, length, n_paths, seed)
-        rep = _thinning(dec, params)
+        ens = simulate_inar_direct(params, length, n_paths, seed)
+        rep = _thinning(ens, params)
         assert rep.params["strata_skipped"] > 0 and rep.params["strata_tested"] > 0
-        assert rep.to_dict() == _thinning_reference(dec, params).to_dict()
+        assert rep.to_dict() == _thinning_reference(ens, params).to_dict()
 
     def test_tables_grow_with_the_spread_not_the_size_of_the_counts(self):
         """At a = 0.95, lambda = 150 the counts sit near 3000 with a spread of a few
         hundred; tables from zero would take about 80 MB for the thinning check."""
         params = InarParams(a=0.95, lam=150.0)
-        _, dec = simulate_inar_direct(params, 2, 50_000, SeedSpec(45))
+        ens = simulate_inar_direct(params, 2, 50_000, SeedSpec(45))
         tracemalloc.start()
         try:
-            rep = _thinning(dec, params)
-            _innovation(dec)
+            rep = _thinning(ens, params)
+            _innovation(ens)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -471,40 +470,40 @@ def narrow_run():
     """A direct run with one path raised to the count 127, held as int8 and as
     an int64 copy.  That path's last innovation, 127, reads 128 when the
     corrupted control bumps it."""
-    _, dec = simulate_inar_direct(PARAMS, 6, 4_000, SeedSpec(41))
-    x, v = dec.x.astype(np.int64), dec.v.astype(np.int64)
+    ens = simulate_inar_direct(PARAMS, 6, 4_000, SeedSpec(41))
+    x, v = ens.paths.astype(np.int64), ens.v.astype(np.int64)
     x[0], v[0] = 127, 0
     v[0, -1] = 127  # no survivors at the last step
     return {
-        dtype: SimpleNamespace(x=x.astype(dtype), v=v.astype(dtype))
+        dtype: PathEnsemble(x.astype(dtype), SeedSpec(41), {}, v.astype(dtype))
         for dtype in (np.int8, np.int64)
     }
 
 
 def test_checks_read_int8_counts_as_their_int64_copy(narrow_run, monkeypatch):
-    def reports(dec):
+    def reports(ens):
         return [
-            check_stationary_marginal(_marginal_columns(dec.x), PARAMS).to_dict(),
-            _innovation(dec).to_dict(),
-            _thinning(dec, PARAMS).to_dict(),
-            _control(dec, PARAMS).to_dict(),
+            check_stationary_marginal(_marginal_columns(ens.paths), PARAMS).to_dict(),
+            _innovation(ens).to_dict(),
+            _thinning(ens, PARAMS).to_dict(),
+            _control(ens, PARAMS).to_dict(),
         ]
 
-    dec = narrow_run[np.int8]
-    assert dec.x.dtype == dec.v.dtype == np.int8
-    assert dec.x.max() == dec.v.max() == 127
-    assert reports(dec) == reports(narrow_run[np.int64])
+    ens = narrow_run[np.int8]
+    assert ens.paths.dtype == ens.v.dtype == np.int8
+    assert ens.paths.max() == ens.v.max() == 127
+    assert reports(ens) == reports(narrow_run[np.int64])
     bumps = []
     pair_counts = harness._pair_counts
     monkeypatch.setattr(
         harness, "_pair_counts", lambda a, b: bumps.append(int(b.max())) or pair_counts(a, b)
     )
-    _control(dec, PARAMS)
+    _control(ens, PARAMS)
     assert bumps == [128]  # a bump in int8 would wrap to -128
     wide = narrow_run[np.int64]
     assert np.array_equal(
-        harness._pair_counts(dec.x[:, -2], dec.v[:, -1]),
-        harness._pair_counts(wide.x[:, -2], wide.v[:, -1]),
+        harness._pair_counts(ens.paths[:, -2], ens.v[:, -1]),
+        harness._pair_counts(wide.paths[:, -2], wide.v[:, -1]),
     )
 
 
@@ -523,20 +522,20 @@ class TestStreamedBlock:
             n_paths=10_000, path_length=path_length, seed=seed,
             negative_controls=negative_controls,
         )
-        ens, dec = simulate_inar_direct(params, path_length, config.n_paths, seed)
+        ens = simulate_inar_direct(params, path_length, config.n_paths, seed)
         index, significance = seed.stream_index, config.significance
         columns = _marginal_columns(ens.paths)
         expected = [
             check_stationary_marginal(columns, params, "direct", index, significance),
-            _innovation(dec, index, significance),
-            _thinning(dec, params, index, significance),
+            _innovation(ens, index, significance),
+            _thinning(ens, params, index, significance),
         ]
         if negative_controls:
             expected += [
                 check_stationary_marginal(
                     columns, params, "direct", index, significance, params.lam
                 ),
-                _control(dec, params, index, significance),
+                _control(ens, params, index, significance),
             ]
         streamed = harness._mc_block(config, params, seed)
         assert [r.to_dict() for r in streamed] == [r.to_dict() for r in expected]

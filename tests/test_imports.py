@@ -3,7 +3,7 @@ private module-level name is used somewhere in the package, every exported
 name is defined where it is exported and re-exported only from there, each
 rule the scan tracks (kernel products, null atoms, atom limits, array
 ownership, lost mass, dense BLAS kernels, whole survivor matrices, the
-chain's own draws, int64 widening) is read only in its home, every public
+survivor rule, the chain's own draws, int64 widening) is read only in its home, every public
 harness check is run by some package code, and the package loads no scipy
 at all."""
 
@@ -121,8 +121,12 @@ def test_scan_flags_an_unreferenced_private_name():
 # simulator transposes its step-major buffer into a path-sized copy.  The
 # dense SVDs and matrix powers run only at the call sites that enter
 # dependence._serial_blas, and only the OpenBLAS lookup behind that scope
-# loads a C library.  Only the decomposition builds its survivors matrix
-# whole: every reader takes one step, x[:, k] - v[:, k], or a row block.  Only
+# loads a C library.  Only the ensemble builds its survivors matrix whole,
+# as ``u`` on read: every other reader takes one step, x[:, k] - v[:, k], or
+# a row block.  The survivor rule ``_survivors`` runs in the ensemble, which
+# applies it to every step of a run it holds, in the campaign's streamed
+# block, which applies it to every step it draws, and in the two checks that
+# read survivors; no third copy of the rule may appear.  Only
 # the two count-chain simulators draw binomial survivors and Poisson counts,
 # so no other module runs a step loop of its own.  A count leaves its own
 # type for int64 only where memory is counted at the worst case, where
@@ -142,7 +146,13 @@ RULE_HOMES = {
     "svd": {"dependence._flush"},
     "matrix_power": {"chains.window_joint_pmf", "chains.marginal_at"},
     "ctypes": {"dependence._openblas_threads"},
-    "u": {"chains.InnovationDecomposition"},
+    "u": {"chains.PathEnsemble"},
+    "_survivors": {
+        "chains.PathEnsemble",
+        "harness._mc_block",
+        "harness.check_innovation_independence",
+        "harness.check_thinning_conditional",
+    },
     # a simulator's buffer range is read in one place; every simulator calls it
     "iinfo": {"chains._fitted"},
     "promote_types": {"chains._fitted"},
@@ -201,6 +211,8 @@ def test_scan_flags_a_rule_read_outside_its_home():
             "def _counts(paths):\n    return np.asarray(paths, np.int64)\n"
             "class _Survivors:\n    def rows(self, b):\n"
             "        return np.subtract(self.x[b], self.v[b], dtype=np.int64)\n"
+            "def write_ensemble_csv(ensemble, b):\n"
+            "    return _survivors(ensemble.paths[b], ensemble.v[b])\n"
         ),
         "dependence": (
             "def _without_null_atoms(mass):\n    return mass.compress([1], axis=0)\n"
@@ -223,6 +235,7 @@ def test_scan_flags_a_rule_read_outside_its_home():
         "chains.simulate_inar_direct:ascontiguousarray",
         "chains.simulate_chain:iinfo",
         "chains._Survivors:int64",
+        "chains.write_ensemble_csv:_survivors",
         "dependence.maximal_correlation:svd",
         "harness:binomial_table",
         "harness._pooled_gof_ratio:fsum",
