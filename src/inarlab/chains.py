@@ -23,7 +23,13 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dependence import DEFAULT_EXPLOSION_LIMIT, JointPmf, _serial_blas, _without_null_atoms
+from .dependence import (
+    DEFAULT_EXPLOSION_LIMIT,
+    _WORK_BUDGET,
+    JointPmf,
+    _serial_blas,
+    _without_null_atoms,
+)
 from .errors import (
     ExplosionLimitError,
     InvalidConfigError,
@@ -69,6 +75,8 @@ __all__ = [
 ]
 
 DEFAULT_SUPERPOSITION_BUDGET = 1e-9  # neglected mean mass a default depth may leave
+# Widest window a scan enumerates: every gap of its window laws is below it.
+DEFAULT_MAX_WIDTH = 8
 _BLOCK_CELLS = 1 << 16  # cells per row block when writing ensembles
 # The superposition costs about (depth + length) x (n_paths + C) work units of
 # 55-62 ns each: a generation's fixed cost (11-15 us) is worth about C paths.
@@ -156,7 +164,8 @@ class MarkovChainSpec:
     a: float
     innovation: Pmf
     description: Mapping = field(default_factory=dict)
-    # transition_matrix's read-only table per cap, built on first use (two
+    # transition_matrix's read-only table per cap, and window_joint_pmf's
+    # read-only gap power per (cap, exponent), each built on first use (two
     # threads may both build one; either serves)
     _kernels: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -629,6 +638,11 @@ class TupleLaw:
         keys = zip(*(axis.tolist() for axis in cells))
         return MappingProxyType(dict(zip(keys, self.mass[cells].tolist())))
 
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        """Axis of each observed index."""
+        return {index: axis for axis, index in enumerate(self.indices)}
+
     def _sum_to(self, positions: Sequence[int]) -> np.ndarray:
         """Mass summed over every axis not listed, the rest in listed order.
 
@@ -651,13 +665,18 @@ class TupleLaw:
         lexicographic order; they carry no labels.  A law whose cap keeps
         no mass at all is refused as a resource limit.
         """
-        missing = [i for i in (*s_indices, *t_indices) if i not in self.indices]
-        if missing:
-            raise InvalidParameterError(
-                f"index {missing[0]!r} is not one of the law's indices {self.indices}"
-            )
-        s_pos = [self.indices.index(i) for i in sorted(s_indices)]
-        t_pos = [self.indices.index(i) for i in sorted(t_indices)]
+        positions = self._positions
+        try:
+            s_pos = [positions[i] for i in sorted(s_indices)]
+            t_pos = [positions[i] for i in sorted(t_indices)]
+        except (KeyError, TypeError):  # unobserved, or only equal to one (a 0-d array)
+            missing = [i for i in (*s_indices, *t_indices) if i not in self.indices]
+            if missing:
+                raise InvalidParameterError(
+                    f"index {missing[0]!r} is not one of the law's indices {self.indices}"
+                ) from None
+            s_pos = [self.indices.index(i) for i in sorted(s_indices)]
+            t_pos = [self.indices.index(i) for i in sorted(t_indices)]
         if not s_pos or not t_pos or set(s_pos) & set(t_pos):
             raise InvalidParameterError("S and T must be disjoint and nonempty")
         support = self.mass.shape[0]
@@ -696,16 +715,27 @@ def window_joint_pmf(
     the unobserved gaps.  Impossible tuples (e.g. increases under a death
     kernel) hold zero mass.  The lost mass is reported as
     ``truncation_error``, not renormalized away.  Every call at one cap
-    reads the one kernel table the spec keeps for it.
+    reads the one kernel table the spec keeps for it.  Each power with an
+    exponent below ``DEFAULT_MAX_WIDTH`` whose table fits the work budget
+    (2**17 cells) is computed once and kept next to that table, so the
+    powers a spec keeps at one cap hold at most 8 MiB.
     """
     idx = _window_indices(indices)
     require_window_atoms(cap, len(idx))
     support = cap + 1
     trans = transition_matrix(spec, cap)[:, :support]
+    powers = []
     with _serial_blas(trans.size):
-        mass = _padded(spec.initial.probs, support) @ np.linalg.matrix_power(trans, idx[0])
-        for prev, cur in zip(idx, idx[1:]):
-            mass = mass[..., None] * np.linalg.matrix_power(trans, cur - prev)
+        for n in (idx[0], *(cur - prev for prev, cur in zip(idx, idx[1:]))):
+            power = spec._kernels.get((cap, n))
+            if power is None:
+                power = np.linalg.matrix_power(trans, n)
+                if trans.size <= _WORK_BUDGET and n < DEFAULT_MAX_WIDTH:
+                    spec._kernels[cap, n] = power = _owned(power, np.float64)
+            powers.append(power)
+        mass = _padded(spec.initial.probs, support) @ powers[0]
+        for power in powers[1:]:
+            mass = mass[..., None] * power
     return TupleLaw(idx, mass, _lost_mass(mass))
 
 

@@ -113,12 +113,15 @@ def _validate_mass(mass: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def _without_null_atoms(mass: np.ndarray) -> np.ndarray:
-    """Mass with its zero rows, then its zero columns, removed; the array
-    itself, uncopied, when it has none."""
-    rows = mass.sum(axis=1) > 0.0
-    mass = mass if rows.all() else mass.compress(rows, axis=0)
-    cols = mass.sum(axis=0) > 0.0
-    return mass if cols.all() else mass.compress(cols, axis=1)
+    """Mass with its zero rows and zero columns removed; the array itself,
+    uncopied, when it has none.  Both are read from the sums of the whole
+    matrix: its cells are nonnegative, so a zero row adds nothing to a
+    column's sum."""
+    rows = mass.sum(axis=1).nonzero()[0]
+    cols = mass.sum(axis=0).nonzero()[0]
+    if rows.size < mass.shape[0]:
+        mass = mass.take(rows, axis=0)
+    return mass if cols.size == mass.shape[1] else mass.take(cols, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,10 +185,13 @@ def maximal_correlations(joints: Iterable[JointPmf]) -> list[float]:
     """:func:`maximal_correlation` of each joint, in input order.
 
     Joints are read lazily and held until their shape's group is flushed:
-    each group is normalized straight into one stack and takes one
-    ``np.linalg.svd`` call.  Every group is flushed once the held joints
-    reach the work budget (2**17 cells, 1 MiB of float64), and at the end,
-    so the memory a batch holds does not grow with the number of joints.
+    each group is copied into one C-ordered stack, whose row and column
+    marginals are one stacked sum each, normalized in place and passed to
+    one ``np.linalg.svd`` call.  So a joint's value depends on its cells
+    alone: a Fortran-ordered or strided mass reads as its C-ordered copy.
+    Every group is flushed once the held joints reach the work budget
+    (2**17 cells, 1 MiB of float64), and at the end, so the memory a batch
+    holds does not grow with the number of joints.
     """
     values: list[float] = []
     pending: dict[tuple[int, int], list] = {}
@@ -206,12 +212,8 @@ def maximal_correlations(joints: Iterable[JointPmf]) -> list[float]:
 def _flush(pending: dict[tuple[int, int], list], values: list[float]) -> None:
     """Store the second singular value of every pending joint, then clear."""
     for shape, group in pending.items():
-        stack = np.empty((len(group),) + shape)
-        rows = np.empty((len(group), shape[0]))
-        cols = np.empty((len(group), shape[1]))
-        for i, (_, joint) in enumerate(group):
-            stack[i] = joint.mass
-            rows[i], cols[i] = joint.row_marginal(), joint.col_marginal()
+        stack = np.array([joint.mass for _, joint in group])  # always C order
+        rows, cols = stack.sum(axis=2), stack.sum(axis=1)  # each joint's marginals
         # Scale by each square root separately: their product can underflow.
         stack /= np.sqrt(rows)[:, :, None]
         stack /= np.sqrt(cols)[:, None, :]

@@ -22,6 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .chains import (
+    DEFAULT_MAX_WIDTH,
     MarkovChainSpec,
     TupleLaw,
     _require_survival,
@@ -42,7 +43,6 @@ from .errors import (
 )
 from .pmf import _integer, _smallest
 
-DEFAULT_MAX_WIDTH = 8
 # longest window verify_absorbing_split enumerates, and the slack of its
 # hypothesis checks
 SPLIT_MAX_LENGTH = 6

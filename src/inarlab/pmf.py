@@ -110,8 +110,12 @@ def _lost_mass(cells: np.ndarray) -> float:
 
 
 def _padded(probs: np.ndarray, size: int) -> np.ndarray:
-    """The first ``size`` entries of ``probs``, zero-padded to ``size``."""
-    return np.pad(probs[:size], (0, max(0, size - probs.size)))
+    """The first ``size`` entries of ``probs``, zero-padded to ``size``: a new
+    array of ``probs``'s dtype, zeros plus one slice copy."""
+    out = np.zeros(size, probs.dtype)
+    kept = min(size, probs.size)
+    out[:kept] = probs[:kept]
+    return out
 
 
 def _require_finite_nonnegative(mass: np.ndarray) -> None:
@@ -122,12 +126,16 @@ def _require_finite_nonnegative(mass: np.ndarray) -> None:
 def _owned(array, dtype) -> np.ndarray:
     """``array`` as a read-only ``dtype`` array, for a holder.
 
-    A holder owns what it is handed: an array of this dtype is held uncopied
-    in its own layout (C, or Fortran for a transposed step-major path buffer)
-    and made read-only, the caller's reference included, so no alias changes
-    it after its one check and the widest laws are not doubled.
-    A numeric conversion that does not cast back to the same values (NaN or
-    1.7 to int64, 2**53 + 1 to float64) is refused instead of held."""
+    A holder owns what it is handed: an ndarray of this dtype is returned
+    itself, in its own layout (C, Fortran for a transposed step-major path
+    buffer, or strided) and made read-only, the caller's reference included,
+    so no alias changes it after its one check and the widest laws are not
+    doubled.  Anything else is converted, and a numeric conversion that does
+    not cast back to the same values (NaN or 1.7 to int64, 2**53 + 1 to
+    float64) is refused instead of held."""
+    if type(array) is np.ndarray and array.dtype == dtype:
+        array.setflags(write=False)
+        return array
     source = np.asarray(array)
     with np.errstate(invalid="ignore"):  # NaN to int64 is refused below
         out = np.asarray(source, dtype=dtype, order="A")  # 0-d stays 0-d, for its holder

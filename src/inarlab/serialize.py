@@ -14,8 +14,8 @@ from .errors import InvalidParameterError
 
 
 def _format(obj, level: int) -> str:
-    pad = "  " * level
-    pad_in = "  " * (level + 1)
+    indent = "  " * level
+    indent_in = "  " * (level + 1)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -32,13 +32,13 @@ def _format(obj, level: int) -> str:
         if not obj:
             return "[]"
         items = [_format(v, level + 1) for v in obj]
-        return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
+        return "[\n" + ",\n".join(indent_in + it for it in items) + "\n" + indent + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         keys = sorted(obj, key=str)
         items = [f"{json.dumps(str(k))}: {_format(obj[k], level + 1)}" for k in keys]
-        return "{\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "}"
+        return "{\n" + ",\n".join(indent_in + it for it in items) + "\n" + indent + "}"
     raise InvalidParameterError(f"unserializable value of type {type(obj).__name__}")
 
 

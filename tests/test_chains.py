@@ -615,6 +615,62 @@ class TestWindowJointPmf:
         assert np.array_equal(transition_matrix(other, 6), table) and builds == [6, 7, 6]
         assert "_kernels" not in repr(other)
 
+    def test_gap_powers_are_built_once_per_spec_and_cap(self, monkeypatch):
+        """A second law with a gap of 2 reads the first law's power, which is
+        read-only; a new spec builds its own, and none shows in its repr."""
+        built = []
+        power_of = np.linalg.matrix_power
+        monkeypatch.setattr(
+            np.linalg, "matrix_power", lambda m, n: built.append(n) or power_of(m, n)
+        )
+        spec = inar_kernel(PARAMS)
+        first = window_joint_pmf(spec, [0, 2], 6)
+        power = spec._kernels[6, 2]
+        assert not power.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            power[0, 0] = 1.0
+        window_joint_pmf(spec, [1, 3, 5], 6)
+        assert spec._kernels[6, 2] is power and built == [0, 2, 1]
+        other = inar_kernel(PARAMS)
+        again = window_joint_pmf(other, [0, 2], 6)
+        assert built == [0, 2, 1, 0, 2] and other._kernels[6, 2] is not power
+        assert np.array_equal(other._kernels[6, 2], power)
+        assert again.mass.tobytes() == first.mass.tobytes()
+        assert "_kernels" not in repr(other)
+
+    def test_gap_powers_are_kept_only_within_the_budget_and_the_widest_window(self):
+        """A power is kept only when its table fits 2**17 cells (cap 361, not
+        362) and its exponent is below the widest scannable window (8)."""
+        spec = iid_chain(1.0)
+        window_joint_pmf(spec, [1, 2], 361)
+        window_joint_pmf(spec, [1, 2], 362)
+        assert (361, 1) in spec._kernels and (362, 1) not in spec._kernels
+        window_joint_pmf(spec, [0, 7, 15], 4)
+        window_joint_pmf(spec, [9], 4)
+        assert [n for n in range(20) if (4, n) in spec._kernels] == [0, 7]
+        assert chains.DEFAULT_MAX_WIDTH == 8
+
+    def test_scans_are_bitwise_equal_with_a_cold_a_warm_and_no_power_cache(self, monkeypatch):
+        def scans(spec_of):
+            return [
+                rho_star_window(spec_of("inar"), 5, 1, 6),
+                rho_star_window(spec_of("death"), 4, 1, 10),
+                rho_star_window(spec_of("indicator"), 8, 1, 1),
+            ]
+
+        makers = {
+            "inar": lambda: inar_kernel(PARAMS),
+            "death": lambda: poisson_death_chain(3.0, 0.5),
+            "indicator": lambda: indicator_chain_spec(0.5, 0.5),
+        }
+        specs = {kind: make() for kind, make in makers.items()}
+        cold = scans(specs.get)
+        warm = scans(specs.get)
+        monkeypatch.setattr(chains, "_WORK_BUDGET", 0)  # keeps no power at all
+        uncached = scans(lambda kind: makers[kind]())
+        assert all(len(spec._kernels) > 1 for spec in specs.values())
+        assert repr(cold) == repr(warm) == repr(uncached)
+
     def test_unsummed_reorder_is_a_view(self):
         law = window_joint_pmf(inar_kernel(PARAMS), [0, 1, 3], cap=5)
         view = law._sum_to([2, 0, 1])
@@ -669,13 +725,24 @@ class TestWindowJointPmf:
 
     @pytest.mark.parametrize(
         "s, t, missing",
-        [([0], [5], 5), ([7], [1], 7), ([0, 2], [1], 2), ([0], [np.int64(3)], np.int64(3))],
+        [
+            ([0], [5], 5),
+            ([7], [1], 7),
+            ([0, 2], [1], 2),
+            ([0], [np.int64(3)], np.int64(3)),
+            ([np.array(4)], [1], np.array(4)),
+        ],
     )
     def test_split_refuses_an_index_the_law_does_not_observe(self, s, t, missing):
         law = window_joint_pmf(poisson_death_chain(2.0, 0.5), [0, 1], 3)
         with pytest.raises(InvalidParameterError) as refused:
             law.split(s, t)
         assert str(refused.value) == f"index {missing!r} is not one of the law's indices (0, 1)"
+
+    def test_split_reads_an_unhashable_index_equal_to_an_observed_one(self):
+        law = window_joint_pmf(poisson_death_chain(2.0, 0.5), [0, 1], 3)
+        by_array = law.split([np.array(0)], [np.array(1)])
+        assert np.array_equal(by_array.mass, law.split([0], [1]).mass)
 
     def test_death_chain_atoms_are_nonincreasing(self):
         chain = poisson_death_chain(2.0, 0.5)

@@ -215,6 +215,27 @@ class TestMaximalCorrelations:
             assert len(flushes) >= 2 and flushes[0] > 0
         assert any(v == 0.0 for v in one_by_one) and all(0.0 <= v <= 1.0 for v in one_by_one)
 
+    def test_a_joint_reads_as_its_c_ordered_copy_whatever_its_layout(self):
+        # At 9 x 12 numpy sums a Fortran-ordered matrix in another order
+        # than a C-ordered one, so marginals taken from each joint's own
+        # array would differ in the last bits.
+        rng = np.random.default_rng(5)
+        c_joints, other = [], []
+        for k in range(40):
+            if k % 2:
+                mass = rng.dirichlet(np.ones(108)).reshape(12, 9).T
+            else:
+                spaced = np.zeros((9, 24))
+                spaced[:, ::2] = rng.dirichlet(np.ones(108)).reshape(9, 12)
+                mass = spaced[:, ::2]
+            other.append(JointPmf(mass))
+            c_joints.append(JointPmf(np.ascontiguousarray(mass)))
+        assert not any(j.mass.flags.c_contiguous for j in other)
+        want = maximal_correlations(c_joints)
+        assert maximal_correlations(other) == want
+        assert maximal_correlations(other + c_joints) == want + want
+        assert [maximal_correlation(j) for j in other] == want
+
     def test_inconsistent_joint_in_a_batch_raises(self, monkeypatch):
         real_svd = np.linalg.svd
 

@@ -1,9 +1,10 @@
 """Every name a module imports is used in that module (or exported), every
 private module-level name is used somewhere in the package, every exported
 name is defined where it is exported and re-exported only from there, each
-rule the scan tracks (kernel products, null atoms, atom limits, array
-ownership, lost mass, dense BLAS kernels, whole survivor matrices, the
-survivor rule, the chain's own draws, int64 widening) is read only in its home, every public
+rule the scan tracks (kernel products, the kernel and power cache, null
+atoms, atom limits, array ownership, zero padding, lost mass, dense BLAS
+kernels, whole survivor matrices, the survivor rule, the chain's own draws,
+int64 widening) is read only in its home, every public
 harness check is run by some package code, and the package loads no scipy
 at all."""
 
@@ -113,9 +114,11 @@ def test_scan_flags_an_unreferenced_private_name():
 
 # Each rule's one home: a name that carries the rule, and the only places (a
 # module, or a module-level definition in one) that may read it.  Every exact
-# law comes from transition_matrix, every joint drops its null atoms through
+# law comes from transition_matrix, and only it and window_joint_pmf read the
+# spec's table and power cache, every joint drops its null atoms through
 # one helper, only the window-law limit refuses a table as too large, every
-# holder freezes its array through pmf._owned, and every exact sum (lost
+# holder freezes its array through pmf._owned, every table is zero-padded by
+# pmf._padded (numpy's pad is read nowhere), and every exact sum (lost
 # mass, totals, distances) is taken in pmf, besides the chi-square tail's own
 # terms.  Only a window law's split copies an array into C order, so no
 # simulator transposes its step-major buffer into a path-sized copy.  The
@@ -138,7 +141,14 @@ CHAIN_DRAWS = {"chains._direct_steps", "chains.simulate_inar_superposition"}
 RULE_HOMES = {
     "binomial_table": KERNEL_PLACES,
     "convolve": KERNEL_PLACES,
+    "_kernels": {
+        "chains.MarkovChainSpec",
+        "chains.transition_matrix",
+        "chains.window_joint_pmf",
+    },
     "compress": {"dependence._without_null_atoms"},
+    "take": {"dependence._without_null_atoms"},
+    "pad": set(),
     "ExplosionLimitError": {"chains.require_window_atoms"},
     "ascontiguousarray": {"chains.TupleLaw"},
     "setflags": {"pmf._owned"},
@@ -204,7 +214,11 @@ def test_scan_flags_a_rule_read_outside_its_home():
             "def transition_matrix(spec, cap):\n    return binomial_table(cap, spec.a)\n"
             "def marginal(spec):\n    return np.convolve(spec, spec)\n"
             "def require_window_atoms(cap, count):\n    raise ExplosionLimitError(cap)\n"
-            "class TupleLaw:\n    def split(self):\n        return self.mass.compress([1])\n"
+            "class TupleLaw:\n    def split(self):\n        return self.mass.take([1], axis=0)\n"
+            "def _dropped(mass):\n    return mass.compress([1], axis=1)\n"
+            "def window_joint_pmf(spec, cap):\n    return spec._kernels.get((cap, 2))\n"
+            "def marginal_at(spec, cap):\n    return spec._kernels[cap]\n"
+            "def _padded(probs, size):\n    return np.pad(probs, (0, size))\n"
             "def simulate_inar_direct(params, x):\n    return np.ascontiguousarray(x.T)\n"
             "def _fitted(buffer, values):\n    return np.iinfo(buffer.dtype).max\n"
             "def simulate_chain(paths, draws):\n    return draws.max() <= np.iinfo(paths.dtype).max\n"
@@ -215,7 +229,7 @@ def test_scan_flags_a_rule_read_outside_its_home():
             "    return _survivors(ensemble.paths[b], ensemble.v[b])\n"
         ),
         "dependence": (
-            "def _without_null_atoms(mass):\n    return mass.compress([1], axis=0)\n"
+            "def _without_null_atoms(mass):\n    return mass.take([1], axis=0)\n"
             "def _flush(stack):\n    return np.linalg.svd(stack)\n"
             "def maximal_correlation(joint):\n    return np.linalg.svd(joint.mass)[1]\n"
         ),
@@ -231,7 +245,10 @@ def test_scan_flags_a_rule_read_outside_its_home():
     assert stray_rule_reads(sources) == [
         "pmf.Pmf:setflags",
         "chains.marginal:convolve",
-        "chains.TupleLaw:compress",
+        "chains.TupleLaw:take",
+        "chains._dropped:compress",
+        "chains.marginal_at:_kernels",
+        "chains._padded:pad",
         "chains.simulate_inar_direct:ascontiguousarray",
         "chains.simulate_chain:iinfo",
         "chains._Survivors:int64",

@@ -513,6 +513,65 @@ def _ulps_from(x: float, steps: int) -> float:
     return x
 
 
+class _Subclass(np.ndarray):
+    pass
+
+
+class TestOwnedAndPadded:
+    @pytest.mark.parametrize(
+        "make, dtype",
+        [
+            (lambda: np.full((3, 4), 0.25), np.float64),
+            (lambda: np.ones((200, 5), np.int8).T, np.int8),  # a step-major path buffer's transpose
+            (lambda: np.arange(24.0).reshape(4, 6)[::2, 1::2], np.float64),
+            (lambda: np.array(0.5), np.float64),
+        ],
+        ids=["C", "Fortran-int8", "strided", "0-d"],
+    )
+    def test_owned_holds_an_array_of_its_dtype_itself_read_only(self, make, dtype):
+        array = make()
+        assert pmf._owned(array, dtype) is array
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+    def test_owned_converts_a_subclass_or_another_dtype_to_a_plain_array(self):
+        sub = np.zeros(3).view(_Subclass)
+        held = pmf._owned(sub, np.float64)
+        assert type(held) is np.ndarray and np.shares_memory(held, sub)
+        swapped = np.arange(3.0).astype(">f8")
+        held = pmf._owned(swapped, np.float64)
+        assert held.dtype == np.dtype(np.float64) and held is not swapped
+        assert np.array_equal(held, swapped) and not held.flags.writeable
+        assert pmf._owned([1, 2], np.int64).tolist() == [1, 2]
+
+    @pytest.mark.parametrize(
+        "array, dtype",
+        [
+            (np.array([1.5]), np.int64),
+            (np.array([np.nan, 1.0]), np.int64),
+            (np.array([2**53 + 1]), np.float64),
+            (np.array(1.5), np.int64),
+        ],
+        ids=["fraction", "nan", "beyond-2**53", "0-d-fraction"],
+    )
+    def test_owned_refuses_a_conversion_that_changes_values(self, array, dtype):
+        with pytest.raises(InvalidParameterError, match="would change values"):
+            pmf._owned(array, dtype)
+
+    @pytest.mark.parametrize("size", [0, 1, 4, 5, 9])
+    @pytest.mark.parametrize(
+        "probs",
+        [np.random.default_rng(3).random(5), np.array([7, -2, 0, 1, 3]), np.arange(5, dtype=np.int8)],
+        ids=["float64", "int64", "int8"],
+    )
+    def test_padded_is_bitwise_np_pad(self, probs, size):
+        want = np.pad(probs[:size], (0, max(0, size - probs.size)))
+        got = pmf._padded(probs, size)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes() and not np.shares_memory(got, probs)
+
+
 class TestMassCheck:
     # Mostly masses within a few ulps of 1 +- MASS_TOL and more than four
     # blocks long, where a blockwise float sum can round across the boundary.
